@@ -1,6 +1,9 @@
 """Scaled dot-product / multi-head attention, plus the gated cross-modal
 variant where the softmax over image regions is replaced by per-element
-Gumbel-Sigmoid selection.  Scores are always divided by sqrt(d_head)."""
+Gumbel-Sigmoid selection.  Scores are always divided by sqrt(d_head).
+
+Inputs are one sequence, ``(t, d)``, or a padded batch, ``(b, t, d)``.  In a
+batch, masks carry the key padding."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
-from .gumbel import GateMode, NoiseSource, gumbel_sigmoid
+from .gumbel import GateMode, NoiseSource, gumbel_sigmoid, logistic_noise
 
 
 @dataclass
@@ -75,13 +78,23 @@ def causal_mask(t: int) -> np.ndarray:
     return np.triu(np.ones((t, t), dtype=bool), k=1)
 
 
+def key_padding_mask(lengths: np.ndarray | None, n_queries: int,
+                     n_keys: int) -> np.ndarray | None:
+    """(b, n_queries, n_keys) mask, True where a key lies beyond its example's
+    length; None for a single sequence or a batch without padding."""
+    if lengths is None or bool((lengths == n_keys).all()):
+        return None
+    pad = np.arange(n_keys) >= lengths[:, None]
+    return np.broadcast_to(pad[:, None, :], (len(lengths), n_queries, n_keys))
+
+
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          mask: np.ndarray | None = None) -> Tensor:
-    if q.shape[1] != k.shape[1]:
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key/value count mismatch: {k.shape} vs {v.shape}")
-    scores = ad.scale(ad.matmul(q, ad.transpose2d(k)), 1.0 / math.sqrt(q.shape[1]))
+    scores = ad.scale(ad.matmul(q, ad.transpose2d(k)), 1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         scores = ad.mask_fill(scores, mask, -np.inf)
     return ad.matmul(ad.softmax_rows(scores), v)
@@ -100,15 +113,17 @@ def cross_scores(x_text: Tensor, x_image: Tensor, wq: Tensor, wk: Tensor) -> Ten
     """Pre-gate score matrix (t, r): (x_text wq)(x_image wk)^T / sqrt(d_head)."""
     q = ad.matmul(x_text, wq)
     k = ad.matmul(x_image, wk)
-    if q.shape[1] != k.shape[1]:
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"projection widths disagree: {q.shape} vs {k.shape}")
-    return ad.scale(ad.matmul(q, ad.transpose2d(k)), 1.0 / math.sqrt(q.shape[1]))
+    return ad.scale(ad.matmul(q, ad.transpose2d(k)), 1.0 / math.sqrt(q.shape[-1]))
 
 
 def gumbel_scores(x_text: Tensor, x_image: Tensor, wq: Tensor, wk: Tensor,
-                  tau, src: NoiseSource | None, mode: GateMode) -> GateMatrix:
+                  tau, src: NoiseSource | None, mode: GateMode,
+                  noise: np.ndarray | None = None) -> GateMatrix:
     """Per-element selection gates over the cross-modal score matrix."""
-    return GateMatrix(gumbel_sigmoid(cross_scores(x_text, x_image, wq, wk), tau, src, mode))
+    return GateMatrix(gumbel_sigmoid(cross_scores(x_text, x_image, wq, wk), tau, src, mode,
+                                     noise))
 
 
 def image_aware_representation(alpha: GateMatrix, x_image: Tensor, wv: Tensor) -> Tensor:
@@ -117,19 +132,43 @@ def image_aware_representation(alpha: GateMatrix, x_image: Tensor, wv: Tensor) -
     The gates are used as-is; rows are not renormalised, so a fully closed
     row yields a zero vector (total rejection of the image).
     """
-    if alpha.shape[1] != x_image.shape[0]:
+    if alpha.shape[-1] != x_image.shape[-2]:
         raise ShapeError(f"gate columns {alpha.shape} vs regions {x_image.shape}")
     return ad.matmul(alpha.alpha, ad.matmul(x_image, wv))
 
 
+def _gate_noise(src: NoiseSource, n_heads: int, shape: tuple[int, ...],
+                lengths: np.ndarray | None = None) -> np.ndarray:
+    """Logistic noise for every head's (..., t, r) gates: (n_heads, *shape).
+
+    Drawn example by example, then head by head, for each example's first
+    lengths[i] text rows only (padded rows get zeros), so a batch consumes
+    the stream exactly as encoding its examples one at a time does.
+    """
+    t, r = shape[-2:]
+    noise = np.zeros((n_heads,) + tuple(shape))
+    per_example = noise.reshape(n_heads, -1, t, r)
+    for i, n in enumerate([t] if lengths is None else lengths):
+        for h in range(n_heads):
+            per_example[h, i, :n] = logistic_noise(src, (int(n), r))
+    return noise
+
+
 def multi_head_gumbel_attention(x_text: Tensor, x_image: Tensor, weights: AttentionWeights,
                                 tau, src: NoiseSource | None, mode: GateMode,
-                                gates_out: list[GateMatrix] | None = None) -> Tensor:
+                                gates_out: list[GateMatrix] | None = None,
+                                lengths: np.ndarray | None = None) -> Tensor:
     """Concatenated per-head gated attention, projected by wo.  Each head
-    draws its own noise.  Pass gates_out to collect the per-head gates."""
+    draws its own noise; in a batch, ``lengths`` holds the text lengths, and
+    the gates of padded text rows are computed and left unused.  Pass
+    gates_out to collect the per-head gates."""
+    noise = [None] * weights.n_heads
+    if mode.is_train and src is not None:
+        noise = _gate_noise(src, weights.n_heads, x_text.shape[:-1] + x_image.shape[-2:-1],
+                            lengths)
     heads = []
-    for wq, wk, wv in zip(weights.wq, weights.wk, weights.wv):
-        alpha = gumbel_scores(x_text, x_image, wq, wk, tau, src, mode)
+    for wq, wk, wv, nz in zip(weights.wq, weights.wk, weights.wv, noise):
+        alpha = gumbel_scores(x_text, x_image, wq, wk, tau, src, mode, nz)
         if gates_out is not None:
             gates_out.append(alpha)
         heads.append(image_aware_representation(alpha, x_image, wv))

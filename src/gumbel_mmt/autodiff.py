@@ -6,6 +6,12 @@ recording order and accumulates gradients into every tensor that has a
 gradient buffer allocated; calling it twice without zeroing doubles the
 gradients.  All data is float64 and row-major; there is no broadcasting
 beyond the few fixed patterns the ops below implement.
+
+Leading batch dimensions: the row-wise ops (matmul, transpose2d,
+softmax_rows, layer_norm, cross_entropy, cosine_similarity, concat_cols,
+add_bias, embedding_lookup) act on the last one or two axes and treat any
+axes before them as a batch, so one sentence is a ``(t, d)`` tensor and a
+padded batch of sentences a ``(b, t, d)`` tensor run through the same ops.
 """
 
 from __future__ import annotations
@@ -31,6 +37,15 @@ class Tensor:
         self.data: Array = np.array(data, dtype=np.float64, order="C")
         self.grad: Array | None = np.zeros_like(self.data) if grad else None
         self.node: Record | None = None
+
+    @classmethod
+    def _adopt(cls, data: Array) -> "Tensor":
+        """Wrap an array without copying it.  Only for the fresh float64
+        C-ordered arrays the ops below allocate; caller-supplied data goes
+        through the constructor, which copies."""
+        t = cls.__new__(cls)
+        t.data, t.grad, t.node = data, None, None
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -138,7 +153,7 @@ def no_grad():
 
 def _emit(inputs: tuple[Tensor, ...], out_data: Array,
           backward: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
-    out = Tensor(out_data)
+    out = Tensor._adopt(out_data)
     if _grad_enabled[-1]:
         rec = Record(inputs, out, backward)
         out.node = rec
@@ -182,16 +197,28 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require(a.data.ndim == 2 and b.data.ndim == 2,
-             f"matmul needs 2-d tensors, got {a.shape} and {b.shape}")
-    _require(a.shape[1] == b.shape[0],
-             f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    """``(..., n, k) @ (k, m)`` applies one matrix to every leading index;
+    ``(..., n, k) @ (..., k, m)`` multiplies matching leading indices."""
+    _require(a.data.ndim >= 2 and b.data.ndim >= 2 and a.shape[-1] == b.shape[-2]
+             and (b.data.ndim == 2 or a.shape[:-2] == b.shape[:-2]),
+             f"matmul shapes disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
+    if bd.ndim == 2:
+        # Fold the leading axes into rows: one 2-d product, and the weight
+        # gradient sums over every row of the batch.
+        k, m = bd.shape
+        rows = ad.reshape(-1, k)
 
-    def back(g: Array):
-        return g @ bd.T, ad.T @ g
+        def back(g: Array):
+            g2 = g.reshape(-1, m)
+            return (g2 @ bd.T).reshape(ad.shape), rows.T @ g2
 
-    return _emit((a, b), ad @ bd, back)
+        return _emit((a, b), (rows @ bd).reshape(ad.shape[:-1] + (m,)), back)
+
+    def back_batched(g: Array):
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+
+    return _emit((a, b), ad @ bd, back_batched)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -255,34 +282,37 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    _require(x.data.ndim == 2 and x.shape[1] >= 1,
-             f"softmax_rows needs a non-empty 2-d tensor, got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis."""
+    _require(x.data.ndim >= 2 and x.shape[-1] >= 1,
+             f"softmax_rows needs non-empty rows of a 2-d or batched tensor, got {x.shape}")
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def back(g: Array):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _emit((x,), y, back)
 
 
 def mask_fill(x: Tensor, mask: Array, value: float) -> Tensor:
-    """Replace entries where mask is True by a constant (no gradient there)."""
+    """Replace entries where mask is True by a constant (no gradient there).
+    The mask has x's full shape; a broadcast view of a smaller one will do."""
     _require(mask.shape == x.shape, f"mask shape {mask.shape} != {x.shape}")
     keep = ~mask
     return _emit((x,), np.where(mask, value, x.data), lambda g: (g * keep,))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    _require(x.data.ndim == 2, f"layer_norm expects 2-d input, got {x.shape}")
-    d = x.shape[1]
+    """Normalise over the last axis, then scale and shift it."""
+    _require(x.data.ndim >= 2, f"layer_norm expects 2-d or batched input, got {x.shape}")
+    d = x.shape[-1]
     _require(d != 0, "layer_norm over zero-width rows")
     _require(gain.shape == (d,) and bias.shape == (d,),
              f"layer_norm affine shapes {gain.shape}/{bias.shape} != ({d},)")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     gd = gain.data
@@ -290,90 +320,111 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def back(g: Array):
         dxhat = g * gd
         dx = inv * (dxhat
-                    - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+                    - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
     return _emit((x, gain, bias), xhat * gd + bias.data, back)
 
 
-def cross_entropy(logits: Tensor, targets, pad_id: int = 0) -> Tensor:
-    """Mean negative log-softmax probability of the target ids, skipping
-    positions whose target equals pad_id."""
-    _require(logits.data.ndim == 2, f"cross_entropy logits must be 2-d, got {logits.shape}")
+def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Tensor:
+    """Negative log-softmax probability of the target ids over the last axis,
+    skipping positions whose target equals pad_id.  Without weights it is the
+    mean over the other positions; with constant weights of the targets'
+    shape it is their weighted sum."""
+    _require(logits.data.ndim >= 2,
+             f"cross_entropy logits must be 2-d or batched, got {logits.shape}")
     ids = np.asarray(targets, dtype=np.int64)
-    _require(ids.ndim == 1 and ids.shape[0] == logits.shape[0],
-             f"cross_entropy targets length {ids.shape} vs logits {logits.shape}")
-    t, v = logits.shape
+    _require(ids.shape == logits.shape[:-1],
+             f"cross_entropy targets shape {ids.shape} vs logits {logits.shape}")
+    v = logits.shape[-1]
+    ids = ids.reshape(-1)
+    t = ids.shape[0]
     live = ids != pad_id
     bad = live & ((ids < 0) | (ids >= v))
     if bad.any():
         raise ValueError(f"target id {ids[bad][0]} out of range for vocab {v}")
     n_live = int(live.sum())
     if n_live == 0:
-        return _emit((logits,), np.zeros(()), lambda g: (np.zeros((t, v)),))
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+        return _emit((logits,), np.zeros(()), lambda g: (np.zeros(logits.shape),))
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        _require(w.shape == logits.shape[:-1],
+                 f"cross_entropy weights shape {w.shape} vs logits {logits.shape}")
+        w = w.reshape(-1)[live]
+    x = logits.data.reshape(t, v)
+    z = x - x.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
-    rows = np.arange(t)
-    loss = -logp[rows[live], ids[live]].sum() / n_live
+    rows = np.arange(t)[live]
+    picked = logp[rows, ids[live]]
+    loss = -picked.sum() / n_live if weights is None else -(picked * w).sum()
 
     def back(g: Array):
         dz = np.exp(logp)
-        dz[rows[live], ids[live]] -= 1.0
+        dz[rows, ids[live]] -= 1.0
         dz[~live] = 0.0
-        return (dz * (float(g) / n_live),)
+        if weights is None:
+            dz *= float(g) / n_live
+        else:
+            dz[live] *= float(g) * w[:, None]
+        return (dz.reshape(logits.shape),)
 
     return _emit((logits,), np.asarray(loss), back)
 
 
 def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
-    _require(a.data.ndim == 1 and a.shape == b.shape,
+    """Cosine of matching vectors along the last axis: (..., d) -> (...)."""
+    _require(a.data.ndim >= 1 and a.shape == b.shape,
              f"cosine_similarity needs matching vectors, got {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
-    s = float(ad @ bd)
-    na = float(np.linalg.norm(ad))
-    nb = float(np.linalg.norm(bd))
+    s = (ad * bd).sum(axis=-1)
+    na = np.sqrt((ad * ad).sum(axis=-1))
+    nb = np.sqrt((bd * bd).sum(axis=-1))
     denom = na * nb + eps
     c = s / denom
 
     def back(g: Array):
-        gf = float(g)
+        gc = (g / denom)[..., None]
+        ratio = (s / denom)[..., None]
         # Norm derivatives are guarded so a zero vector yields zero gradient
         # rather than NaN; the value itself is already eps-guarded.
-        na_s = max(na, 1e-30)
-        nb_s = max(nb, 1e-30)
-        da = gf * (bd / denom - s * nb * (ad / na_s) / denom ** 2)
-        db = gf * (ad / denom - s * na * (bd / nb_s) / denom ** 2)
+        ua = ad / np.maximum(na, 1e-30)[..., None]
+        ub = bd / np.maximum(nb, 1e-30)[..., None]
+        da = gc * (bd - ratio * nb[..., None] * ua)
+        db = gc * (ad - ratio * na[..., None] * ub)
         return da, db
 
     return _emit((a, b), np.asarray(c), back)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate along the last axis; all other axes must agree."""
     _require(len(parts) >= 1, "concat_cols of nothing")
-    rows = parts[0].shape[0]
+    lead = parts[0].shape[:-1]
     for p in parts:
-        _require(p.data.ndim == 2 and p.shape[0] == rows,
+        _require(p.data.ndim >= 2 and p.shape[:-1] == lead,
                  f"concat_cols row mismatch: {[q.shape for q in parts]}")
-    widths = [p.shape[1] for p in parts]
+    widths = [p.shape[-1] for p in parts]
     splits = np.cumsum(widths)[:-1]
 
     def back(g: Array):
-        return tuple(np.hsplit(g, splits))
+        return tuple(np.split(g, splits, axis=-1))
 
-    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), back)
+    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=-1), back)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = x.shape
-    return _emit((x,), x.data.reshape(shape), lambda g: (g.reshape(old),))
+    # numpy's reshape returns a view of x; the output owns a copy.
+    return _emit((x,), x.data.reshape(shape).copy(), lambda g: (g.reshape(old),))
 
 
 def transpose2d(x: Tensor) -> Tensor:
-    _require(x.data.ndim == 2, f"transpose2d on shape {x.shape}")
-    return _emit((x,), x.data.T.copy(), lambda g: (g.T.copy(),))
+    """Swap the last two axes."""
+    _require(x.data.ndim >= 2, f"transpose2d on shape {x.shape}")
+    return _emit((x,), x.data.swapaxes(-1, -2).copy(), lambda g: (g.swapaxes(-1, -2),))
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -390,6 +441,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Rows of the table: ids of any shape s give an (*s, d) tensor."""
     _require(table.data.ndim == 2, f"embedding table must be 2-d, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
@@ -400,7 +452,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(dt, idx, g)
         return (dt,)
 
-    return _emit((table,), table.data[idx].copy(), back)
+    # Integer-array indexing allocates a new array.
+    return _emit((table,), table.data[idx], back)
 
 
 def reduce_sum(x: Tensor) -> Tensor:
@@ -420,3 +473,15 @@ def mean_axis0(x: Tensor) -> Tensor:
     t = x.shape[0]
     return _emit((x,), x.data.mean(axis=0),
                  lambda g: (np.tile(g / t, (t, 1)),))
+
+
+def mean_pool(x: Tensor, lengths) -> Tensor:
+    """Per-example mean of the first lengths[i] rows: (b, t, d) -> (b, d).
+    Pools a right-padded batch without reading its padding."""
+    n = np.asarray(lengths, dtype=np.int64)
+    _require(x.data.ndim == 3 and n.shape == (x.shape[0],)
+             and bool(((n >= 1) & (n <= x.shape[1])).all()),
+             f"mean_pool of {x.shape} over lengths {n.tolist()}")
+    w = (np.arange(x.shape[1]) < n[:, None]) / n[:, None]   # (b, t)
+    return _emit((x,), (w[:, None, :] @ x.data)[:, 0, :],
+                 lambda g: (w[:, :, None] * g[:, None, :],))

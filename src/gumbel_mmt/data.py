@@ -253,16 +253,20 @@ def load_split(path: Path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> tupl
                 raise DataError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
             src, tgt, meta_json, blob = parts
             meta = json.loads(meta_json)
+            try:
+                ex_meta = ExampleMeta(ex_id=meta["ex_id"], label=meta["label"],
+                                      amb_src_pos=meta["amb_src_pos"],
+                                      amb_tgt_pos=meta["amb_tgt_pos"],
+                                      relevant_regions=list(meta["relevant_regions"]))
+            except KeyError as e:
+                raise DataError(f"{path}:{line_no}: meta lacks key {e.args[0]!r}") from None
             image = np.frombuffer(base64.b64decode(blob), dtype="<f4").astype(np.float64)
             if image.size != r * d:
                 raise DataError(f"{path}:{line_no}: image payload has {image.size} values, "
                                 f"expected {r * d}")
             examples.append(Example(
                 src_vocab.encode(src.split()), tgt_vocab.encode(tgt.split()),
-                image.reshape(r, d),
-                ExampleMeta(ex_id=meta["ex_id"], label=meta["label"],
-                            amb_src_pos=meta["amb_src_pos"], amb_tgt_pos=meta["amb_tgt_pos"],
-                            relevant_regions=list(meta["relevant_regions"]))))
+                image.reshape(r, d), ex_meta))
     return header, examples
 
 

@@ -135,18 +135,26 @@ def gumbel_softmax(log_pi: Tensor, tau, src: NoiseSource) -> Tensor:
     return ad.reshape(y, (log_pi.size,)) if vec else y
 
 
-def gumbel_sigmoid(e: Tensor, tau, src: NoiseSource | None, mode: GateMode) -> Tensor:
+def logistic_noise(src: NoiseSource, shape) -> np.ndarray:
+    """G' - G'' for two independent Gumbel draws of the given shape."""
+    return src.gumbel(shape) - src.gumbel(shape)
+
+
+def gumbel_sigmoid(e: Tensor, tau, src: NoiseSource | None, mode: GateMode,
+                   noise: np.ndarray | None = None) -> Tensor:
     """Per-element binary gates over arbitrary-shape inputs.
 
     Train mode: sigmoid((e + G' - G'') / tau) with fresh independent noise per
-    element, differentiable in e.  Infer mode: constant 0/1 tensor,
-    1 where sigmoid(e) exceeds the threshold.
+    element, differentiable in e.  The noise G' - G'' is drawn from src, or
+    given as ``noise`` when the caller drew it in an order of its own.  Infer
+    mode: constant 0/1 tensor, 1 where sigmoid(e) exceeds the threshold.
     """
     tau = _check_tau(tau)
     if mode.is_train:
-        if src is None:
-            raise ConfigError("train-mode gumbel_sigmoid needs a NoiseSource")
-        diff = src.gumbel(e.shape) - src.gumbel(e.shape)
-        return ad.sigmoid(ad.scale(ad.add(e, Tensor(diff)), 1.0 / tau))
+        if noise is None:
+            if src is None:
+                raise ConfigError("train-mode gumbel_sigmoid needs a NoiseSource")
+            noise = logistic_noise(src, e.shape)
+        return ad.sigmoid(ad.scale(ad.add(e, Tensor(noise)), 1.0 / tau))
     probs = 1.0 / (1.0 + np.exp(-np.clip(e.data, -700, 700)))
     return Tensor((probs > mode.threshold).astype(np.float64))

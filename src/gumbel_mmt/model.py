@@ -5,6 +5,11 @@ inserts gated cross-modal attention before encoder layer L (configurable;
 L = n_enc_layers + 1 means both modalities are fully encoded first), then the
 two branch outputs are merged by an elementwise learned gate.  The decoder is
 a standard causal transformer decoder over the fused memory.
+
+Every forward takes one sentence (1-d token ids, a ``(r, d_image)`` image)
+or a batch: ``(b, t)`` token ids right-padded with PAD_ID and ``(b, r,
+d_image)`` images.  A batch runs through the same code with a leading axis,
+and key-padding masks keep every example's real rows from reading padding.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import (AttentionWeights, GateMatrix, causal_mask, init_attention_weights,
-                        multi_head_attention, multi_head_gumbel_attention)
+                        key_padding_mask, multi_head_attention,
+                        multi_head_gumbel_attention)
 from .autodiff import Parameter, Tensor, check_unique_names
 from .data import BOS_ID, EOS_ID, PAD_ID
 from .errors import ConfigError, ShapeError
@@ -106,13 +112,41 @@ class EncoderOutput:
     h_image: Tensor | None
     fused: Tensor
     gates: list[GateMatrix] | None = None
+    lengths: np.ndarray | None = None   # source lengths of a batch; None for one sentence
 
-    def mean_gate(self) -> float | None:
+    def mean_gate(self) -> float | np.ndarray | None:
+        """Mean gate over heads, real text rows and regions: a float for one
+        sentence, a (b,) array for a batch; None without gates."""
         if not self.gates:
             return None
-        total = sum(g.alpha.data.sum() for g in self.gates)
-        count = sum(g.alpha.size for g in self.gates)
-        return float(total / count) if count else None
+        alpha = np.stack([g.alpha.data for g in self.gates])    # (heads, [b,] t, r)
+        if self.lengths is None:
+            return float(alpha.mean()) if alpha.size else None
+        heads, _, t, r = alpha.shape
+        real = (np.arange(t) < self.lengths[:, None])[None, :, :, None]
+        return (alpha * real).sum(axis=(0, 2, 3)) / (heads * self.lengths * r)
+
+
+def sequence_lengths(ids: np.ndarray) -> np.ndarray | None:
+    """Lengths of a right-padded (b, t) batch of token ids; None for 1-d ids."""
+    if ids.ndim == 1:
+        return None
+    if ids.ndim != 2:
+        raise ShapeError(f"token ids must be 1-d or (batch, time), got shape {ids.shape}")
+    real = ids != PAD_ID
+    lengths = real.sum(axis=1)
+    if not (real == (np.arange(ids.shape[1]) < lengths[:, None])).all() or (lengths == 0).any():
+        raise ShapeError("a padded batch needs a non-empty sentence in every row, "
+                         "with PAD_ID only after its last token")
+    return lengths
+
+
+def pad_batch(seqs) -> np.ndarray:
+    """Right-pad token id sequences with PAD_ID into a (b, t) array."""
+    out = np.full((len(seqs), max(len(s) for s in seqs)), PAD_ID, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        out[i, :len(s)] = s
+    return out
 
 
 def sinusoid_position_encoding(n_positions: int, d_model: int) -> np.ndarray:
@@ -126,13 +160,14 @@ def sinusoid_position_encoding(n_positions: int, d_model: int) -> np.ndarray:
 
 
 def embed(token_ids, table: Tensor, position_encoding: np.ndarray) -> Tensor:
-    """Word embedding plus sinusoidal position encoding."""
-    t = len(token_ids)
+    """Word embedding plus sinusoidal position encoding, for (t,) or (b, t) ids."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    t = ids.shape[-1]
     if t > position_encoding.shape[0]:
         raise ShapeError(f"sequence of length {t} exceeds the {position_encoding.shape[0]} "
                          "precomputed positions")
-    x = ad.embedding_lookup(table, token_ids)
-    return ad.add(x, Tensor(position_encoding[:t]))
+    x = ad.embedding_lookup(table, ids)
+    return ad.add(x, Tensor(np.broadcast_to(position_encoding[:t], x.shape)))
 
 
 def gated_fusion(h_image: Tensor, h_text: Tensor, w: Tensor, u: Tensor) -> Tensor:
@@ -144,8 +179,14 @@ def gated_fusion(h_image: Tensor, h_text: Tensor, w: Tensor, u: Tensor) -> Tenso
     return ad.add(h_text, ad.mul(lam, h_image))
 
 
-def similarity_loss(h_image: Tensor, h_text: Tensor, margin: float) -> Tensor:
-    """Hinge on (1 - cosine - margin) between the mean-pooled branch outputs."""
+def similarity_loss(h_image: Tensor, h_text: Tensor, margin: float,
+                    lengths: np.ndarray | None = None) -> Tensor:
+    """Hinge on (1 - cosine - margin) between the mean-pooled branch outputs.
+    For a padded batch, pass the source lengths: each example pools its real
+    rows, and the result is the mean of the examples' hinges."""
+    if lengths is not None:
+        c = ad.cosine_similarity(ad.mean_pool(h_image, lengths), ad.mean_pool(h_text, lengths))
+        return ad.reduce_mean(ad.relu(ad.add_scalar(ad.scale(c, -1.0), 1.0 - margin)))
     pooled_img = ad.mean_axis0(h_image) if h_image.data.ndim == 2 else h_image
     pooled_txt = ad.mean_axis0(h_text) if h_text.data.ndim == 2 else h_text
     c = ad.cosine_similarity(pooled_img, pooled_txt)
@@ -154,13 +195,21 @@ def similarity_loss(h_image: Tensor, h_text: Tensor, margin: float) -> Tensor:
 
 def total_loss(logits: Tensor, targets, h_image: Tensor | None, h_text: Tensor | None,
                mode: LossWeightMode, *, margin: float = 0.3, alpha_raw: Tensor | None = None,
-               pad_id: int = PAD_ID) -> Tensor:
+               pad_id: int = PAD_ID, src_lengths: np.ndarray | None = None) -> Tensor:
     """Cross entropy plus the weighted similarity hinge.  The similarity term
-    is dropped when either branch representation is absent."""
-    ce = ad.cross_entropy(logits, targets, pad_id=pad_id)
+    is dropped when either branch representation is absent.
+
+    For a batch, (b, t, vocab) logits, the loss is the mean over examples of
+    each example's token-mean cross entropy plus its hinge, the same as
+    averaging the losses of the examples taken one at a time."""
+    weights = None
+    if logits.data.ndim == 3:
+        live = np.asarray(targets) != pad_id
+        weights = live / (live.shape[0] * np.maximum(live.sum(axis=1), 1))[:, None]
+    ce = ad.cross_entropy(logits, targets, pad_id=pad_id, weights=weights)
     if h_image is None or h_text is None:
         return ce
-    sim = similarity_loss(h_image, h_text, margin)
+    sim = similarity_loss(h_image, h_text, margin, src_lengths)
     if mode.trainable:
         if alpha_raw is None:
             raise ConfigError("trainable loss weight requires the raw alpha parameter")
@@ -241,8 +290,8 @@ class EncoderLayer:
         self.ffn = FeedForward(init, d_model, d_ffn)
         self.ln2 = LayerNorm(init, d_model)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = self.ln1(ad.add(x, multi_head_attention(x, x, x, self.attn)))
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        h = self.ln1(ad.add(x, multi_head_attention(x, x, x, self.attn, mask)))
         return self.ln2(ad.add(h, self.ffn(h)))
 
     def params(self, prefix: str) -> list[Parameter]:
@@ -264,9 +313,11 @@ class DecoderLayer:
         self.ffn = FeedForward(init, d_model, d_ffn)
         self.ln3 = LayerNorm(init, d_model)
 
-    def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray) -> Tensor:
+    def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray,
+                 memory_mask: np.ndarray | None = None) -> Tensor:
         h = self.ln1(ad.add(x, multi_head_attention(x, x, x, self.self_attn, mask)))
-        h = self.ln2(ad.add(h, multi_head_attention(h, memory, memory, self.cross_attn)))
+        h = self.ln2(ad.add(h, multi_head_attention(h, memory, memory, self.cross_attn,
+                                                    memory_mask)))
         return self.ln3(ad.add(h, self.ffn(h)))
 
     def params(self, prefix: str) -> list[Parameter]:
@@ -367,31 +418,38 @@ class MMTModel:
 
     # -- encoding -----------------------------------------------------------
 
-    def encode_text(self, x: Tensor) -> Tensor:
+    def encode_text(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         for layer in self.text_layers:
-            x = layer(x)
+            x = layer(x, mask)
         return x
 
-    def _text_states(self, emb: Tensor) -> list[Tensor]:
+    def _text_states(self, emb: Tensor, mask: np.ndarray | None) -> list[Tensor]:
         """Intermediate text-branch states; states[i] is after i layers."""
         states = [emb]
         for layer in self.text_layers:
-            states.append(layer(states[-1]))
+            states.append(layer(states[-1], mask))
         return states
 
     def encode(self, src_ids, image: np.ndarray | None, noise: NoiseSource | None,
                mode: GateMode, tau: float = 1.0) -> EncoderOutput:
+        """Encode one sentence, or a padded batch with one image per row."""
         cfg = self.cfg
-        emb = embed(src_ids, self.src_table, self.pos_enc)
+        ids = np.asarray(src_ids, dtype=np.int64)
+        lengths = sequence_lengths(ids)
+        t = ids.shape[-1]
+        text_mask = key_padding_mask(lengths, t, t)
+        emb = embed(ids, self.src_table, self.pos_enc)
         if cfg.ablation.text_only:
-            h_text = self.encode_text(emb)
-            return EncoderOutput(h_text=h_text, h_image=None, fused=h_text)
+            h_text = self.encode_text(emb, text_mask)
+            return EncoderOutput(h_text=h_text, h_image=None, fused=h_text, lengths=lengths)
 
         if image is None:
             raise ConfigError("multi-modal encoding needs image features")
-        if image.shape[0] != cfg.n_regions:
-            raise ShapeError(f"image has {image.shape[0]} regions, config says {cfg.n_regions}")
-        states = self._text_states(emb)
+        want = ids.shape[:-1] + (cfg.n_regions, cfg.d_image)
+        if image.shape != want:
+            raise ShapeError(f"image shape {image.shape} does not match {want} "
+                             "(token batch, n_regions, d_image)")
+        states = self._text_states(emb, text_mask)
         h_text = states[-1]
 
         L = cfg.gumbel_layer
@@ -408,34 +466,48 @@ class MMTModel:
         else:
             gates = []
             v = multi_head_gumbel_attention(query, x_img, self.cross_weights, tau,
-                                            noise, mode, gates_out=gates)
+                                            noise, mode, gates_out=gates, lengths=lengths)
+        # From here the image branch has one row per text position.
         for layer in self.img_layers[max(L - 1, 0):] if L <= cfg.n_enc_layers else []:
-            v = layer(v)
+            v = layer(v, text_mask)
         h_image = v
 
         if cfg.ablation.no_gated_fusion:
             fused = ad.add(h_text, h_image)
         else:
             fused = gated_fusion(h_image, h_text, self.fusion_w, self.fusion_u)
-        return EncoderOutput(h_text=h_text, h_image=h_image, fused=fused, gates=gates)
+        return EncoderOutput(h_text=h_text, h_image=h_image, fused=fused, gates=gates,
+                             lengths=lengths)
 
     # -- decoding and losses --------------------------------------------------
 
-    def decode(self, tgt_in_ids, memory: Tensor) -> Tensor:
-        x = embed(tgt_in_ids, self.tgt_table, self.pos_enc)
-        mask = causal_mask(len(tgt_in_ids))
+    def decode(self, tgt_in_ids, memory: Tensor,
+               memory_lengths: np.ndarray | None = None) -> Tensor:
+        """Next-token logits for every target input position: (t, vocab) for
+        one sentence, (b, t, vocab) for a batch, whose memory_lengths are the
+        source lengths of its padded memory.  Right padding of the targets
+        needs no mask: it follows every real position, so the causal mask
+        already hides it from them."""
+        ids = np.asarray(tgt_in_ids, dtype=np.int64)
+        t = ids.shape[-1]
+        x = embed(ids, self.tgt_table, self.pos_enc)
+        mask = np.broadcast_to(causal_mask(t), ids.shape + (t,))
+        memory_mask = key_padding_mask(memory_lengths, t, memory.shape[-2])
         for layer in self.dec_layers:
-            x = layer(x, memory, mask)
+            x = layer(x, memory, mask, memory_mask)
         return ad.add_bias(ad.matmul(x, self.out_w), self.out_b)
 
     def loss(self, src_ids, tgt_ids, image: np.ndarray | None,
              noise: NoiseSource | None, mode: GateMode, tau: float = 1.0
              ) -> tuple[Tensor, EncoderOutput]:
+        """Loss of one sentence pair, or the mean loss of a padded batch."""
         enc = self.encode(src_ids, image, noise, mode, tau)
-        logits = self.decode(tgt_ids[:-1], enc.fused)
+        tgt = np.asarray(tgt_ids, dtype=np.int64)
+        logits = self.decode(tgt[..., :-1], enc.fused, enc.lengths)
         h_image = None if self.cfg.ablation.no_similarity_loss else enc.h_image
-        loss = total_loss(logits, tgt_ids[1:], h_image, enc.h_text, self.cfg.loss_alpha,
-                          margin=self.cfg.margin, alpha_raw=self.alpha_raw)
+        loss = total_loss(logits, tgt[..., 1:], h_image, enc.h_text, self.cfg.loss_alpha,
+                          margin=self.cfg.margin, alpha_raw=self.alpha_raw,
+                          src_lengths=enc.lengths)
         return loss, enc
 
     def greedy_decode(self, src_ids, image: np.ndarray | None, max_len: int

@@ -17,11 +17,14 @@ from .bleu import corpus_bleu
 from .data import Dataset, Example, random_image_for
 from .errors import ConfigError, TrainingError
 from .gumbel import GateMode, NoiseSource
-from .model import MMTModel
+from .model import MMTModel, ModelConfig, pad_batch
 
 # stream tags for the per-purpose RNGs derived from the training seed
 _NOISE_STREAM = 1
 _SHUFFLE_STREAM = 2
+
+# examples per forward pass of teacher_forced_loss
+_EVAL_BATCH = 64
 
 
 @dataclass
@@ -131,14 +134,57 @@ def _image_for(model: MMTModel, ex: Example, seed: int) -> np.ndarray | None:
     return ex.image
 
 
+def _batch(model: MMTModel, examples: list[Example], seed: int):
+    """Padded (b, t) source and target ids and the (b, r, d_image) images."""
+    images = None
+    if not model.cfg.ablation.text_only:
+        images = np.stack([_image_for(model, ex, seed) for ex in examples])
+    return (pad_batch([ex.src_ids for ex in examples]),
+            pad_batch([ex.tgt_ids for ex in examples]), images)
+
+
+def check_compatible(cfg: ModelConfig, examples: list[Example],
+                     dataset: Dataset | None = None) -> None:
+    """Raise ConfigError, naming the field and both values, where the data
+    does not fit the model: vocabulary sizes (the dataset's when given, and
+    the largest token id in use), the image shape the model reads, and the
+    longest sentence against max_positions."""
+    def mismatch(name: str, need: str) -> ConfigError:
+        return ConfigError(f"the data needs {name}{need}, but ModelConfig has "
+                           f"{name}={getattr(cfg, name)}")
+
+    if dataset is not None:
+        for name, vocab in (("vocab_src", dataset.src_vocab), ("vocab_tgt", dataset.tgt_vocab)):
+            if len(vocab) != getattr(cfg, name):
+                raise mismatch(name, f"={len(vocab)}")
+    if not examples:
+        return
+    for name, seqs in (("vocab_src", [ex.src_ids for ex in examples]),
+                       ("vocab_tgt", [ex.tgt_ids for ex in examples])):
+        top = max(max(s, default=-1) for s in seqs)
+        if top >= getattr(cfg, name):
+            raise mismatch(name, f">={top + 1}")
+    if not (cfg.ablation.text_only or cfg.ablation.random_image):
+        for shape in {ex.image.shape for ex in examples}:
+            for name, have in zip(("n_regions", "d_image"), shape):
+                if have != getattr(cfg, name):
+                    raise mismatch(name, f"={have}")
+    longest = max(max(len(ex.src_ids), len(ex.tgt_ids)) for ex in examples)
+    if longest > cfg.max_positions:
+        raise mismatch("max_positions", f">={longest}")
+
+
 def teacher_forced_loss(model: MMTModel, split: list[Example], seed: int) -> float:
     """Mean deterministic (infer-mode gates) loss over a split."""
+    check_compatible(model.cfg, split)
     total = 0.0
     with ad.no_grad():
-        for ex in split:
-            loss, _ = model.loss(ex.src_ids, ex.tgt_ids, _image_for(model, ex, seed),
-                                 None, GateMode.infer(model.cfg.gate_threshold))
-            total += loss.item()
+        for start in range(0, len(split), _EVAL_BATCH):
+            chunk = split[start:start + _EVAL_BATCH]
+            src, tgt, images = _batch(model, chunk, seed)
+            loss, _ = model.loss(src, tgt, images, None,
+                                 GateMode.infer(model.cfg.gate_threshold))
+            total += loss.item() * len(chunk)
     return total / len(split)
 
 
@@ -148,6 +194,7 @@ def evaluate(model: MMTModel, split: list[Example], seed: int = 0,
     BLEU, token accuracy, ambiguous-token accuracy, and gate open rates."""
     if not split:
         raise ConfigError("evaluate on empty split")
+    check_compatible(model.cfg, split)
     if max_len is None:
         max_len = max(len(ex.tgt_ids) for ex in split) + 2
     hyps, refs = [], []
@@ -194,11 +241,13 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
           noise: NoiseSource | None = None,
           on_epoch_end: Callable[[int, EpochStats, AdamState, NoiseSource], None] | None = None,
           ) -> TrainLog:
-    """Seeded epoch loop: shuffle, accumulate batch gradients example by
-    example, clip, Adam step.  Gates are stochastic (fresh noise per forward
-    pass); validation metrics use deterministic thresholded gates."""
+    """Seeded epoch loop: shuffle, then per batch one padded forward and
+    backward pass, clip, Adam step.  The batch loss is the mean of its
+    examples' losses.  Gates are stochastic (fresh noise per forward pass);
+    validation metrics use deterministic thresholded gates."""
     if not dataset.train:
         raise TrainingError("training split is empty")
+    check_compatible(model.cfg, dataset.train + dataset.val, dataset)
     params = model.named_parameters()
     state = adam_state if adam_state is not None else AdamState()
     src = noise if noise is not None else NoiseSource([cfg.seed, _NOISE_STREAM])
@@ -219,27 +268,21 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
             step = epoch * steps_per_epoch + b
             tau = cfg.tau_at(step, total_steps)
             ad.zero_grads(params)
-            batch_loss = 0.0
-            for i in idx:
-                ex = dataset.train[int(i)]
-                ad.reset_tape()
-                loss, enc = model.loss(ex.src_ids, ex.tgt_ids, _image_for(model, ex, cfg.seed),
-                                       src, GateMode.train(), tau)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingError(f"non-finite loss at step {step}")
-                ad.backward(loss)
-                batch_loss += value
-                mg = enc.mean_gate()
-                if mg is not None:
-                    gate_means.append(mg)
             ad.reset_tape()
-            inv = 1.0 / idx.size
-            for p in params:
-                p.tensor.grad *= inv
+            src_ids, tgt_ids, images = _batch(model, [dataset.train[int(i)] for i in idx],
+                                              cfg.seed)
+            loss, enc = model.loss(src_ids, tgt_ids, images, src, GateMode.train(), tau)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingError(f"non-finite loss at step {step}")
+            ad.backward(loss)
+            ad.reset_tape()
+            mg = enc.mean_gate()
+            if mg is not None:
+                gate_means.extend(mg)
             adam_step(params, state, cfg)
-            epoch_losses.append(batch_loss * inv)
-            log.step_losses.append(batch_loss * inv)
+            epoch_losses.append(value)
+            log.step_losses.append(value)
 
         val = evaluate(model, dataset.val, seed=cfg.seed)
         stats = EpochStats(

@@ -1,6 +1,7 @@
 """Shared test utilities: a registry of finite-difference gradient cases for
-every differentiable primitive.  Each factory draws random inputs in [-2, 2]
-(resampled away from relu/hinge kinks) and returns (forward, leaves, tol)."""
+every differentiable primitive, and for its batched form where it has one.
+Each factory draws random inputs in [-2, 2] (resampled away from relu/hinge
+kinks) and returns (forward, leaves, tol)."""
 
 from __future__ import annotations
 
@@ -152,6 +153,78 @@ def _case_mask_fill(rng):
     return lambda: ad.reduce_sum(ad.sigmoid(ad.mask_fill(x, mask, -30.0))), [x], 1e-4
 
 
+# Batched forms: the same primitives over a leading batch axis.
+
+def _case_matmul_batched_weights(rng):
+    a, b = rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 2))
+    return lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b], 1e-4
+
+
+def _case_matmul_batched_pairs(rng):
+    a, b = rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (2, 4, 5))
+    return lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b], 1e-4
+
+
+def _case_softmax_rows_batched(rng):
+    x = rand_tensor(rng, (2, 3, 5))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 3, 5)))
+    return lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(x), w)), [x], 1e-4
+
+
+def _case_layer_norm_batched(rng):
+    x = rand_tensor(rng, (2, 3, 6))
+    gain, bias = rand_tensor(rng, (6,)), rand_tensor(rng, (6,))
+    return lambda: ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, bias),
+                                        ad.layer_norm(x, gain, bias))), [x, gain, bias], 1e-4
+
+
+def _case_cross_entropy_weighted(rng):
+    logits = rand_tensor(rng, (2, 4, 7))
+    targets = rng.integers(0, 7, size=(2, 4))
+    targets[1, 2:] = 0  # padding
+    weights = rng.uniform(0.1, 1.0, size=(2, 4))
+    return (lambda: ad.cross_entropy(logits, targets, pad_id=0, weights=weights),
+            [logits], 1e-5)
+
+
+def _case_cosine_similarity_rows(rng):
+    a, b = rand_tensor(rng, (3, 6)), rand_tensor(rng, (3, 6))
+    w = Tensor(rng.uniform(-1, 1, size=(3,)))
+    return lambda: ad.reduce_sum(ad.mul(ad.cosine_similarity(a, b), w)), [a, b], 1e-4
+
+
+def _case_concat_cols_batched(rng):
+    a, b = rand_tensor(rng, (2, 3, 2)), rand_tensor(rng, (2, 3, 4))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 3, 6)))
+    return lambda: ad.reduce_sum(ad.mul(ad.concat_cols([a, b]), w)), [a, b], 1e-4
+
+
+def _case_transpose2d_batched(rng):
+    x = rand_tensor(rng, (2, 3, 4))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 4, 3)))
+    return lambda: ad.reduce_sum(ad.mul(ad.transpose2d(x), w)), [x], 1e-4
+
+
+def _case_embedding_lookup_batched(rng):
+    table = rand_tensor(rng, (8, 4))
+    ids = rng.integers(0, 8, size=(2, 5))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 5, 4)))
+    return lambda: ad.reduce_sum(ad.mul(ad.embedding_lookup(table, ids), w)), [table], 1e-4
+
+
+def _case_mean_pool(rng):
+    x = rand_tensor(rng, (3, 5, 2))
+    lengths = np.array([5, 2, 1])
+    w = Tensor(rng.uniform(-1, 1, size=(3, 2)))
+    return lambda: ad.reduce_sum(ad.mul(ad.mean_pool(x, lengths), w)), [x], 1e-4
+
+
+def _case_mask_fill_batched(rng):
+    x = rand_tensor(rng, (2, 3, 3))
+    mask = np.broadcast_to(rng.random((2, 1, 3)) < 0.4, (2, 3, 3))
+    return lambda: ad.reduce_sum(ad.sigmoid(ad.mask_fill(x, mask, -30.0))), [x], 1e-4
+
+
 PRIMITIVE_CASES = {
     "matmul": _case_matmul,
     "add": _case_add,
@@ -176,6 +249,17 @@ PRIMITIVE_CASES = {
     "reduce_mean": _case_reduce_mean,
     "mean_axis0": _case_mean_axis0,
     "mask_fill": _case_mask_fill,
+    "matmul_batched_weights": _case_matmul_batched_weights,
+    "matmul_batched_pairs": _case_matmul_batched_pairs,
+    "softmax_rows_batched": _case_softmax_rows_batched,
+    "layer_norm_batched": _case_layer_norm_batched,
+    "cross_entropy_weighted": _case_cross_entropy_weighted,
+    "cosine_similarity_rows": _case_cosine_similarity_rows,
+    "concat_cols_batched": _case_concat_cols_batched,
+    "transpose2d_batched": _case_transpose2d_batched,
+    "embedding_lookup_batched": _case_embedding_lookup_batched,
+    "mean_pool": _case_mean_pool,
+    "mask_fill_batched": _case_mask_fill_batched,
 }
 
 

@@ -221,3 +221,70 @@ def test_slice_rows_bounds():
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_primitive_gradients(name):
     check_primitive(name, n_cases=5)
+
+
+# -- op outputs own fresh memory ----------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+def test_op_outputs_are_fresh_float64_arrays(name, monkeypatch):
+    # Op outputs are wrapped without a copy, so each op must hand over a new
+    # C-ordered float64 array that shares no memory with its inputs.
+    emit = ad._emit
+    seen = []
+
+    def spy(inputs, out_data, backward):
+        seen.append(name)
+        assert out_data.dtype == np.float64 and out_data.flags["C_CONTIGUOUS"]
+        assert not any(np.shares_memory(out_data, t.data) for t in inputs)
+        return emit(inputs, out_data, backward)
+
+    monkeypatch.setattr(ad, "_emit", spy)
+    forward, _, _ = PRIMITIVE_CASES[name](np.random.default_rng(0))
+    forward()
+    assert seen
+
+
+def test_constructor_copies_caller_data():
+    src = np.arange(6.0).reshape(2, 3)
+    t = Tensor(src)
+    src[0, 0] = 99.0
+    assert t.data[0, 0] == 0.0
+    out = ad.reshape(t, (3, 2))
+    out.data[0, 0] = -1.0
+    assert t.data[0, 0] == 0.0
+
+
+def test_cross_entropy_weights_give_mean_of_row_means():
+    rng = np.random.default_rng(9)
+    logits = rng.normal(size=(2, 4, 5))
+    targets = np.array([[1, 2, 3, 4], [2, 3, 0, 0]])
+    per_example = [ad.cross_entropy(Tensor(logits[i]), targets[i]).item() for i in range(2)]
+    live = targets != 0
+    weights = live / (2 * live.sum(axis=1))[:, None]
+    got = ad.cross_entropy(Tensor(logits), targets, weights=weights).item()
+    assert got == pytest.approx(np.mean(per_example), rel=1e-12)
+
+
+def test_batched_primitives_match_per_example_loop():
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(3, 4, 6))
+    w = rng.normal(size=(6, 5))
+    gain, bias = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
+    batched = [ad.matmul(Tensor(x), Tensor(w)), ad.softmax_rows(Tensor(x)),
+               ad.layer_norm(Tensor(x), gain, bias), ad.transpose2d(Tensor(x)),
+               ad.matmul(Tensor(x), ad.transpose2d(Tensor(x)))]
+    for i in range(3):
+        xi = Tensor(x[i])
+        single = [ad.matmul(xi, Tensor(w)), ad.softmax_rows(xi),
+                  ad.layer_norm(xi, gain, bias), ad.transpose2d(xi),
+                  ad.matmul(xi, ad.transpose2d(xi))]
+        for b, s in zip(batched, single):
+            np.testing.assert_allclose(b.data[i], s.data, rtol=1e-13, atol=1e-14)
+    pooled = ad.mean_pool(Tensor(x), [4, 2, 1])
+    for i, n in enumerate([4, 2, 1]):
+        np.testing.assert_allclose(pooled.data[i], x[i, :n].mean(axis=0), rtol=1e-13)
+
+
+def test_matmul_rejects_mismatched_batches():
+    with pytest.raises(ShapeError):
+        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))

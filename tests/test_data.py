@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gumbel_mmt.data import (AMBIGUOUS_TOKEN, BOS_ID, EOS_ID, PAD_ID, UNK_ID, Dataset,
                              Example, SyntheticTaskSpec, Task, Vocabulary,
-                             build_vocabularies, generate_dataset, load_dataset,
+                             build_vocabularies, generate_dataset, load_dataset, load_split,
                              random_image_for, save_dataset)
 from gumbel_mmt.errors import DataError
 
@@ -151,6 +151,21 @@ def test_split_files_carry_seed_header(tmp_path):
     header = json.loads((tmp_path / "train.txt").read_text().splitlines()[0])
     assert header["seed"] == 99
     assert header["n_regions"] == 9
+
+
+def test_load_split_names_missing_meta_key(tmp_path):
+    import json
+    ds = generate_dataset(small_spec())
+    save_dataset(tmp_path, ds)
+    path = tmp_path / "val.txt"
+    lines = path.read_text().splitlines()
+    src, tgt, meta, blob = lines[2].split("\t")
+    meta = json.loads(meta)
+    del meta["amb_tgt_pos"]
+    lines[2] = "\t".join([src, tgt, json.dumps(meta), blob])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"val.txt:3: meta lacks key 'amb_tgt_pos'"):
+        load_split(path, ds.src_vocab, ds.tgt_vocab)
 
 
 def test_random_image_is_stable_per_example():

@@ -6,11 +6,11 @@ import pytest
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.data import BOS_ID, EOS_ID
-from gumbel_mmt.errors import ConfigError
+from gumbel_mmt.errors import ConfigError, ShapeError
 from gumbel_mmt.gradcheck import gradient_error
 from gumbel_mmt.gumbel import GateMode, NoiseSource
 from gumbel_mmt.model import (AblationFlags, LossWeightMode, MMTModel, ModelConfig,
-                              embed, gated_fusion, similarity_loss,
+                              embed, gated_fusion, pad_batch, similarity_loss,
                               sinusoid_position_encoding, total_loss)
 
 
@@ -326,3 +326,99 @@ def test_alpha_eff_nonnegative():
     assert m.alpha_eff() >= 0.0
     fixed = MMTModel(tiny_config(), seed=16)
     assert fixed.alpha_eff() == 0.5
+
+
+# -- padded batches ---------------------------------------------------------------
+
+BATCH_SRC = [[BOS_ID, 4, 5, 6, 7, EOS_ID], [BOS_ID, 8, EOS_ID], [BOS_ID, 3, 9, EOS_ID]]
+BATCH_TGT = [[BOS_ID, 6, EOS_ID], [BOS_ID, 7, 8, 9, 5, EOS_ID], [BOS_ID, 4, 4, 5, EOS_ID]]
+
+
+def batch_images(cfg):
+    return np.stack([tiny_image(cfg, seed=s) for s in range(len(BATCH_SRC))])
+
+
+def loss_and_grads(m, src, tgt, images, noise, mode):
+    params = m.named_parameters()
+    ad.zero_grads(params)
+    ad.reset_tape()
+    loss, enc = m.loss(src, tgt, images, noise, mode, tau=0.7)
+    ad.backward(loss)
+    ad.reset_tape()
+    return loss.item(), enc, {p.name: p.tensor.grad.copy() for p in params}
+
+
+@pytest.mark.parametrize("mode", [GateMode.train(), GateMode.infer()], ids=["train", "infer"])
+@pytest.mark.parametrize("variant", [
+    {}, {"n_enc_layers": 2, "gumbel_layer": 2}, {"n_enc_layers": 2, "gumbel_layer": 3},
+    {"ablation": AblationFlags(vanilla_attention=True)},
+    {"ablation": AblationFlags(text_only=True)},
+    {"ablation": AblationFlags(no_gated_fusion=True)},
+], ids=["default", "layer2", "after_stack", "vanilla", "text_only", "no_fusion"])
+def test_batched_loss_matches_per_example_loop(variant, mode):
+    # The batched forward must equal running the examples one at a time:
+    # the mean loss, the averaged gradients, the per-example gate means, and
+    # the noise stream left behind.
+    cfg = tiny_config(loss_alpha=LossWeightMode("trainable", 0.5), **variant)
+    m = MMTModel(cfg, seed=17)
+    images = None if cfg.ablation.text_only else batch_images(cfg)
+    single_noise = NoiseSource(42)
+    losses, gates = [], []
+    grads = {p.name: np.zeros_like(p.tensor.data) for p in m.named_parameters()}
+    for i, (s, t) in enumerate(zip(BATCH_SRC, BATCH_TGT)):
+        value, enc, g = loss_and_grads(m, s, t, None if images is None else images[i],
+                                       single_noise, mode)
+        losses.append(value)
+        gates.append(enc.mean_gate())
+        for name in grads:
+            grads[name] += g[name] / len(BATCH_SRC)
+
+    batch_noise = NoiseSource(42)
+    src, tgt = pad_batch(BATCH_SRC), pad_batch(BATCH_TGT)
+    value, enc, batch_grads = loss_and_grads(m, src, tgt, images, batch_noise, mode)
+    assert value == pytest.approx(np.mean(losses), rel=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(batch_grads[name], g, rtol=0, atol=1e-10, err_msg=name)
+    if gates[0] is None:
+        assert enc.mean_gate() is None
+    else:
+        np.testing.assert_allclose(enc.mean_gate(), gates, rtol=1e-12)
+    assert batch_noise.state() == single_noise.state()
+
+
+def test_end_to_end_gradients_padded_batch():
+    cfg = tiny_config(loss_alpha=LossWeightMode("trainable", 0.5))
+    m = MMTModel(cfg, seed=15)
+    src, tgt, images = pad_batch(BATCH_SRC), pad_batch(BATCH_TGT), batch_images(cfg)
+
+    def forward():
+        loss, _ = m.loss(src, tgt, images, NoiseSource(42), GateMode.train())
+        return loss
+
+    err = gradient_error(forward, [p.tensor for p in m.named_parameters()])
+    assert err < 1e-3, f"worst end-to-end gradient error {err:.3g}"
+
+
+def test_batched_decode_rows_match_single_decodes():
+    cfg = tiny_config()
+    m = MMTModel(cfg, seed=18)
+    images = batch_images(cfg)
+    enc = m.encode(pad_batch(BATCH_SRC), images, None, GateMode.infer())
+    tgt_in = pad_batch(BATCH_TGT)[:, :-1]
+    logits = m.decode(tgt_in, enc.fused, enc.lengths)
+    for i, (s, t) in enumerate(zip(BATCH_SRC, BATCH_TGT)):
+        one = m.encode(s, images[i], None, GateMode.infer())
+        np.testing.assert_allclose(enc.fused.data[i, :len(s)], one.fused.data, atol=1e-12)
+        want = m.decode(t[:-1], one.fused)
+        np.testing.assert_allclose(logits.data[i, :len(t) - 1], want.data, atol=1e-12)
+
+
+def test_padded_batch_validation():
+    cfg = tiny_config()
+    m = MMTModel(cfg, seed=19)
+    images = batch_images(cfg)
+    with pytest.raises(ShapeError, match="PAD_ID only after"):
+        m.encode(np.array([[BOS_ID, 0, 4], [BOS_ID, 4, 5], [BOS_ID, 5, 6]]), images, None,
+                 GateMode.infer())
+    with pytest.raises(ShapeError, match="image shape"):
+        m.encode(pad_batch(BATCH_SRC), images[:2], None, GateMode.infer())

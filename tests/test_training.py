@@ -1,0 +1,161 @@
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from gumbel_mmt import autodiff as ad
+from gumbel_mmt.autodiff import make_parameter
+from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset
+from gumbel_mmt.errors import ConfigError, TrainingError
+from gumbel_mmt.model import LossWeightMode, MMTModel, ModelConfig
+from gumbel_mmt.training import (AdamState, TrainConfig, adam_step, evaluate,
+                                 teacher_forced_loss, train)
+
+
+@pytest.fixture(autouse=True)
+def fresh_tape():
+    ad.reset_tape()
+    yield
+    ad.reset_tape()
+
+
+# -- Adam ------------------------------------------------------------------------
+
+def hand_adam(grads, lr, b1, b2, eps):
+    """Reference bias-corrected Adam on one scalar: the parameter deltas."""
+    m = v = 0.0
+    out = []
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        out.append(-lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps))
+    return out
+
+
+@pytest.mark.parametrize("clip_norm", [0.0, 100.0], ids=["off", "not_reached"])
+def test_adam_step_matches_hand_computed_update(clip_norm):
+    cfg = TrainConfig(lr=0.1, beta1=0.8, beta2=0.9, eps=1e-8, clip_norm=clip_norm)
+    p = make_parameter("w", np.array([1.0, -2.0]))
+    state = AdamState()
+    steps = [np.array([0.5, -3.0]), np.array([-1.0, 0.25])]
+    want = [hand_adam([g[i] for g in steps], 0.1, 0.8, 0.9, 1e-8) for i in range(2)]
+    start = p.tensor.data.copy()
+    for k, g in enumerate(steps):
+        p.tensor.grad[:] = g
+        adam_step([p], state, cfg)
+        expected = start + [sum(want[i][:k + 1]) for i in range(2)]
+        np.testing.assert_allclose(p.tensor.data, expected, rtol=1e-14)
+    assert state.t == 2
+
+
+def test_adam_step_clips_by_global_norm():
+    cfg = TrainConfig(lr=0.1, beta1=0.8, beta2=0.9, eps=1e-8, clip_norm=1.0)
+    a = make_parameter("a", np.zeros(1))
+    b = make_parameter("b", np.zeros(1))
+    state = AdamState()
+    # Step 1 has global norm 5 and is scaled by 1/5; step 2 has norm 0.5 and
+    # is not.  The moments carry the clipped step into step 2.
+    for ga, gb in ((3.0, 4.0), (0.3, -0.4)):
+        a.tensor.grad[:] = ga
+        b.tensor.grad[:] = gb
+        adam_step([a, b], state, cfg)
+    assert a.tensor.data[0] == pytest.approx(sum(hand_adam([0.6, 0.3], 0.1, 0.8, 0.9, 1e-8)),
+                                             rel=1e-14)
+    assert b.tensor.data[0] == pytest.approx(sum(hand_adam([0.8, -0.4], 0.1, 0.8, 0.9, 1e-8)),
+                                             rel=1e-14)
+
+
+def test_adam_step_rejects_non_finite_gradient():
+    p = make_parameter("bad.w", np.zeros(2))
+    p.tensor.grad[:] = [1.0, np.nan]
+    with pytest.raises(TrainingError, match="bad.w"):
+        adam_step([p], AdamState(), TrainConfig())
+
+
+# -- temperature schedule ---------------------------------------------------------
+
+def test_tau_at_endpoints():
+    cfg = TrainConfig(tau=2.0, tau_end=0.5)
+    assert cfg.tau_at(0, 10) == 2.0
+    assert cfg.tau_at(9, 10) == 0.5
+    assert cfg.tau_at(0, 1) == 2.0
+
+
+# -- the training loop ------------------------------------------------------------
+
+def tiny_task():
+    ds = generate_dataset(SyntheticTaskSpec(
+        vocab_size=12, seq_len_min=2, seq_len_max=5, n_regions=4, d_image=6,
+        n_relevant_regions=1, n_train=10, n_val=2, n_test=3, seed=3))
+    cfg = ModelConfig(n_enc_layers=1, n_dec_layers=1, n_heads=2, d_model=8, d_ffn=16,
+                      d_image=6, n_regions=4, vocab_src=len(ds.src_vocab),
+                      vocab_tgt=len(ds.tgt_vocab),
+                      loss_alpha=LossWeightMode("trainable", 0.5))
+    return ds, cfg
+
+
+TINY_TRAIN = TrainConfig(batch_size=4, epochs=2, seed=5, tau=1.0, tau_end=0.5)
+
+# Step losses of tiny_task() under TINY_TRAIN, recorded with the loop that
+# ran one example at a time; a batched step reassociates sums, so they agree
+# to rounding, not bit for bit.
+GOLDEN_STEP_LOSSES = [2.8223932677579793, 2.750271447098495, 2.6251126648103584,
+                      2.7149738481658043, 2.688651480304401, 2.6122398526265287]
+GOLDEN_TRAIN_GATES = [0.47128846843358857, 0.5163118823128816]
+GOLDEN_TEST_LOSS = 2.829031029604831
+
+
+def test_train_matches_golden_losses():
+    ds, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    log = train(m, ds, TINY_TRAIN)
+    np.testing.assert_allclose(log.step_losses, GOLDEN_STEP_LOSSES, rtol=0, atol=1e-10)
+    np.testing.assert_allclose([e.mean_train_gate for e in log.epochs], GOLDEN_TRAIN_GATES,
+                               rtol=0, atol=1e-10)
+    assert teacher_forced_loss(m, ds.test, TINY_TRAIN.seed) == pytest.approx(
+        GOLDEN_TEST_LOSS, abs=1e-10)
+
+
+def test_train_is_deterministic_in_seed_and_config():
+    ds, cfg = tiny_task()
+    runs = [train(MMTModel(cfg, seed=7), ds, TINY_TRAIN).step_losses for _ in range(2)]
+    assert runs[0] == runs[1]
+    other = train(MMTModel(cfg, seed=7), ds, dataclasses.replace(TINY_TRAIN, seed=6))
+    assert other.step_losses != runs[0]
+
+
+def test_teacher_forced_loss_is_mean_of_example_losses():
+    ds, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    whole = teacher_forced_loss(m, ds.test, 0)
+    each = [teacher_forced_loss(m, [ex], 0) for ex in ds.test]
+    assert whole == pytest.approx(np.mean(each), rel=1e-12)
+
+
+# -- rejecting data the model cannot read -----------------------------------------
+
+def test_default_spec_and_default_config_are_rejected_before_compute():
+    ds = generate_dataset(SyntheticTaskSpec(n_train=2, n_val=1, n_test=1))
+    m = MMTModel(ModelConfig())
+    before = [p.tensor.data.copy() for p in m.named_parameters()]
+    # ds.train holds both labels, so the last target id, 50, is in use
+    for run in (lambda: train(m, ds, TrainConfig()),
+                lambda: evaluate(m, ds.train),
+                lambda: teacher_forced_loss(m, ds.train, 0)):
+        with pytest.raises(ConfigError, match=r"vocab_tgt\D+51\D+vocab_tgt=50"):
+            run()
+    assert all((p.tensor.data == b).all() for p, b in zip(m.named_parameters(), before))
+
+
+@pytest.mark.parametrize("field,value,pattern", [
+    ("vocab_src", 30, r"vocab_src=\d+, but ModelConfig has vocab_src=30"),
+    ("n_regions", 5, r"n_regions=4, but ModelConfig has n_regions=5"),
+    ("d_image", 7, r"d_image=6, but ModelConfig has d_image=7"),
+    ("max_positions", 4, r"max_positions>=\d+, but ModelConfig has max_positions=4"),
+])
+def test_compatibility_check_names_field_and_values(field, value, pattern):
+    ds, cfg = tiny_task()
+    m = MMTModel(dataclasses.replace(cfg, **{field: value}))
+    with pytest.raises(ConfigError, match=pattern):
+        train(m, ds, TINY_TRAIN)
