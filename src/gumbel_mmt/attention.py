@@ -3,7 +3,12 @@ variant where the softmax over image regions is replaced by per-element
 Gumbel-Sigmoid selection.  Scores are always divided by sqrt(d_head).
 
 Inputs are one sequence, ``(t, d)``, or a padded batch, ``(b, t, d)``.  In a
-batch, masks carry the key padding."""
+batch, masks carry the key padding.
+
+Incremental decoding passes :func:`multi_head_attention` a :class:`KVCache`
+per attention block.  A cache holds plain arrays with no tape history, so it
+is valid only under ``autodiff.no_grad``; passing one while the tape records
+raises ``ConfigError``.  Training never passes one."""
 
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .gumbel import GateMode, NoiseSource, gumbel_sigmoid, logistic_noise
 
 
@@ -69,13 +74,36 @@ class GateMatrix:
     def shape(self) -> tuple[int, ...]:
         return self.alpha.shape
 
-    def open_rate(self) -> float:
-        return float(self.alpha.data.mean()) if self.alpha.size else 0.0
+
+def causal_mask(t: int, start: int = 0) -> np.ndarray:
+    """(t, start + t) mask for t query positions that follow start cached ones:
+    True where query position start + i would attend to a later key j."""
+    return np.arange(start + t)[None, :] > start + np.arange(t)[:, None]
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """True above the diagonal: position i may not attend to j > i."""
-    return np.triu(np.ones((t, t), dtype=bool), k=1)
+class KVCache:
+    """Each head's projected keys and values of one attention block, as plain
+    ``(..., n, d_head)`` arrays.
+
+    A self-attention cache (``static=False``) grows by the keys and values of
+    the new rows at every call.  A memory cache (``static=True``) projects the
+    memory on its first call and reuses that projection afterwards, ignoring
+    the keys and values it is given then."""
+
+    def __init__(self, static: bool = False):
+        self.static = static
+        self.k: list[np.ndarray] = []
+        self.v: list[np.ndarray] = []
+
+    def keys_values(self, head: int, k: Tensor, v: Tensor, wk: Tensor, wv: Tensor
+                    ) -> tuple[Tensor, Tensor]:
+        if head == len(self.k):
+            self.k.append(ad.matmul(k, wk).data)
+            self.v.append(ad.matmul(v, wv).data)
+        elif not self.static:
+            self.k[head] = np.concatenate([self.k[head], ad.matmul(k, wk).data], axis=-2)
+            self.v[head] = np.concatenate([self.v[head], ad.matmul(v, wv).data], axis=-2)
+        return Tensor._adopt(self.k[head]), Tensor._adopt(self.v[head])
 
 
 def key_padding_mask(lengths: np.ndarray | None, n_queries: int,
@@ -101,11 +129,23 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeights,
-                         mask: np.ndarray | None = None) -> Tensor:
-    heads = [
-        scaled_dot_attention(ad.matmul(q, wq), ad.matmul(k, wk), ad.matmul(v, wv), mask)
-        for wq, wk, wv in zip(weights.wq, weights.wk, weights.wv)
-    ]
+                         mask: np.ndarray | None = None,
+                         cache: KVCache | None = None) -> Tensor:
+    """Concatenated per-head attention, projected by wo.  With a cache, the
+    keys and values come from it (see :class:`KVCache`), and the mask covers
+    every cached key; a cache is only accepted under ``autodiff.no_grad``."""
+    if cache is not None and ad.is_recording():
+        raise ConfigError("a KV cache is valid only under autodiff.no_grad")
+    heads = []
+    for h, (wq, wk, wv) in enumerate(zip(weights.wq, weights.wk, weights.wv)):
+        # q is projected first: the tape order sets the order backward sums
+        # the gradients of shared inputs in.
+        qh = ad.matmul(q, wq)
+        if cache is None:
+            kh, vh = ad.matmul(k, wk), ad.matmul(v, wv)
+        else:
+            kh, vh = cache.keys_values(h, k, v, wk, wv)
+        heads.append(scaled_dot_attention(qh, kh, vh, mask))
     return ad.matmul(ad.concat_cols(heads), weights.wo)
 
 

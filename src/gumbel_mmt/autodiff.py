@@ -151,6 +151,11 @@ def no_grad():
         _grad_enabled.pop()
 
 
+def is_recording() -> bool:
+    """True unless inside a no_grad block."""
+    return _grad_enabled[-1]
+
+
 def _emit(inputs: tuple[Tensor, ...], out_data: Array,
           backward: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
     out = Tensor._adopt(out_data)

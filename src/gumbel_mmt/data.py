@@ -240,7 +240,18 @@ def save_split(path: Path, spec: SyntheticTaskSpec, src_vocab: Vocabulary,
             fh.write(f"{src}\t{tgt}\t{meta}\t{blob}\n")
 
 
+def _encode_line(path: Path, line_no: int, side: str, vocab: Vocabulary,
+                 text: str) -> list[int]:
+    tokens = text.split()
+    for tok in tokens:
+        if tok not in vocab:
+            raise DataError(f"{path}:{line_no}: {side} token {tok!r} is not in the vocabulary")
+    return vocab.encode(tokens)
+
+
 def load_split(path: Path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> tuple[dict, list[Example]]:
+    """The header and examples of one split file.  Raises DataError, naming
+    the line, for a malformed record or a token outside the vocabulary."""
     examples = []
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
@@ -265,7 +276,8 @@ def load_split(path: Path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> tupl
                 raise DataError(f"{path}:{line_no}: image payload has {image.size} values, "
                                 f"expected {r * d}")
             examples.append(Example(
-                src_vocab.encode(src.split()), tgt_vocab.encode(tgt.split()),
+                _encode_line(path, line_no, "src", src_vocab, src),
+                _encode_line(path, line_no, "tgt", tgt_vocab, tgt),
                 image.reshape(r, d), ex_meta))
     return header, examples
 
@@ -283,6 +295,9 @@ def save_dataset(data_dir: Path, ds: Dataset) -> None:
 
 
 def load_dataset(data_dir: Path) -> Dataset:
+    """Load what save_dataset wrote.  Raises DataError where a split's header
+    disagrees with the manifest's spec, or a split holds another number of
+    examples than the manifest's counts."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
@@ -297,9 +312,19 @@ def load_dataset(data_dir: Path) -> Dataset:
         n_train=manifest["n_train"], n_val=manifest["n_val"], n_test=manifest["n_test"],
         seed=manifest["seed"])
     src_vocab, tgt_vocab = build_vocabularies(spec)
+    want = _spec_header(spec)
     splits = {}
     for name in ("train", "val", "test"):
-        _, splits[name] = load_split(data_dir / f"{name}.txt", src_vocab, tgt_vocab)
+        path = data_dir / f"{name}.txt"
+        header, splits[name] = load_split(path, src_vocab, tgt_vocab)
+        for key, value in want.items():
+            if header.get(key) != value:
+                raise DataError(f"{path}: header has {key}={header.get(key)!r}, "
+                                f"but the manifest has {key}={value!r}")
+        count = manifest["counts"][name]
+        if len(splits[name]) != count:
+            raise DataError(f"{path}: {len(splits[name])} examples, but the manifest "
+                            f"counts {count}")
     return Dataset(spec, src_vocab, tgt_vocab, splits["train"], splits["val"], splits["test"])
 
 

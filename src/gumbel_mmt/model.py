@@ -10,6 +10,11 @@ Every forward takes one sentence (1-d token ids, a ``(r, d_image)`` image)
 or a batch: ``(b, t)`` token ids right-padded with PAD_ID and ``(b, r,
 d_image)`` images.  A batch runs through the same code with a leading axis,
 and key-padding masks keep every example's real rows from reading padding.
+
+Greedy decoding is incremental: ``decode`` takes a :class:`DecoderCache` and
+then reads only the target positions that follow the cached ones, one row per
+step.  A cache is valid only under ``autodiff.no_grad``; training never passes
+one, and ``decode`` without a cache recomputes every position.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (AttentionWeights, GateMatrix, causal_mask, init_attention_weights,
-                        key_padding_mask, multi_head_attention,
+from .attention import (AttentionWeights, GateMatrix, KVCache, causal_mask,
+                        init_attention_weights, key_padding_mask, multi_head_attention,
                         multi_head_gumbel_attention)
 from .autodiff import Parameter, Tensor, check_unique_names
 from .data import BOS_ID, EOS_ID, PAD_ID
@@ -107,6 +112,18 @@ class ModelConfig:
 
 
 @dataclass
+class GateStats:
+    """Per example, over every head and the example's real text rows: the
+    sum of its gates (``open``) and their number (``count``), in three
+    columns: all regions, the example's relevant regions, and its other
+    (noise) regions.  An example given no relevant regions counts zero in the
+    last two columns."""
+
+    open: np.ndarray    # (b, 3)
+    count: np.ndarray   # (b, 3)
+
+
+@dataclass
 class EncoderOutput:
     h_text: Tensor
     h_image: Tensor | None
@@ -114,17 +131,37 @@ class EncoderOutput:
     gates: list[GateMatrix] | None = None
     lengths: np.ndarray | None = None   # source lengths of a batch; None for one sentence
 
-    def mean_gate(self) -> float | np.ndarray | None:
-        """Mean gate over heads, real text rows and regions: a float for one
-        sentence, a (b,) array for a batch; None without gates."""
+    def gate_stats(self, relevant_regions: list[list[int]] | None = None
+                   ) -> GateStats | None:
+        """Gate sums and counts over the real rows, one row of GateStats per
+        example (one for a single sentence); relevant_regions gives each
+        example's relevant region indices.  None without gates."""
         if not self.gates:
             return None
         alpha = np.stack([g.alpha.data for g in self.gates])    # (heads, [b,] t, r)
-        if self.lengths is None:
-            return float(alpha.mean()) if alpha.size else None
-        heads, _, t, r = alpha.shape
-        real = (np.arange(t) < self.lengths[:, None])[None, :, :, None]
-        return (alpha * real).sum(axis=(0, 2, 3)) / (heads * self.lengths * r)
+        heads, t, r = alpha.shape[0], alpha.shape[-2], alpha.shape[-1]
+        alpha = alpha.reshape(heads, -1, t, r)
+        b = alpha.shape[1]
+        lengths = np.full(b, t) if self.lengths is None else self.lengths
+        real = np.arange(t) < lengths[:, None]                  # (b, t)
+        per_region = np.where(real[None, :, :, None], alpha, 0.0).sum(axis=(0, 2))
+        relevant = np.zeros((b, r), dtype=bool)
+        for i, regions in enumerate(relevant_regions or []):
+            relevant[i, regions] = True
+        noise = ~relevant & relevant.any(axis=1, keepdims=True)
+        regions = np.stack([np.ones_like(relevant), relevant, noise], axis=1)   # (b, 3, r)
+        return GateStats(open=(per_region[:, None, :] * regions).sum(axis=2),
+                         count=regions.sum(axis=2) * (heads * lengths)[:, None])
+
+    def mean_gate(self) -> float | np.ndarray | None:
+        """Mean gate over heads, real text rows and regions: a float for one
+        sentence, a (b,) array for a batch; None without gates."""
+        stats = self.gate_stats()
+        if stats is None:
+            return None
+        if self.lengths is not None:
+            return stats.open[:, 0] / stats.count[:, 0]
+        return float(stats.open[0, 0] / stats.count[0, 0]) if stats.count[0, 0] else None
 
 
 def sequence_lengths(ids: np.ndarray) -> np.ndarray | None:
@@ -159,15 +196,16 @@ def sinusoid_position_encoding(n_positions: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def embed(token_ids, table: Tensor, position_encoding: np.ndarray) -> Tensor:
-    """Word embedding plus sinusoidal position encoding, for (t,) or (b, t) ids."""
+def embed(token_ids, table: Tensor, position_encoding: np.ndarray, start: int = 0) -> Tensor:
+    """Word embedding plus sinusoidal position encoding, for (t,) or (b, t) ids
+    at positions start .. start + t - 1."""
     ids = np.asarray(token_ids, dtype=np.int64)
-    t = ids.shape[-1]
-    if t > position_encoding.shape[0]:
-        raise ShapeError(f"sequence of length {t} exceeds the {position_encoding.shape[0]} "
+    end = start + ids.shape[-1]
+    if end > position_encoding.shape[0]:
+        raise ShapeError(f"sequence of length {end} exceeds the {position_encoding.shape[0]} "
                          "precomputed positions")
     x = ad.embedding_lookup(table, ids)
-    return ad.add(x, Tensor(np.broadcast_to(position_encoding[:t], x.shape)))
+    return ad.add(x, Tensor(np.broadcast_to(position_encoding[start:end], x.shape)))
 
 
 def gated_fusion(h_image: Tensor, h_text: Tensor, w: Tensor, u: Tensor) -> Tensor:
@@ -313,11 +351,14 @@ class DecoderLayer:
         self.ffn = FeedForward(init, d_model, d_ffn)
         self.ln3 = LayerNorm(init, d_model)
 
-    def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray,
-                 memory_mask: np.ndarray | None = None) -> Tensor:
-        h = self.ln1(ad.add(x, multi_head_attention(x, x, x, self.self_attn, mask)))
+    def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray | None,
+                 memory_mask: np.ndarray | None = None,
+                 cache: tuple[KVCache, KVCache] | None = None) -> Tensor:
+        self_cache, memory_cache = (None, None) if cache is None else cache
+        h = self.ln1(ad.add(x, multi_head_attention(x, x, x, self.self_attn, mask,
+                                                    self_cache)))
         h = self.ln2(ad.add(h, multi_head_attention(h, memory, memory, self.cross_attn,
-                                                    memory_mask)))
+                                                    memory_mask, memory_cache)))
         return self.ln3(ad.add(h, self.ffn(h)))
 
     def params(self, prefix: str) -> list[Parameter]:
@@ -327,6 +368,16 @@ class DecoderLayer:
                 + self.ln2.params(f"{prefix}.ln2")
                 + self.ffn.params(f"{prefix}.ffn")
                 + self.ln3.params(f"{prefix}.ln3"))
+
+
+class DecoderCache:
+    """State of one incremental decode: for each decoder layer, a growing
+    self-attention cache over the target positions decoded so far and a
+    static cache over the memory; ``length`` counts the cached positions."""
+
+    def __init__(self, n_layers: int):
+        self.layers = [(KVCache(), KVCache(static=True)) for _ in range(n_layers)]
+        self.length = 0
 
 
 class MMTModel:
@@ -418,11 +469,6 @@ class MMTModel:
 
     # -- encoding -----------------------------------------------------------
 
-    def encode_text(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        for layer in self.text_layers:
-            x = layer(x, mask)
-        return x
-
     def _text_states(self, emb: Tensor, mask: np.ndarray | None) -> list[Tensor]:
         """Intermediate text-branch states; states[i] is after i layers."""
         states = [emb]
@@ -440,7 +486,7 @@ class MMTModel:
         text_mask = key_padding_mask(lengths, t, t)
         emb = embed(ids, self.src_table, self.pos_enc)
         if cfg.ablation.text_only:
-            h_text = self.encode_text(emb, text_mask)
+            h_text = self._text_states(emb, text_mask)[-1]
             return EncoderOutput(h_text=h_text, h_image=None, fused=h_text, lengths=lengths)
 
         if image is None:
@@ -481,20 +527,35 @@ class MMTModel:
 
     # -- decoding and losses --------------------------------------------------
 
-    def decode(self, tgt_in_ids, memory: Tensor,
-               memory_lengths: np.ndarray | None = None) -> Tensor:
+    def decoder_cache(self) -> DecoderCache:
+        """An empty cache for incremental decoding with :meth:`decode`."""
+        return DecoderCache(len(self.dec_layers))
+
+    def decode(self, tgt_in_ids, memory: Tensor, memory_lengths: np.ndarray | None = None,
+               cache: DecoderCache | None = None) -> Tensor:
         """Next-token logits for every target input position: (t, vocab) for
         one sentence, (b, t, vocab) for a batch, whose memory_lengths are the
         source lengths of its padded memory.  Right padding of the targets
         needs no mask: it follows every real position, so the causal mask
-        already hides it from them."""
+        already hides it from them.
+
+        With a cache (under ``autodiff.no_grad`` only), tgt_in_ids are the
+        positions that follow the cache.length already cached: position
+        encoding and causal mask are offset by that length, every layer reads
+        and extends its cached keys and values, and the cache then holds the
+        new positions too.  The memory must be the same at every call."""
         ids = np.asarray(tgt_in_ids, dtype=np.int64)
         t = ids.shape[-1]
-        x = embed(ids, self.tgt_table, self.pos_enc)
-        mask = np.broadcast_to(causal_mask(t), ids.shape + (t,))
+        start = 0 if cache is None else cache.length
+        x = embed(ids, self.tgt_table, self.pos_enc, start)
+        mask = causal_mask(t, start)
+        # A row that may see every key, such as one decoding step, needs no mask.
+        mask = np.broadcast_to(mask, ids.shape + mask.shape[-1:]) if mask.any() else None
         memory_mask = key_padding_mask(memory_lengths, t, memory.shape[-2])
-        for layer in self.dec_layers:
-            x = layer(x, memory, mask, memory_mask)
+        for i, layer in enumerate(self.dec_layers):
+            x = layer(x, memory, mask, memory_mask, None if cache is None else cache.layers[i])
+        if cache is not None:
+            cache.length += t
         return ad.add_bias(ad.matmul(x, self.out_w), self.out_b)
 
     def loss(self, src_ids, tgt_ids, image: np.ndarray | None,
@@ -511,22 +572,33 @@ class MMTModel:
         return loss, enc
 
     def greedy_decode(self, src_ids, image: np.ndarray | None, max_len: int
-                      ) -> tuple[list[int], EncoderOutput]:
-        """Deterministic argmax decoding with thresholded inference gates.
+                      ) -> tuple[list[int] | list[list[int]], EncoderOutput]:
+        """Deterministic argmax decoding with thresholded inference gates, of
+        one sentence or a padded (b, t) batch with one image per row.
 
-        Returns the generated core token ids (no BOS/EOS) and the encoder
-        output (whose gates feed the selection metrics).
+        One encode, then one decoder row per sentence per step through a
+        DecoderCache.  A row that has emitted EOS is frozen; the loop stops
+        once every row has, or after max_len steps.  Returns the generated
+        core token ids (no BOS/EOS), a list per row for a batch, and the
+        encoder output (whose gates feed the selection metrics).
         """
         if max_len <= 0:
             raise ConfigError(f"max_len must be positive, got {max_len}")
         with ad.no_grad():
             enc = self.encode(src_ids, image, None,
                               GateMode.infer(self.cfg.gate_threshold))
-            out = [BOS_ID]
+            batch = enc.fused.shape[:-2]
+            step = np.full(batch + (1,), BOS_ID, dtype=np.int64)
+            out: list[list[int]] = [[] for _ in range(step.size)]
+            done = np.zeros(step.size, dtype=bool)
+            cache = self.decoder_cache()
             for _ in range(max_len):
-                logits = self.decode(out, enc.fused)
-                nxt = int(np.argmax(logits.data[-1]))
-                if nxt == EOS_ID:
+                logits = self.decode(step, enc.fused, enc.lengths, cache)
+                nxt = logits.data[..., -1, :].argmax(axis=-1).reshape(-1)
+                done |= nxt == EOS_ID
+                if done.all():
                     break
-                out.append(nxt)
-        return out[1:], enc
+                for i in np.flatnonzero(~done):
+                    out[i].append(int(nxt[i]))
+                step = nxt.reshape(step.shape)
+        return (out if batch else out[0]), enc

@@ -23,7 +23,7 @@ from .model import MMTModel, ModelConfig, pad_batch
 _NOISE_STREAM = 1
 _SHUFFLE_STREAM = 2
 
-# examples per forward pass of teacher_forced_loss
+# examples per forward pass of teacher_forced_loss, and per greedy decode of evaluate
 _EVAL_BATCH = 64
 
 
@@ -74,7 +74,11 @@ def global_grad_norm(params: list[Parameter]) -> float:
 def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update in place, after global-norm clipping.
 
-    Aborts on any non-finite gradient, naming the offending parameter.
+    Aborts on any non-finite gradient, naming the offending parameter.  The
+    moments are allocated on the first step; each step then updates them and
+    the parameters with in-place ufuncs, in the order of the textbook
+    expressions m += (1 - beta1)(g - m), v += (1 - beta2)(g^2 - v),
+    w -= lr (m / bc1) / (sqrt(v / bc2) + eps).
     """
     for p in params:
         if not np.isfinite(p.tensor.grad).all():
@@ -88,12 +92,26 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> No
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
     for p in params:
-        g = p.tensor.grad * clip
-        m = state.m.setdefault(p.name, np.zeros_like(g))
-        v = state.v.setdefault(p.name, np.zeros_like(g))
-        m += (1.0 - cfg.beta1) * (g - m)
-        v += (1.0 - cfg.beta2) * (g * g - v)
-        p.tensor.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        # Explicit out= arrays keep 0-d parameters arrays, not numpy scalars.
+        g = np.multiply(p.tensor.grad, clip, out=np.empty_like(p.tensor.grad))
+        if p.name not in state.m:
+            state.m[p.name] = np.zeros_like(g)
+            state.v[p.name] = np.zeros_like(g)
+        m, v = state.m[p.name], state.v[p.name]
+        tmp = np.subtract(g, m, out=np.empty_like(g))
+        tmp *= 1.0 - cfg.beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp -= v
+        tmp *= 1.0 - cfg.beta2
+        v += tmp
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += cfg.eps
+        np.divide(m, bc1, out=tmp)
+        tmp *= cfg.lr
+        tmp /= g
+        p.tensor.data -= tmp
 
 
 @dataclass
@@ -190,8 +208,11 @@ def teacher_forced_loss(model: MMTModel, split: list[Example], seed: int) -> flo
 
 def evaluate(model: MMTModel, split: list[Example], seed: int = 0,
              max_len: int | None = None) -> Metrics:
-    """Greedy-decode every example with thresholded gates and aggregate
-    BLEU, token accuracy, ambiguous-token accuracy, and gate open rates."""
+    """Greedy-decode the split with thresholded gates, one padded batch of up
+    to _EVAL_BATCH examples per ``greedy_decode`` call, and aggregate BLEU,
+    token accuracy, ambiguous-token accuracy, and the gate open rates over
+    all regions, relevant regions and noise regions.  Gates are counted on
+    each example's real text rows only, never on padding."""
     if not split:
         raise ConfigError("evaluate on empty split")
     check_compatible(model.cfg, split)
@@ -200,39 +221,35 @@ def evaluate(model: MMTModel, split: list[Example], seed: int = 0,
     hyps, refs = [], []
     amb_total = amb_correct = 0
     tok_accs = []
-    gate_open = gate_count = 0.0
-    rel_open = rel_count = noise_open = noise_count = 0.0
-    for ex in split:
-        decoded, enc = model.greedy_decode(ex.src_ids, _image_for(model, ex, seed), max_len)
-        ref = ex.tgt_ids[1:-1]
-        hyps.append(decoded)
-        refs.append(ref)
-        matches = sum(1 for i in range(min(len(decoded), len(ref))) if decoded[i] == ref[i])
-        tok_accs.append(matches / len(ref) if ref else 1.0)
-        if ex.meta.amb_tgt_pos >= 0:
-            amb_total += 1
-            pos = ex.meta.amb_tgt_pos
-            if pos < len(decoded) and decoded[pos] == ref[pos]:
-                amb_correct += 1
-        if enc.gates:
-            for gm in enc.gates:
-                a = gm.alpha.data
-                gate_open += a.sum()
-                gate_count += a.size
-                if ex.meta.relevant_regions:
-                    mask = np.zeros(a.shape[1], dtype=bool)
-                    mask[ex.meta.relevant_regions] = True
-                    rel_open += a[:, mask].sum()
-                    rel_count += a[:, mask].size
-                    noise_open += a[:, ~mask].sum()
-                    noise_count += a[:, ~mask].size
+    gate_open, gate_count = np.zeros(3), np.zeros(3)
+    for start in range(0, len(split), _EVAL_BATCH):
+        chunk = split[start:start + _EVAL_BATCH]
+        src_ids, _, images = _batch(model, chunk, seed)
+        decoded, enc = model.greedy_decode(src_ids, images, max_len)
+        stats = enc.gate_stats([ex.meta.relevant_regions for ex in chunk])
+        if stats is not None:
+            gate_open += stats.open.sum(axis=0)
+            gate_count += stats.count.sum(axis=0)
+        for ex, hyp in zip(chunk, decoded):
+            ref = ex.tgt_ids[1:-1]
+            hyps.append(hyp)
+            refs.append(ref)
+            matches = sum(1 for i in range(min(len(hyp), len(ref))) if hyp[i] == ref[i])
+            tok_accs.append(matches / len(ref) if ref else 1.0)
+            if ex.meta.amb_tgt_pos >= 0:
+                amb_total += 1
+                pos = ex.meta.amb_tgt_pos
+                if pos < len(hyp) and hyp[pos] == ref[pos]:
+                    amb_correct += 1
+    gate_rate, rel_rate, noise_rate = (o / c if c else None
+                                       for o, c in zip(gate_open, gate_count))
     return Metrics(
         bleu=corpus_bleu(hyps, refs),
         token_accuracy=float(np.mean(tok_accs)),
         ambiguous_token_accuracy=amb_correct / amb_total if amb_total else None,
-        mean_gate_open_rate=gate_open / gate_count if gate_count else None,
-        relevant_open_rate=rel_open / rel_count if rel_count else None,
-        noise_open_rate=noise_open / noise_count if noise_count else None,
+        mean_gate_open_rate=gate_rate,
+        relevant_open_rate=rel_rate,
+        noise_open_rate=noise_rate,
     )
 
 

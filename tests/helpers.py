@@ -1,7 +1,8 @@
 """Shared test utilities: a registry of finite-difference gradient cases for
-every differentiable primitive, and for its batched form where it has one.
-Each factory draws random inputs in [-2, 2] (resampled away from relu/hinge
-kinks) and returns (forward, leaves, tol)."""
+every differentiable primitive, and for its batched form where it has one,
+and a full-recompute greedy decoder that cached decoding is checked against.
+Each gradient case factory draws random inputs in [-2, 2] (resampled away from
+relu/hinge kinks) and returns (forward, leaves, tol)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import numpy as np
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
+from gumbel_mmt.data import BOS_ID, EOS_ID
 from gumbel_mmt.gradcheck import gradient_error
+from gumbel_mmt.gumbel import GateMode
 
 
 def rand_tensor(rng, shape, lo=-2.0, hi=2.0):
@@ -274,3 +277,19 @@ def check_primitive(name: str, n_cases: int, seed: int = 0) -> float:
         assert err < tol, f"{name}: rel err {err:.3g} >= {tol}"
         worst = max(worst, err)
     return worst
+
+
+def full_recompute_greedy(model, src_ids, image, max_len: int):
+    """Greedy decoding of one sentence without a cache: every step re-runs the
+    decoder over BOS and all tokens emitted so far, and reads the last row.
+    Returns the emitted tokens and each step's next-token logits."""
+    with ad.no_grad():
+        enc = model.encode(src_ids, image, None, GateMode.infer(model.cfg.gate_threshold))
+        out, step_logits = [BOS_ID], []
+        for _ in range(max_len):
+            step_logits.append(model.decode(out, enc.fused).data[-1])
+            nxt = int(np.argmax(step_logits[-1]))
+            if nxt == EOS_ID:
+                break
+            out.append(nxt)
+    return out[1:], step_logits

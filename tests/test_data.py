@@ -168,6 +168,39 @@ def test_load_split_names_missing_meta_key(tmp_path):
         load_split(path, ds.src_vocab, ds.tgt_vocab)
 
 
+@pytest.mark.parametrize("side,field", [("src", 0), ("tgt", 1)])
+def test_load_split_names_an_unknown_token(tmp_path, side, field):
+    ds = generate_dataset(small_spec())
+    save_dataset(tmp_path, ds)
+    path = tmp_path / "test.txt"
+    lines = path.read_text().splitlines()
+    parts = lines[3].split("\t")
+    parts[field] = parts[field] + " zz9"
+    lines[3] = "\t".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf"test.txt:4: {side} token 'zz9' is not in the vocabulary"):
+        load_split(path, ds.src_vocab, ds.tgt_vocab)
+
+
+def test_load_dataset_checks_manifest_counts(tmp_path):
+    save_dataset(tmp_path, generate_dataset(small_spec()))
+    path = tmp_path / "val.txt"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")   # drop the last example
+    with pytest.raises(DataError, match=r"val.txt: 9 examples, but the manifest counts 10"):
+        load_dataset(tmp_path)
+
+
+def test_load_dataset_checks_split_headers_against_the_manifest(tmp_path):
+    save_dataset(tmp_path, generate_dataset(small_spec()))
+    other = tmp_path / "other"
+    save_dataset(other, generate_dataset(small_spec(seed=100)))
+    (tmp_path / "train.txt").write_bytes((other / "train.txt").read_bytes())
+    with pytest.raises(DataError, match=r"train.txt: header has seed=100, but the manifest "
+                                        r"has seed=99"):
+        load_dataset(tmp_path)
+
+
 def test_random_image_is_stable_per_example():
     ds = generate_dataset(small_spec())
     ex = ds.train[0]

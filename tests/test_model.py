@@ -13,6 +13,8 @@ from gumbel_mmt.model import (AblationFlags, LossWeightMode, MMTModel, ModelConf
                               embed, gated_fusion, pad_batch, similarity_loss,
                               sinusoid_position_encoding, total_loss)
 
+from helpers import full_recompute_greedy
+
 
 @pytest.fixture(autouse=True)
 def fresh_tape():
@@ -151,7 +153,9 @@ def test_text_only_fused_equals_text_encoding():
     m = MMTModel(cfg, seed=3)
     enc = m.encode([BOS_ID, 4, 5, EOS_ID], None, None, GateMode.infer())
     assert enc.h_image is None and enc.gates is None
-    ref = m.encode_text(embed([BOS_ID, 4, 5, EOS_ID], m.src_table, m.pos_enc))
+    ref = embed([BOS_ID, 4, 5, EOS_ID], m.src_table, m.pos_enc)
+    for layer in m.text_layers:
+        ref = layer(ref)
     np.testing.assert_array_equal(enc.fused.data, ref.data)
 
 
@@ -422,3 +426,88 @@ def test_padded_batch_validation():
                  GateMode.infer())
     with pytest.raises(ShapeError, match="image shape"):
         m.encode(pad_batch(BATCH_SRC), images[:2], None, GateMode.infer())
+
+
+# -- cached greedy decoding ---------------------------------------------------------
+
+DECODE_VARIANTS = pytest.mark.parametrize("variant", [
+    {}, {"ablation": AblationFlags(text_only=True)},
+    {"ablation": AblationFlags(vanilla_attention=True)},
+    {"gumbel_layer": 2},    # n_enc_layers + 1: after the whole encoder stack
+], ids=["default", "text_only", "vanilla", "after_stack"])
+
+# Init seeds of the tiny model for BATCH_SRC with max_len 6: from seed 27 some
+# outputs stop early at different steps and some run to max_len; from seed 36
+# every output has exactly one token.
+DECODE_SEEDS = pytest.mark.parametrize("seed", [27, 36], ids=["mixed_lengths", "length_one"])
+MAX_LEN = 6
+
+
+def decode_inputs(variant, seed):
+    cfg = tiny_config(**variant)
+    images = None if cfg.ablation.text_only else batch_images(cfg)
+    return MMTModel(cfg, seed=seed), images
+
+
+def check_lengths(seed, lengths):
+    if seed == 27:
+        assert min(lengths) < MAX_LEN == max(lengths)
+    else:
+        assert lengths == [1] * len(BATCH_SRC)
+
+
+@DECODE_VARIANTS
+@DECODE_SEEDS
+def test_cached_greedy_decode_matches_full_recompute(variant, seed):
+    m, images = decode_inputs(variant, seed)
+    lengths = []
+    for i, src in enumerate(BATCH_SRC):
+        image = None if images is None else images[i]
+        want, want_logits = full_recompute_greedy(m, src, image, MAX_LEN)
+        got, enc = m.greedy_decode(src, image, MAX_LEN)
+        assert got == want
+        lengths.append(len(got))
+        # Feeding the same tokens one row at a time through a cache gives
+        # every step's logits.
+        cache = m.decoder_cache()
+        with ad.no_grad():
+            for step, tok in enumerate([BOS_ID] + want[:len(want_logits) - 1]):
+                logits = m.decode([tok], enc.fused, cache=cache)
+                np.testing.assert_allclose(logits.data[-1], want_logits[step], rtol=0,
+                                           atol=1e-12)
+        assert cache.length == len(want_logits)
+    check_lengths(seed, lengths)
+
+
+@DECODE_VARIANTS
+@DECODE_SEEDS
+def test_batched_greedy_decode_matches_single_sentences(variant, seed):
+    m, images = decode_inputs(variant, seed)
+    singles = [m.greedy_decode(s, None if images is None else images[i], MAX_LEN)[0]
+               for i, s in enumerate(BATCH_SRC)]
+    batched, _ = m.greedy_decode(pad_batch(BATCH_SRC), images, MAX_LEN)
+    assert batched == singles
+    check_lengths(seed, [len(out) for out in singles])
+
+
+def test_cached_decode_of_several_rows_offsets_positions_and_mask():
+    cfg = tiny_config()
+    m = MMTModel(cfg, seed=11)
+    enc = m.encode([BOS_ID, 4, EOS_ID], tiny_image(cfg), None, GateMode.infer())
+    tgt = [BOS_ID, 5, 6, 7, 8]
+    with ad.no_grad():
+        full = m.decode(tgt, enc.fused).data
+        cache = m.decoder_cache()
+        head = m.decode(tgt[:2], enc.fused, cache=cache).data
+        tail = m.decode(tgt[2:], enc.fused, cache=cache).data
+    np.testing.assert_allclose(np.concatenate([head, tail]), full, rtol=0, atol=1e-12)
+    assert cache.length == len(tgt)
+
+
+def test_decode_cache_is_rejected_while_recording():
+    cfg = tiny_config()
+    m = MMTModel(cfg, seed=12)
+    with ad.no_grad():
+        enc = m.encode([BOS_ID, 4, EOS_ID], tiny_image(cfg), None, GateMode.infer())
+    with pytest.raises(ConfigError, match="no_grad"):
+        m.decode([BOS_ID], enc.fused, cache=m.decoder_cache())

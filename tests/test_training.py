@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from gumbel_mmt import autodiff as ad
+from gumbel_mmt import training
 from gumbel_mmt.autodiff import make_parameter
 from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset
 from gumbel_mmt.errors import ConfigError, TrainingError
 from gumbel_mmt.model import LossWeightMode, MMTModel, ModelConfig
-from gumbel_mmt.training import (AdamState, TrainConfig, adam_step, evaluate,
+from gumbel_mmt.training import (AdamState, Metrics, TrainConfig, adam_step, evaluate,
                                  teacher_forced_loss, train)
 
 
@@ -64,6 +65,37 @@ def test_adam_step_clips_by_global_norm():
                                              rel=1e-14)
     assert b.tensor.data[0] == pytest.approx(sum(hand_adam([0.8, -0.4], 0.1, 0.8, 0.9, 1e-8)),
                                              rel=1e-14)
+
+
+def test_adam_step_is_bit_identical_to_the_textbook_expressions():
+    # The in-place update must give exactly what the plain expressions give,
+    # and keep the moment arrays it allocated on the first step.
+    cfg = TrainConfig(lr=0.01, clip_norm=1.0)
+    rng = np.random.default_rng(0)
+    # Zero start: the parameters are the summed updates, with every bit of them.
+    params = [make_parameter("w", np.zeros((3, 4))), make_parameter("raw", np.asarray(0.0))]
+    want = {p.name: p.tensor.data.copy() for p in params}
+    m = {name: np.zeros_like(w) for name, w in want.items()}
+    v = {name: np.zeros_like(w) for name, w in want.items()}
+    state = AdamState()
+    for t in range(1, 4):
+        for p in params:
+            p.tensor.grad[...] = rng.normal(size=p.tensor.shape) * 2.0
+        norm = np.sqrt(sum(float((p.tensor.grad ** 2).sum()) for p in params))
+        clip = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
+        for p in params:
+            g = p.tensor.grad * clip
+            m[p.name] = m[p.name] + (1.0 - cfg.beta1) * (g - m[p.name])
+            v[p.name] = v[p.name] + (1.0 - cfg.beta2) * (g * g - v[p.name])
+            want[p.name] = want[p.name] - cfg.lr * (m[p.name] / (1.0 - cfg.beta1 ** t)) / (
+                np.sqrt(v[p.name] / (1.0 - cfg.beta2 ** t)) + cfg.eps)
+        moments = dict(state.m)
+        adam_step(params, state, cfg)
+        for p in params:
+            np.testing.assert_array_equal(p.tensor.data, want[p.name])
+            np.testing.assert_array_equal(state.m[p.name], m[p.name])
+            np.testing.assert_array_equal(state.v[p.name], v[p.name])
+            assert t == 1 or state.m[p.name] is moments[p.name]
 
 
 def test_adam_step_rejects_non_finite_gradient():
@@ -123,6 +155,29 @@ def test_train_is_deterministic_in_seed_and_config():
     assert runs[0] == runs[1]
     other = train(MMTModel(cfg, seed=7), ds, dataclasses.replace(TINY_TRAIN, seed=6))
     assert other.step_losses != runs[0]
+
+
+# evaluate() of the tiny model after TINY_TRAIN on its train, val and test
+# splits (15 sentences), recorded at the commit that decoded one sentence at a
+# time with a full recompute per step.  The batched, cached path must give the
+# same tokens and gate counts, so every field matches exactly.
+GOLDEN_METRICS = Metrics(
+    bleu=float.fromhex("0x1.3a7a8ea472c27p-5"),
+    token_accuracy=float.fromhex("0x1.7e4b17e4b17e4p-5"),
+    ambiguous_token_accuracy=0.0,
+    mean_gate_open_rate=float.fromhex("0x1.c242424242424p-2"),
+    relevant_open_rate=float.fromhex("0x1.1b1b1b1b1b1b2p-2"),
+    noise_open_rate=float.fromhex("0x1.f9f9f9f9f9fa0p-2"),
+)
+
+
+@pytest.mark.parametrize("eval_batch", [64, 4], ids=["one_batch", "four_batches"])
+def test_evaluate_matches_golden_metrics(eval_batch, monkeypatch):
+    monkeypatch.setattr(training, "_EVAL_BATCH", eval_batch)
+    ds, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    train(m, ds, TINY_TRAIN)
+    assert evaluate(m, ds.train + ds.val + ds.test, seed=TINY_TRAIN.seed) == GOLDEN_METRICS
 
 
 def test_teacher_forced_loss_is_mean_of_example_losses():
