@@ -1,9 +1,15 @@
-"""Scaled dot-product / multi-head attention, plus the gated cross-modal
-variant where the softmax over image regions is replaced by per-element
-Gumbel-Sigmoid selection.  Scores are always divided by sqrt(d_head).
+"""Multi-head attention with a pluggable selection step: the softmax of
+scaled dot-product attention, or the per-element Gumbel-Sigmoid gates of the
+cross-modal variant.  Scores are always divided by sqrt(d_head).
+
+One routine serves both.  Each of Q, K and V is projected once per block by a
+stacked ``(d_in, H * d_head)`` matrix, the heads are split into a batch axis,
+``(..., H, t, d_head)``, every head attends through the same batched ops, and
+the merged heads are projected by wo.
 
 Inputs are one sequence, ``(t, d)``, or a padded batch, ``(b, t, d)``.  In a
-batch, masks carry the key padding.
+batch, masks carry the key padding; a mask is broadcast over the head axis as
+a view.
 
 Incremental decoding passes :func:`multi_head_attention` a :class:`KVCache`
 per attention block.  A cache holds plain arrays with no tape history, so it
@@ -13,7 +19,8 @@ raises ``ConfigError``.  Training never passes one."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,48 +32,50 @@ from .gumbel import GateMode, NoiseSource, gumbel_sigmoid, logistic_noise
 
 @dataclass
 class AttentionWeights:
-    """Per-head projection triples plus the shared output projection.
+    """Stacked projections of one attention block: columns
+    ``h * d_head : (h + 1) * d_head`` of wq, wk and wv belong to head h.
 
-    wq[i]: (d_in_q, d_head), wk[i]/wv[i]: (d_in_k, d_head) / (d_in_v, d_head),
-    wo: (n_heads * d_head, d_model).
+    wq: (d_in_q, H * d_head), wk: (d_in_k, H * d_head), wv: (d_in_v, H * d_head),
+    wo: (H * d_head, d_model).
     """
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     wo: Tensor
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.wq)
+    n_heads: int
 
     @property
     def d_head(self) -> int:
-        return self.wq[0].shape[1]
+        return self.wq.shape[1] // self.n_heads
 
 
 def init_attention_weights(rng: np.random.Generator, d_in_q: int, d_in_k: int,
                            d_in_v: int, d_model: int, n_heads: int) -> AttentionWeights:
+    """Uniform(+-1/sqrt(d_in)) weights, drawn head by head for wq, then wk,
+    then wv, then wo, and stacked along the columns."""
     if n_heads < 1 or d_model % n_heads != 0:
         raise ShapeError(f"n_heads={n_heads} must divide d_model={d_model}")
     d_head = d_model // n_heads
 
     def u(d_in, d_out):
         bound = 1.0 / math.sqrt(d_in)
-        return Tensor(rng.uniform(-bound, bound, size=(d_in, d_out)), grad=True)
+        return rng.uniform(-bound, bound, size=(d_in, d_out))
 
-    return AttentionWeights(
-        wq=[u(d_in_q, d_head) for _ in range(n_heads)],
-        wk=[u(d_in_k, d_head) for _ in range(n_heads)],
-        wv=[u(d_in_v, d_head) for _ in range(n_heads)],
-        wo=u(n_heads * d_head, d_model),
-    )
+    def stacked(d_in):
+        return Tensor(np.concatenate([u(d_in, d_head) for _ in range(n_heads)], axis=1),
+                      grad=True)
+
+    wq, wk, wv = stacked(d_in_q), stacked(d_in_k), stacked(d_in_v)
+    return AttentionWeights(wq=wq, wk=wk, wv=wv, wo=Tensor(u(d_model, d_model), grad=True),
+                            n_heads=n_heads)
 
 
 @dataclass
 class GateMatrix:
-    """Selection weights per (text position, image region): values in (0,1)
-    from stochastic training gates, or exactly {0,1} in infer mode."""
+    """Selection weights per (head, text position, image region), shaped
+    ``(..., H, t, r)``: values in (0,1) from stochastic training gates, or
+    exactly {0,1} in infer mode."""
 
     alpha: Tensor
 
@@ -82,8 +91,8 @@ def causal_mask(t: int, start: int = 0) -> np.ndarray:
 
 
 class KVCache:
-    """Each head's projected keys and values of one attention block, as plain
-    ``(..., n, d_head)`` arrays.
+    """The projected keys and values of one attention block, as two plain
+    ``(..., H, n, d_head)`` arrays.
 
     A self-attention cache (``static=False``) grows by the keys and values of
     the new rows at every call.  A memory cache (``static=True``) projects the
@@ -92,18 +101,20 @@ class KVCache:
 
     def __init__(self, static: bool = False):
         self.static = static
-        self.k: list[np.ndarray] = []
-        self.v: list[np.ndarray] = []
+        self.k: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def keys_values(self, head: int, k: Tensor, v: Tensor, wk: Tensor, wv: Tensor
+    def keys_values(self, k: Tensor, v: Tensor, weights: AttentionWeights
                     ) -> tuple[Tensor, Tensor]:
-        if head == len(self.k):
-            self.k.append(ad.matmul(k, wk).data)
-            self.v.append(ad.matmul(v, wv).data)
-        elif not self.static:
-            self.k[head] = np.concatenate([self.k[head], ad.matmul(k, wk).data], axis=-2)
-            self.v[head] = np.concatenate([self.v[head], ad.matmul(v, wv).data], axis=-2)
-        return Tensor._adopt(self.k[head]), Tensor._adopt(self.v[head])
+        if self.k is None or not self.static:
+            kh = _project(k, weights.wk, weights.n_heads).data
+            vh = _project(v, weights.wv, weights.n_heads).data
+            if self.k is None:
+                self.k, self.v = kh, vh
+            else:
+                self.k = np.concatenate([self.k, kh], axis=-2)
+                self.v = np.concatenate([self.v, vh], axis=-2)
+        return Tensor._adopt(self.k), Tensor._adopt(self.v)
 
 
 def key_padding_mask(lengths: np.ndarray | None, n_queries: int,
@@ -116,81 +127,63 @@ def key_padding_mask(lengths: np.ndarray | None, n_queries: int,
     return np.broadcast_to(pad[:, None, :], (len(lengths), n_queries, n_keys))
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         mask: np.ndarray | None = None) -> Tensor:
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
+def _project(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
+    """(..., t, d_in) projected by a stacked weight: (..., H, t, d_head)."""
+    return ad.split_heads(ad.matmul(x, w), n_heads)
+
+
+def _attend(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeights,
+            select: Callable[[Tensor], Tensor], cache: KVCache | None = None) -> Tensor:
+    """The one multi-head attention routine: project, split the heads, score,
+    select, sum the values, merge the heads and project by wo.  ``select``
+    maps the (..., H, t, n) scores to the weights of the values."""
+    if cache is not None and ad.is_recording():
+        raise ConfigError("a KV cache is valid only under autodiff.no_grad")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key/value count mismatch: {k.shape} vs {v.shape}")
-    scores = ad.scale(ad.matmul(q, ad.transpose2d(k)), 1.0 / math.sqrt(q.shape[-1]))
-    if mask is not None:
-        scores = ad.mask_fill(scores, mask, -np.inf)
-    return ad.matmul(ad.softmax_rows(scores), v)
+    # q is projected first: the tape order sets the order backward sums the
+    # gradients of shared inputs in.
+    qh = _project(q, weights.wq, weights.n_heads)
+    if cache is None:
+        kh = _project(k, weights.wk, weights.n_heads)
+        vh = _project(v, weights.wv, weights.n_heads)
+    else:
+        kh, vh = cache.keys_values(k, v, weights)
+    scores = ad.scale(ad.matmul(qh, ad.transpose2d(kh)), 1.0 / math.sqrt(weights.d_head))
+    return ad.matmul(ad.merge_heads(ad.matmul(select(scores), vh)), weights.wo)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeights,
                          mask: np.ndarray | None = None,
                          cache: KVCache | None = None) -> Tensor:
-    """Concatenated per-head attention, projected by wo.  With a cache, the
-    keys and values come from it (see :class:`KVCache`), and the mask covers
-    every cached key; a cache is only accepted under ``autodiff.no_grad``."""
-    if cache is not None and ad.is_recording():
-        raise ConfigError("a KV cache is valid only under autodiff.no_grad")
-    heads = []
-    for h, (wq, wk, wv) in enumerate(zip(weights.wq, weights.wk, weights.wv)):
-        # q is projected first: the tape order sets the order backward sums
-        # the gradients of shared inputs in.
-        qh = ad.matmul(q, wq)
-        if cache is None:
-            kh, vh = ad.matmul(k, wk), ad.matmul(v, wv)
-        else:
-            kh, vh = cache.keys_values(h, k, v, wk, wv)
-        heads.append(scaled_dot_attention(qh, kh, vh, mask))
-    return ad.matmul(ad.concat_cols(heads), weights.wo)
+    """Softmax attention over the keys, (..., t, n) mask True where a query
+    may not look.  With a cache, the keys and values come from it (see
+    :class:`KVCache`), and the mask covers every cached key; a cache is only
+    accepted under ``autodiff.no_grad``."""
+    def softmax(scores: Tensor) -> Tensor:
+        if mask is not None:
+            # One mask for every head: a broadcast view over the head axis.
+            heads = np.broadcast_to(mask[..., None, :, :], scores.shape)
+            scores = ad.mask_fill(scores, heads, -np.inf)
+        return ad.softmax_rows(scores)
+
+    return _attend(q, k, v, weights, softmax, cache)
 
 
-def cross_scores(x_text: Tensor, x_image: Tensor, wq: Tensor, wk: Tensor) -> Tensor:
-    """Pre-gate score matrix (t, r): (x_text wq)(x_image wk)^T / sqrt(d_head)."""
-    q = ad.matmul(x_text, wq)
-    k = ad.matmul(x_image, wk)
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"projection widths disagree: {q.shape} vs {k.shape}")
-    return ad.scale(ad.matmul(q, ad.transpose2d(k)), 1.0 / math.sqrt(q.shape[-1]))
-
-
-def gumbel_scores(x_text: Tensor, x_image: Tensor, wq: Tensor, wk: Tensor,
-                  tau, src: NoiseSource | None, mode: GateMode,
-                  noise: np.ndarray | None = None) -> GateMatrix:
-    """Per-element selection gates over the cross-modal score matrix."""
-    return GateMatrix(gumbel_sigmoid(cross_scores(x_text, x_image, wq, wk), tau, src, mode,
-                                     noise))
-
-
-def image_aware_representation(alpha: GateMatrix, x_image: Tensor, wv: Tensor) -> Tensor:
-    """Gated sum of projected regions: v_i = sum_j alpha_ij (x_j wv).
-
-    The gates are used as-is; rows are not renormalised, so a fully closed
-    row yields a zero vector (total rejection of the image).
-    """
-    if alpha.shape[-1] != x_image.shape[-2]:
-        raise ShapeError(f"gate columns {alpha.shape} vs regions {x_image.shape}")
-    return ad.matmul(alpha.alpha, ad.matmul(x_image, wv))
-
-
-def _gate_noise(src: NoiseSource, n_heads: int, shape: tuple[int, ...],
+def _gate_noise(src: NoiseSource, shape: tuple[int, ...],
                 lengths: np.ndarray | None = None) -> np.ndarray:
-    """Logistic noise for every head's (..., t, r) gates: (n_heads, *shape).
+    """Logistic noise for (..., H, t, r) gates.
 
     Drawn example by example, then head by head, for each example's first
     lengths[i] text rows only (padded rows get zeros), so a batch consumes
     the stream exactly as encoding its examples one at a time does.
     """
-    t, r = shape[-2:]
-    noise = np.zeros((n_heads,) + tuple(shape))
-    per_example = noise.reshape(n_heads, -1, t, r)
+    n_heads, t, r = shape[-3:]
+    noise = np.zeros(shape)
+    per_example = noise.reshape(math.prod(shape[:-3]), n_heads, t, r)
     for i, n in enumerate([t] if lengths is None else lengths):
         for h in range(n_heads):
-            per_example[h, i, :n] = logistic_noise(src, (int(n), r))
+            per_example[i, h, :n] = logistic_noise(src, (int(n), r))
     return noise
 
 
@@ -198,18 +191,21 @@ def multi_head_gumbel_attention(x_text: Tensor, x_image: Tensor, weights: Attent
                                 tau, src: NoiseSource | None, mode: GateMode,
                                 gates_out: list[GateMatrix] | None = None,
                                 lengths: np.ndarray | None = None) -> Tensor:
-    """Concatenated per-head gated attention, projected by wo.  Each head
-    draws its own noise; in a batch, ``lengths`` holds the text lengths, and
-    the gates of padded text rows are computed and left unused.  Pass
-    gates_out to collect the per-head gates."""
-    noise = [None] * weights.n_heads
-    if mode.is_train and src is not None:
-        noise = _gate_noise(src, weights.n_heads, x_text.shape[:-1] + x_image.shape[-2:-1],
-                            lengths)
-    heads = []
-    for wq, wk, wv, nz in zip(weights.wq, weights.wk, weights.wv, noise):
-        alpha = gumbel_scores(x_text, x_image, wq, wk, tau, src, mode, nz)
+    """Gated attention of text queries over image regions: each head's
+    value is v_i = sum_j alpha_ij (x_j wv), with per-element Gumbel-Sigmoid
+    gates alpha in place of the softmax.  Rows are not renormalised, so a
+    fully closed row yields a zero vector (total rejection of the image).
+
+    Each head draws its own noise; in a batch, ``lengths`` holds the text
+    lengths, and the gates of padded text rows are computed and left unused.
+    Pass gates_out to collect the (..., H, t, r) gates as one GateMatrix."""
+    def gates(scores: Tensor) -> Tensor:
+        noise = None
+        if mode.is_train and src is not None:
+            noise = _gate_noise(src, scores.shape, lengths)
+        alpha = gumbel_sigmoid(scores, tau, src, mode, noise)
         if gates_out is not None:
-            gates_out.append(alpha)
-        heads.append(image_aware_representation(alpha, x_image, wv))
-    return ad.matmul(ad.concat_cols(heads), weights.wo)
+            gates_out.append(GateMatrix(alpha))
+        return alpha
+
+    return _attend(x_text, x_image, x_image, weights, gates)

@@ -8,10 +8,11 @@ gradients.  All data is float64 and row-major; there is no broadcasting
 beyond the few fixed patterns the ops below implement.
 
 Leading batch dimensions: the row-wise ops (matmul, transpose2d,
-softmax_rows, layer_norm, cross_entropy, cosine_similarity, concat_cols,
-add_bias, embedding_lookup) act on the last one or two axes and treat any
-axes before them as a batch, so one sentence is a ``(t, d)`` tensor and a
-padded batch of sentences a ``(b, t, d)`` tensor run through the same ops.
+softmax_rows, layer_norm, cross_entropy, cosine_similarity, add_bias,
+embedding_lookup, split_heads, merge_heads) act on the last one or two axes
+and treat any axes before them as a batch, so one sentence is a ``(t, d)``
+tensor and a padded batch of sentences a ``(b, t, d)`` tensor run through the
+same ops.  Multi-head attention adds a head axis, ``(..., H, t, d_head)``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ class Tensor:
 
     def __init__(self, data, *, grad: bool = False):
         self.data: Array = np.array(data, dtype=np.float64, order="C")
-        self.grad: Array | None = np.zeros_like(self.data) if grad else None
+        # np.zeros takes zeroed memory from the allocator, where zeros_like
+        # writes every page: a large buffer's fresh pages stay untouched until
+        # a gradient is written, so a model that only infers never faults
+        # its gradient memory in.
+        self.grad: Array | None = np.zeros(self.data.shape) if grad else None
         self.node: Record | None = None
 
     @classmethod
@@ -62,7 +67,7 @@ class Tensor:
 
     def alloc_grad(self) -> "Tensor":
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
         return self
 
     def zero_grad(self) -> None:
@@ -403,22 +408,6 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     return _emit((a, b), np.asarray(c), back)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis; all other axes must agree."""
-    _require(len(parts) >= 1, "concat_cols of nothing")
-    lead = parts[0].shape[:-1]
-    for p in parts:
-        _require(p.data.ndim >= 2 and p.shape[:-1] == lead,
-                 f"concat_cols row mismatch: {[q.shape for q in parts]}")
-    widths = [p.shape[-1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
-
-    def back(g: Array):
-        return tuple(np.split(g, splits, axis=-1))
-
-    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=-1), back)
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = x.shape
@@ -432,17 +421,25 @@ def transpose2d(x: Tensor) -> Tensor:
     return _emit((x,), x.data.swapaxes(-1, -2).copy(), lambda g: (g.swapaxes(-1, -2),))
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    _require(x.data.ndim == 2, f"slice_rows on shape {x.shape}")
-    _require(0 <= start <= stop <= x.shape[0],
-             f"slice_rows [{start}:{stop}] out of bounds for {x.shape}")
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """``(..., t, n_heads * d)`` to ``(..., n_heads, t, d)``: column block h
+    of every row becomes head h's row, so the heads form a batch axis."""
+    _require(x.data.ndim >= 2 and n_heads >= 1 and x.shape[-1] % n_heads == 0,
+             f"split_heads of {x.shape} into {n_heads} heads")
+    *lead, t, width = x.shape
+    split = x.data.reshape(*lead, t, n_heads, width // n_heads)
+    return _emit((x,), split.swapaxes(-2, -3).copy(),
+                 lambda g: (g.swapaxes(-2, -3).reshape(x.shape),))
 
-    def back(g: Array):
-        out = np.zeros_like(x.data)
-        out[start:stop] = g
-        return (out,)
 
-    return _emit((x,), x.data[start:stop].copy(), back)
+def merge_heads(x: Tensor) -> Tensor:
+    """``(..., n_heads, t, d)`` to ``(..., t, n_heads * d)``, the inverse of
+    :func:`split_heads`."""
+    _require(x.data.ndim >= 3, f"merge_heads on shape {x.shape}")
+    *lead, n_heads, t, d = x.shape
+    merged = x.data.swapaxes(-2, -3).copy().reshape(*lead, t, n_heads * d)
+    return _emit((x,), merged,
+                 lambda g: (g.reshape(*lead, t, n_heads, d).swapaxes(-2, -3),))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

@@ -128,7 +128,7 @@ class EncoderOutput:
     h_text: Tensor
     h_image: Tensor | None
     fused: Tensor
-    gates: list[GateMatrix] | None = None
+    gates: GateMatrix | None = None     # (..., H, t, r) gates of the cross-modal attention
     lengths: np.ndarray | None = None   # source lengths of a batch; None for one sentence
 
     def gate_stats(self, relevant_regions: list[list[int]] | None = None
@@ -136,15 +136,14 @@ class EncoderOutput:
         """Gate sums and counts over the real rows, one row of GateStats per
         example (one for a single sentence); relevant_regions gives each
         example's relevant region indices.  None without gates."""
-        if not self.gates:
+        if self.gates is None:
             return None
-        alpha = np.stack([g.alpha.data for g in self.gates])    # (heads, [b,] t, r)
-        heads, t, r = alpha.shape[0], alpha.shape[-2], alpha.shape[-1]
-        alpha = alpha.reshape(heads, -1, t, r)
-        b = alpha.shape[1]
+        heads, t, r = self.gates.shape[-3:]
+        alpha = self.gates.alpha.data.reshape(-1, heads, t, r)
+        b = alpha.shape[0]
         lengths = np.full(b, t) if self.lengths is None else self.lengths
         real = np.arange(t) < lengths[:, None]                  # (b, t)
-        per_region = np.where(real[None, :, :, None], alpha, 0.0).sum(axis=(0, 2))
+        per_region = np.where(real[:, None, :, None], alpha, 0.0).sum(axis=(1, 2))
         relevant = np.zeros((b, r), dtype=bool)
         for i, regions in enumerate(relevant_regions or []):
             relevant[i, regions] = True
@@ -310,13 +309,7 @@ class FeedForward:
 
 
 def _attn_params(prefix: str, w: AttentionWeights) -> list[Parameter]:
-    out = []
-    for i in range(w.n_heads):
-        out += [Parameter(f"{prefix}.head{i}.wq", w.wq[i]),
-                Parameter(f"{prefix}.head{i}.wk", w.wk[i]),
-                Parameter(f"{prefix}.head{i}.wv", w.wv[i])]
-    out.append(Parameter(f"{prefix}.wo", w.wo))
-    return out
+    return [Parameter(f"{prefix}.{name}", getattr(w, name)) for name in ("wq", "wk", "wv", "wo")]
 
 
 class EncoderLayer:
@@ -506,11 +499,10 @@ class MMTModel:
                 x_img = layer(x_img)
         query = states[min(L - 1, cfg.n_enc_layers)]
 
-        gates: list[GateMatrix] | None = None
+        gates: list[GateMatrix] = []
         if cfg.ablation.vanilla_attention:
             v = multi_head_attention(query, x_img, x_img, self.cross_weights)
         else:
-            gates = []
             v = multi_head_gumbel_attention(query, x_img, self.cross_weights, tau,
                                             noise, mode, gates_out=gates, lengths=lengths)
         # From here the image branch has one row per text position.
@@ -522,8 +514,8 @@ class MMTModel:
             fused = ad.add(h_text, h_image)
         else:
             fused = gated_fusion(h_image, h_text, self.fusion_w, self.fusion_u)
-        return EncoderOutput(h_text=h_text, h_image=h_image, fused=fused, gates=gates,
-                             lengths=lengths)
+        return EncoderOutput(h_text=h_text, h_image=h_image, fused=fused,
+                             gates=gates[0] if gates else None, lengths=lengths)
 
     # -- decoding and losses --------------------------------------------------
 

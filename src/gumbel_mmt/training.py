@@ -65,29 +65,34 @@ class AdamState:
 
 
 def global_grad_norm(params: list[Parameter]) -> float:
+    """Euclidean norm of all gradients together; inf or nan where one of them
+    is not finite."""
     total = 0.0
     for p in params:
-        total += float((p.tensor.grad ** 2).sum())
+        g = p.tensor.grad.reshape(-1)
+        total += float(np.dot(g, g))
     return float(np.sqrt(total))
 
 
 def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update in place, after global-norm clipping.
 
-    Aborts on any non-finite gradient, naming the offending parameter.  The
-    moments are allocated on the first step; each step then updates them and
-    the parameters with in-place ufuncs, in the order of the textbook
-    expressions m += (1 - beta1)(g - m), v += (1 - beta2)(g^2 - v),
+    Aborts on any non-finite gradient, naming the offending parameter; the
+    gradients are read once for the norm, and scanned for the culprit only
+    when the norm is not finite.  The moments are allocated on the first
+    step; each step then updates them and the parameters with in-place
+    ufuncs, in the order of the textbook expressions
+    m += (1 - beta1)(g - m), v += (1 - beta2)(g^2 - v),
     w -= lr (m / bc1) / (sqrt(v / bc2) + eps).
     """
-    for p in params:
-        if not np.isfinite(p.tensor.grad).all():
-            raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
+    norm = global_grad_norm(params)
+    if not np.isfinite(norm):
+        for p in params:
+            if not np.isfinite(p.tensor.grad).all():
+                raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
     clip = 1.0
-    if cfg.clip_norm > 0:
-        norm = global_grad_norm(params)
-        if norm > cfg.clip_norm:
-            clip = cfg.clip_norm / norm
+    if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+        clip = cfg.clip_norm / norm
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t

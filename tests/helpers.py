@@ -1,10 +1,14 @@
 """Shared test utilities: a registry of finite-difference gradient cases for
-every differentiable primitive, and for its batched form where it has one,
-and a full-recompute greedy decoder that cached decoding is checked against.
+every differentiable primitive, and for its batched form where it has one, a
+full-recompute greedy decoder that cached decoding is checked against, and a
+loader for the benchmark's tracer, whose names tests check against the package.
 Each gradient case factory draws random inputs in [-2, 2] (resampled away from
 relu/hinge kinks) and returns (forward, leaves, tol)."""
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -103,12 +107,6 @@ def _case_cosine_similarity(rng):
     return lambda: ad.cosine_similarity(a, b), [a, b], 1e-4
 
 
-def _case_concat_cols(rng):
-    a, b, c = rand_tensor(rng, (3, 2)), rand_tensor(rng, (3, 4)), rand_tensor(rng, (3, 1))
-    w = Tensor(rng.uniform(-1, 1, size=(3, 7)))
-    return lambda: ad.reduce_sum(ad.mul(ad.concat_cols([a, b, c]), w)), [a, b, c], 1e-4
-
-
 def _case_reshape(rng):
     x = rand_tensor(rng, (3, 4))
     w = Tensor(rng.uniform(-1, 1, size=(2, 6)))
@@ -119,12 +117,6 @@ def _case_transpose2d(rng):
     x = rand_tensor(rng, (3, 4))
     w = Tensor(rng.uniform(-1, 1, size=(4, 3)))
     return lambda: ad.reduce_sum(ad.mul(ad.transpose2d(x), w)), [x], 1e-4
-
-
-def _case_slice_rows(rng):
-    x = rand_tensor(rng, (6, 3))
-    w = Tensor(rng.uniform(-1, 1, size=(3, 3)))
-    return lambda: ad.reduce_sum(ad.mul(ad.slice_rows(x, 1, 4), w)), [x], 1e-4
 
 
 def _case_embedding_lookup(rng):
@@ -168,6 +160,11 @@ def _case_matmul_batched_pairs(rng):
     return lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b], 1e-4
 
 
+def _case_matmul_batched_heads(rng):
+    a, b = rand_tensor(rng, (2, 2, 3, 4)), rand_tensor(rng, (2, 2, 4, 3))
+    return lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b], 1e-4
+
+
 def _case_softmax_rows_batched(rng):
     x = rand_tensor(rng, (2, 3, 5))
     w = Tensor(rng.uniform(-1, 1, size=(2, 3, 5)))
@@ -196,12 +193,6 @@ def _case_cosine_similarity_rows(rng):
     return lambda: ad.reduce_sum(ad.mul(ad.cosine_similarity(a, b), w)), [a, b], 1e-4
 
 
-def _case_concat_cols_batched(rng):
-    a, b = rand_tensor(rng, (2, 3, 2)), rand_tensor(rng, (2, 3, 4))
-    w = Tensor(rng.uniform(-1, 1, size=(2, 3, 6)))
-    return lambda: ad.reduce_sum(ad.mul(ad.concat_cols([a, b]), w)), [a, b], 1e-4
-
-
 def _case_transpose2d_batched(rng):
     x = rand_tensor(rng, (2, 3, 4))
     w = Tensor(rng.uniform(-1, 1, size=(2, 4, 3)))
@@ -220,6 +211,30 @@ def _case_mean_pool(rng):
     lengths = np.array([5, 2, 1])
     w = Tensor(rng.uniform(-1, 1, size=(3, 2)))
     return lambda: ad.reduce_sum(ad.mul(ad.mean_pool(x, lengths), w)), [x], 1e-4
+
+
+def _case_split_heads(rng):
+    x = rand_tensor(rng, (2, 3, 6))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 3, 3, 2)))
+    return lambda: ad.reduce_sum(ad.mul(ad.split_heads(x, 3), w)), [x], 1e-4
+
+
+def _case_split_heads_two_leading(rng):
+    x = rand_tensor(rng, (2, 2, 3, 4))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 2, 2, 3, 2)))
+    return lambda: ad.reduce_sum(ad.mul(ad.split_heads(x, 2), w)), [x], 1e-4
+
+
+def _case_merge_heads(rng):
+    x = rand_tensor(rng, (2, 3, 4, 2))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 4, 6)))
+    return lambda: ad.reduce_sum(ad.mul(ad.merge_heads(x), w)), [x], 1e-4
+
+
+def _case_merge_heads_two_leading(rng):
+    x = rand_tensor(rng, (2, 2, 2, 3, 2))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 2, 3, 4)))
+    return lambda: ad.reduce_sum(ad.mul(ad.merge_heads(x), w)), [x], 1e-4
 
 
 def _case_mask_fill_batched(rng):
@@ -243,10 +258,8 @@ PRIMITIVE_CASES = {
     "layer_norm": _case_layer_norm,
     "cross_entropy": _case_cross_entropy,
     "cosine_similarity": _case_cosine_similarity,
-    "concat_cols": _case_concat_cols,
     "reshape": _case_reshape,
     "transpose2d": _case_transpose2d,
-    "slice_rows": _case_slice_rows,
     "embedding_lookup": _case_embedding_lookup,
     "reduce_sum": _case_reduce_sum,
     "reduce_mean": _case_reduce_mean,
@@ -254,16 +267,30 @@ PRIMITIVE_CASES = {
     "mask_fill": _case_mask_fill,
     "matmul_batched_weights": _case_matmul_batched_weights,
     "matmul_batched_pairs": _case_matmul_batched_pairs,
+    "matmul_batched_heads": _case_matmul_batched_heads,
     "softmax_rows_batched": _case_softmax_rows_batched,
     "layer_norm_batched": _case_layer_norm_batched,
     "cross_entropy_weighted": _case_cross_entropy_weighted,
     "cosine_similarity_rows": _case_cosine_similarity_rows,
-    "concat_cols_batched": _case_concat_cols_batched,
     "transpose2d_batched": _case_transpose2d_batched,
     "embedding_lookup_batched": _case_embedding_lookup_batched,
     "mean_pool": _case_mean_pool,
     "mask_fill_batched": _case_mask_fill_batched,
+    "split_heads": _case_split_heads,
+    "split_heads_two_leading": _case_split_heads_two_leading,
+    "merge_heads": _case_merge_heads,
+    "merge_heads_two_leading": _case_merge_heads_two_leading,
 }
+
+
+def load_bench_tracing():
+    """The benchmark's tracer module, loaded from its file: it lives outside
+    the package, and tests check the names it reads from the package."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def check_primitive(name: str, n_cases: int, seed: int = 0) -> float:

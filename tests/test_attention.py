@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from gumbel_mmt import autodiff as ad
-from gumbel_mmt.attention import (AttentionWeights, causal_mask, cross_scores,
-                                  gumbel_scores, image_aware_representation,
-                                  init_attention_weights, multi_head_attention,
-                                  multi_head_gumbel_attention, scaled_dot_attention)
+from gumbel_mmt.attention import (causal_mask, init_attention_weights, key_padding_mask,
+                                  multi_head_attention, multi_head_gumbel_attention)
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ShapeError
 from gumbel_mmt.gradcheck import gradient_error
-from gumbel_mmt.gumbel import GateMode, NoiseSource
+from gumbel_mmt.gumbel import GateMode, NoiseSource, logistic_noise
 
 
 @pytest.fixture(autouse=True)
@@ -26,45 +24,114 @@ def rand_weights(seed, d_q, d_kv, d_model, heads):
     return init_attention_weights(rng, d_q, d_kv, d_kv, d_model, heads)
 
 
-# -- scaled dot-product --------------------------------------------------------
+def identity_weights(d, heads):
+    w = rand_weights(0, d, d, d, heads)
+    for m in (w.wq, w.wk, w.wv, w.wo):
+        m.data[:] = np.eye(d)
+    return w
+
+
+# -- per-head oracles: each head attends with its own column block -------------
+
+def head_projections(w, q, k, v, h):
+    cols = slice(h * w.d_head, (h + 1) * w.d_head)
+    return q @ w.wq.data[:, cols], k @ w.wk.data[:, cols], v @ w.wv.data[:, cols]
+
+
+def softmax_oracle(w, q, k, v, mask=None):
+    heads = []
+    for h in range(w.n_heads):
+        qh, kh, vh = head_projections(w, q, k, v, h)
+        s = qh @ kh.swapaxes(-1, -2) / math.sqrt(w.d_head)
+        if mask is not None:
+            s = np.where(mask, -np.inf, s)
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        heads.append(p / p.sum(axis=-1, keepdims=True) @ vh)
+    return np.concatenate(heads, axis=-1) @ w.wo.data
+
+
+def gumbel_oracle(w, x_text, x_image, noise=None, threshold=0.5):
+    """Gated values per head; noise is (H, t, r) for train-mode gates with
+    tau 1, None for infer-mode gates."""
+    heads, gates = [], []
+    for h in range(w.n_heads):
+        qh, kh, vh = head_projections(w, x_text, x_image, x_image, h)
+        s = qh @ kh.T / math.sqrt(w.d_head)
+        if noise is None:
+            alpha = (1.0 / (1.0 + np.exp(-s)) > threshold).astype(float)
+        else:
+            alpha = 1.0 / (1.0 + np.exp(-(s + noise[h])))
+        gates.append(alpha)
+        heads.append(alpha @ vh)
+    return np.concatenate(heads, axis=-1) @ w.wo.data, np.stack(gates)
+
+
+# -- softmax selection ---------------------------------------------------------
 
 def test_single_key_passes_value_through():
     rng = np.random.default_rng(0)
+    w = rand_weights(1, 4, 4, 4, 2)
     q = Tensor(rng.normal(size=(3, 4)))
-    k = Tensor(rng.normal(size=(1, 4)))
-    v = Tensor(rng.normal(size=(1, 5)))
-    out = scaled_dot_attention(q, k, v)
-    np.testing.assert_allclose(out.data, np.tile(v.data, (3, 1)), atol=1e-12)
+    kv = Tensor(rng.normal(size=(1, 4)))
+    out = multi_head_attention(q, kv, kv, w)
+    np.testing.assert_allclose(out.data, np.tile(kv.data @ w.wv.data @ w.wo.data, (3, 1)),
+                               atol=1e-12)
 
 
 def test_zero_scores_average_values():
-    v = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    q = Tensor(np.zeros((2, 3)))
-    k = Tensor(np.ones((3, 3)))
-    out = scaled_dot_attention(q, k, v)
+    w = identity_weights(3, 1)
+    w.wq.data[:] = 0.0
+    v = Tensor(np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0], [5.0, 6.0, 2.0]]))
+    out = multi_head_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), v, w)
     np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)))
 
 
 def test_scaled_dot_hand_case():
+    w = identity_weights(2, 1)
     q = Tensor([[1.0, 0.0]])
-    k = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    v = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    out = scaled_dot_attention(q, k, v)
+    kv = Tensor([[1.0, 0.0], [0.0, 1.0]])
+    out = multi_head_attention(q, kv, kv, w)
     np.testing.assert_allclose(out.data, [[0.6698, 0.3302]], atol=1e-4)
 
 
 def test_mask_blocks_future_positions():
     rng = np.random.default_rng(1)
+    w = rand_weights(2, 4, 4, 4, 2)
     x = Tensor(rng.normal(size=(4, 4)))
-    masked = scaled_dot_attention(x, x, x, causal_mask(4))
+    masked = multi_head_attention(x, x, x, w, causal_mask(4))
     # row 0 may only see key 0
-    np.testing.assert_allclose(masked.data[0], x.data[0], atol=1e-12)
+    np.testing.assert_allclose(masked.data[0], x.data[0] @ w.wv.data @ w.wo.data, atol=1e-12)
+    np.testing.assert_allclose(masked.data, softmax_oracle(w, x.data, x.data, x.data,
+                                                           causal_mask(4)), atol=1e-12)
 
 
 def test_shape_mismatch_raises():
+    w = rand_weights(3, 3, 3, 4, 2)
     with pytest.raises(ShapeError):
-        scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                             Tensor(np.zeros((2, 4))))
+        multi_head_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                             Tensor(np.zeros((3, 3))), w)
+    with pytest.raises(ShapeError):
+        multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))),
+                             Tensor(np.zeros((2, 3))), w)
+
+
+def test_mask_is_a_view_over_the_heads(monkeypatch):
+    # One key-padding mask serves every head as a broadcast view, not a copy.
+    seen = []
+    fill = ad.mask_fill
+
+    def spy(x, mask, value):
+        seen.append(mask)
+        return fill(x, mask, value)
+
+    monkeypatch.setattr(ad, "mask_fill", spy)
+    rng = np.random.default_rng(4)
+    w = rand_weights(5, 4, 4, 4, 2)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    mask = key_padding_mask(np.array([3, 1]), 3, 3)
+    multi_head_attention(x, x, x, w, mask)
+    assert seen[0].shape == (2, 2, 3, 3)
+    assert seen[0].strides[1] == 0 and np.shares_memory(seen[0], mask)
 
 
 # -- multi-head ------------------------------------------------------------------
@@ -75,9 +142,21 @@ def test_single_head_identity_output_projection():
     w.wo = Tensor(np.eye(4), grad=True)
     q, k, v = (Tensor(rng.normal(size=(3, 4))) for _ in range(3))
     got = multi_head_attention(q, k, v, w)
-    want = scaled_dot_attention(ad.matmul(q, w.wq[0]), ad.matmul(k, w.wk[0]),
-                                ad.matmul(v, w.wv[0]))
-    np.testing.assert_allclose(got.data, want.data, atol=1e-12)
+    s = (q.data @ w.wq.data) @ (k.data @ w.wk.data).T / 2.0
+    p = np.exp(s) / np.exp(s).sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(got.data, p @ v.data @ w.wv.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_softmax_attention_matches_per_head_oracle(heads):
+    rng = np.random.default_rng(heads)
+    w = rand_weights(heads, 6, 5, 8, heads)
+    q = Tensor(rng.normal(size=(2, 3, 6)))
+    kv = Tensor(rng.normal(size=(2, 4, 5)))
+    mask = key_padding_mask(np.array([4, 2]), 3, 4)
+    got = multi_head_attention(q, kv, kv, w, mask)
+    np.testing.assert_allclose(got.data, softmax_oracle(w, q.data, kv.data, kv.data, mask),
+                               rtol=1e-12, atol=1e-13)
 
 
 def test_multi_head_output_shape():
@@ -87,6 +166,21 @@ def test_multi_head_output_shape():
                                Tensor(rng.normal(size=(7, 8))),
                                Tensor(rng.normal(size=(7, 8))), w)
     assert out.shape == (5, 8)
+    assert w.wq.shape == (8, 8) and w.n_heads == 4 and w.d_head == 2
+
+
+def test_stacked_weights_keep_the_per_head_draw_order():
+    # Head h's columns hold the h-th per-head draw: wq heads, wk heads, wv
+    # heads, then wo, from one generator.
+    w = rand_weights(6, 4, 3, 6, 3)
+    rng = np.random.default_rng(6)
+    for m, d_in in ((w.wq, 4), (w.wk, 3), (w.wv, 3)):
+        for h in range(3):
+            bound = 1.0 / math.sqrt(d_in)
+            want = rng.uniform(-bound, bound, size=(d_in, 2))
+            np.testing.assert_array_equal(m.data[:, 2 * h:2 * h + 2], want)
+    np.testing.assert_array_equal(w.wo.data, rng.uniform(-1 / math.sqrt(6), 1 / math.sqrt(6),
+                                                         size=(6, 6)))
 
 
 def test_head_count_must_divide_d_model():
@@ -97,13 +191,14 @@ def test_head_count_must_divide_d_model():
 def test_multi_head_gradients():
     rng = np.random.default_rng(4)
     w = rand_weights(5, 6, 6, 6, 2)
-    q = Tensor(rng.uniform(-1, 1, size=(3, 6)))
-    k = Tensor(rng.uniform(-1, 1, size=(4, 6)))
-    v = Tensor(rng.uniform(-1, 1, size=(4, 6)))
-    leaves = w.wq + w.wk + w.wv + [w.wo]
+    q = Tensor(rng.uniform(-1, 1, size=(2, 3, 6)))
+    k = Tensor(rng.uniform(-1, 1, size=(2, 4, 6)))
+    v = Tensor(rng.uniform(-1, 1, size=(2, 4, 6)))
+    mask = key_padding_mask(np.array([4, 3]), 3, 4)
+    leaves = [w.wq, w.wk, w.wv, w.wo, q, k, v]
 
     def forward():
-        return ad.reduce_sum(multi_head_attention(q, k, v, w))
+        return ad.reduce_sum(ad.mul(multi_head_attention(q, k, v, w, mask), q))
 
     assert gradient_error(forward, leaves) < 1e-4
 
@@ -111,36 +206,46 @@ def test_multi_head_gradients():
 # -- gated cross-modal attention ---------------------------------------------
 
 def test_score_divisor_is_sqrt_d_head():
-    d_head = 4
-    x_text = Tensor([[1.0, 0.0, 0.0, 0.0]])
-    x_image = Tensor([[1.0, 0.0, 0.0, 0.0]])
-    eye = Tensor(np.eye(d_head))
-    score = cross_scores(x_text, x_image, eye, eye)
-    assert score.data[0, 0] == pytest.approx(1.0 / math.sqrt(d_head), abs=1e-12)
+    # d_model 8 in 2 heads of 4: each head's score is its 4 columns' dot
+    # product over sqrt(4), not over sqrt(8).
+    w = identity_weights(8, 2)
+    x_text = Tensor([[1.0, 0, 0, 0, 0, 0, 0, 0]])
+    x_image = Tensor([[1.0, 0, 0, 0, 0, 0, 0, 0], [0.0, 1, 0, 0, 0, 0, 0, 0]])
+    soft = multi_head_attention(x_text, x_image, x_image, w)
+    assert soft.data[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), abs=1e-12)
+    # sigmoid(1/2) = 0.622 opens a 0.6 threshold; sigmoid(1/sqrt(8)) = 0.587 would not.
+    gates = []
+    multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.6),
+                                gates_out=gates)
+    np.testing.assert_array_equal(gates[0].alpha.data[0], [[1.0, 0.0]])
 
 
 def test_empty_text_gives_empty_gates():
-    w = rand_weights(5, 4, 6, 4, 1)
-    alpha = gumbel_scores(Tensor(np.zeros((0, 4))), Tensor(np.ones((3, 6))),
-                          w.wq[0], w.wk[0], 1.0, NoiseSource(0), GateMode.train())
-    assert alpha.shape == (0, 3)
+    w = rand_weights(5, 4, 6, 4, 2)
+    gates = []
+    out = multi_head_gumbel_attention(Tensor(np.zeros((0, 4))), Tensor(np.ones((3, 6))), w,
+                                      1.0, NoiseSource(0), GateMode.train(), gates_out=gates)
+    assert out.shape == (0, 4)
+    assert len(gates) == 1 and gates[0].shape == (2, 0, 3)
 
 
 def test_zero_projection_gates_average_half():
     # all scores 0 => train gates are symmetric around 0.5
-    t, r = 100, 1000
-    alpha = gumbel_scores(Tensor(np.ones((t, 2))), Tensor(np.ones((r, 2))),
-                          Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))),
-                          1.0, NoiseSource(12), GateMode.train())
-    assert alpha.alpha.data.mean() == pytest.approx(0.5, abs=5e-3)
+    w = rand_weights(6, 2, 2, 2, 2)
+    w.wq.data[:] = 0.0
+    gates = []
+    multi_head_gumbel_attention(Tensor(np.ones((100, 2))), Tensor(np.ones((500, 2))), w, 1.0,
+                                NoiseSource(12), GateMode.train(), gates_out=gates)
+    assert gates[0].shape == (2, 100, 500)
+    assert gates[0].alpha.data.mean() == pytest.approx(0.5, abs=5e-3)
 
 
 def test_infer_gates_threshold_scores():
-    x_text = Tensor([[1.0]])
-    x_image = Tensor([[3.0], [-3.0]])
-    one = Tensor([[1.0]])
-    alpha = gumbel_scores(x_text, x_image, one, one, 1.0, None, GateMode.infer(0.5))
-    np.testing.assert_array_equal(alpha.alpha.data, [[1.0, 0.0]])
+    w = identity_weights(1, 1)
+    gates = []
+    multi_head_gumbel_attention(Tensor([[1.0]]), Tensor([[3.0], [-3.0]]), w, 1.0, None,
+                                GateMode.infer(0.5), gates_out=gates)
+    np.testing.assert_array_equal(gates[0].alpha.data, [[[1.0, 0.0]]])
 
 
 def test_score_shift_opens_gates():
@@ -148,31 +253,43 @@ def test_score_shift_opens_gates():
     ones_t, ones_r = Tensor(np.ones((t, 1))), Tensor(np.ones((r, 1)))
     means = []
     for s in (0.0, 5.0):
-        alpha = gumbel_scores(ones_t, ones_r, Tensor([[1.0]]), Tensor([[s]]),
-                              1.0, NoiseSource(21), GateMode.train())
-        means.append(alpha.alpha.data.mean())
+        w = identity_weights(1, 1)
+        w.wk.data[:] = s
+        gates = []
+        multi_head_gumbel_attention(ones_t, ones_r, w, 1.0, NoiseSource(21), GateMode.train(),
+                                    gates_out=gates)
+        means.append(gates[0].alpha.data.mean())
     assert means[1] > means[0]
 
 
 def test_gate_rows_select_regions():
+    # wq = wk = wo = I: region j's score for text row i is x_i . x_j / sqrt(3),
+    # and a diagonal image makes each one-hot text row score one region only.
+    w = identity_weights(3, 1)
     rng = np.random.default_rng(5)
-    x_image = Tensor(rng.normal(size=(3, 4)))
-    wv = Tensor(rng.normal(size=(4, 2)))
-    from gumbel_mmt.attention import GateMatrix
+    w.wv.data[:] = rng.normal(size=(3, 3))
+    x_image = Tensor(np.diag([1.0, 2.0, 3.0]))
+    proj = x_image.data @ w.wv.data
 
-    closed = image_aware_representation(GateMatrix(Tensor(np.zeros((2, 3)))), x_image, wv)
-    np.testing.assert_array_equal(closed.data, np.zeros((2, 2)))
+    w.wq.data[:] = 0.0      # every score 0: no gate exceeds 0.5
+    closed = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0, None,
+                                         GateMode.infer(0.5))
+    np.testing.assert_array_equal(closed.data, np.zeros((2, 3)))
 
-    pick = np.zeros((2, 3)); pick[0, 1] = 1.0; pick[1, 2] = 1.0
-    picked = image_aware_representation(GateMatrix(Tensor(pick)), x_image, wv)
-    proj = x_image.data @ wv.data
+    w.wq.data[:] = np.eye(3)
+    pick = Tensor(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    gates = []
+    picked = multi_head_gumbel_attention(pick, x_image, w, 1.0, None, GateMode.infer(0.5),
+                                         gates_out=gates)
+    np.testing.assert_array_equal(gates[0].alpha.data[0], [[0, 1, 0], [0, 0, 1]])
     np.testing.assert_allclose(picked.data, proj[[1, 2]], atol=1e-12)
 
-    all_open = image_aware_representation(GateMatrix(Tensor(np.ones((2, 3)))), x_image, wv)
-    oracle = np.zeros((2, 2))
+    all_open = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0,
+                                           None, GateMode.infer(0.5))
+    oracle = np.zeros((2, 3))
     for i in range(2):
         for j in range(3):
-            oracle[i] += x_image.data[j] @ wv.data
+            oracle[i] += proj[j]
     np.testing.assert_allclose(all_open.data, oracle, atol=1e-12)
 
 
@@ -184,11 +301,35 @@ def test_multi_head_gumbel_shape_and_single_head_composition():
     out = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(9),
                                       GateMode.train())
     assert out.shape == (3, 4)
+    noise = logistic_noise(NoiseSource(9), (3, 5))[None]
+    want, _ = gumbel_oracle(w, x_text.data, x_image.data, noise)
+    np.testing.assert_allclose(out.data, want, atol=1e-12)
 
-    alpha = gumbel_scores(x_text, x_image, w.wq[0], w.wk[0], 1.0, NoiseSource(9),
-                          GateMode.train())
-    composed = ad.matmul(image_aware_representation(alpha, x_image, w.wv[0]), w.wo)
-    np.testing.assert_allclose(out.data, composed.data, atol=1e-12)
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_gumbel_attention_matches_per_head_oracle(heads):
+    # A padded batch draws its noise example by example, then head by head,
+    # for real text rows only: each example gets the gates and values it gets
+    # alone, from the same stream.
+    rng = np.random.default_rng(heads)
+    w = rand_weights(heads, 8, 6, 8, heads)
+    x_text = Tensor(rng.normal(size=(2, 3, 8)))
+    x_image = Tensor(rng.normal(size=(2, 5, 6)))
+    lengths = np.array([3, 2])
+    for mode in (GateMode.train(), GateMode.infer(0.5)):
+        src, gates = NoiseSource(3), []
+        out = multi_head_gumbel_attention(x_text, x_image, w, 1.0, src, mode,
+                                          gates_out=gates, lengths=lengths)
+        assert gates[0].shape == (2, heads, 3, 5)
+        oracle_src = NoiseSource(3)
+        for i, n in enumerate(lengths):
+            noise = None
+            if mode.is_train:
+                noise = np.stack([logistic_noise(oracle_src, (n, 5)) for _ in range(heads)])
+            want, alpha = gumbel_oracle(w, x_text.data[i, :n], x_image.data[i], noise)
+            np.testing.assert_allclose(out.data[i, :n], want, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(gates[0].alpha.data[i, :, :n], alpha, rtol=1e-12)
+        assert src.state() == oracle_src.state()
 
 
 def test_forced_open_gates_match_loop_oracle():
@@ -196,22 +337,20 @@ def test_forced_open_gates_match_loop_oracle():
     # projected regions per head
     rng = np.random.default_rng(7)
     w = rand_weights(8, 4, 6, 4, 2)
-    for wq in w.wq:
-        wq.data[:] = np.abs(wq.data) * 100.0
-    for wk in w.wk:
-        wk.data[:] = np.abs(wk.data) * 100.0
+    w.wq.data[:] = np.abs(w.wq.data) * 100.0
+    w.wk.data[:] = np.abs(w.wk.data) * 100.0
     x_text = Tensor(np.abs(rng.normal(size=(3, 4))) + 0.1)
     x_image = Tensor(np.abs(rng.normal(size=(5, 6))) + 0.1)
     gates = []
     out = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None,
                                       GateMode.infer(0.5), gates_out=gates)
-    assert all((g.alpha.data == 1.0).all() for g in gates)
+    assert len(gates) == 1 and (gates[0].alpha.data == 1.0).all()
     heads = []
     for h in range(2):
         v = np.zeros((3, 2))
         for i in range(3):
             for j in range(5):
-                v[i] += x_image.data[j] @ w.wv[h].data
+                v[i] += x_image.data[j] @ w.wv.data[:, 2 * h:2 * h + 2]
         heads.append(v)
     oracle = np.concatenate(heads, axis=1) @ w.wo.data
     np.testing.assert_allclose(out.data, oracle, atol=1e-10)
@@ -230,13 +369,14 @@ def test_infer_mode_is_deterministic():
 def test_gumbel_attention_gradients_with_frozen_noise():
     rng = np.random.default_rng(10)
     w = rand_weights(11, 4, 6, 4, 2)
-    x_text = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    x_image = Tensor(rng.uniform(-1, 1, size=(5, 6)))
-    leaves = w.wq + w.wk + w.wv + [w.wo]
+    x_text = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)))
+    x_image = Tensor(rng.uniform(-1, 1, size=(2, 5, 6)))
+    leaves = [w.wq, w.wk, w.wv, w.wo, x_text, x_image]
 
     def forward():
-        return ad.reduce_sum(multi_head_gumbel_attention(
-            x_text, x_image, w, 1.0, NoiseSource(31), GateMode.train()))
+        return ad.reduce_sum(ad.mul(multi_head_gumbel_attention(
+            x_text, x_image, w, 1.0, NoiseSource(31), GateMode.train(),
+            lengths=np.array([3, 2])), x_text))
 
     assert gradient_error(forward, leaves) < 1e-4
 
@@ -249,11 +389,14 @@ def test_heads_draw_independent_noise():
     gates = []
     multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(1),
                                 GateMode.train(), gates_out=gates)
-    assert not np.array_equal(gates[0].alpha.data, gates[1].alpha.data)
+    assert not np.array_equal(gates[0].alpha.data[0], gates[0].alpha.data[1])
 
     # distinct seeds on identical inputs differ somewhere across 100 draws
-    one = Tensor([[1.0]])
-    draws = [gumbel_scores(Tensor(np.ones((2, 1))), Tensor(np.ones((2, 1))), one, one,
-                           1.0, NoiseSource(s), GateMode.train()).alpha.data
-             for s in range(100)]
+    one = identity_weights(1, 1)
+    draws = []
+    for s in range(100):
+        gates = []
+        multi_head_gumbel_attention(Tensor(np.ones((2, 1))), Tensor(np.ones((2, 1))), one,
+                                    1.0, NoiseSource(s), GateMode.train(), gates_out=gates)
+        draws.append(gates[0].alpha.data)
     assert any(not np.array_equal(draws[0], d) for d in draws[1:])

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ShapeError
-from helpers import PRIMITIVE_CASES, check_primitive
+from helpers import PRIMITIVE_CASES, check_primitive, load_bench_tracing
 
 
 @pytest.fixture(autouse=True)
@@ -211,12 +211,15 @@ def test_embedding_lookup_rejects_bad_ids():
         ad.embedding_lookup(Tensor(np.zeros((4, 2))), [0, 5])
 
 
-def test_slice_rows_bounds():
-    with pytest.raises(ShapeError):
-        ad.slice_rows(Tensor(np.zeros((3, 2))), 1, 5)
-
-
 # -- finite differences for every primitive -----------------------------------
+
+def test_every_primitive_has_a_gradient_case():
+    # The primitives as the benchmark's tracer counts them: every public
+    # function of autodiff that returns a Tensor.
+    primitives = load_bench_tracing().primitive_names(ad)
+    assert "split_heads" in primitives and "matmul" in primitives
+    assert [p for p in primitives if p not in PRIMITIVE_CASES] == []
+
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_primitive_gradients(name):
@@ -283,6 +286,20 @@ def test_batched_primitives_match_per_example_loop():
     pooled = ad.mean_pool(Tensor(x), [4, 2, 1])
     for i, n in enumerate([4, 2, 1]):
         np.testing.assert_allclose(pooled.data[i], x[i, :n].mean(axis=0), rtol=1e-13)
+
+
+def test_split_heads_hand_case_and_round_trip():
+    x = Tensor(np.arange(12.0).reshape(2, 6))       # (t=2, 3 heads of 2)
+    heads = ad.split_heads(x, 3)
+    assert heads.shape == (3, 2, 2)
+    np.testing.assert_array_equal(heads.data[1], [[2.0, 3.0], [8.0, 9.0]])
+    batch = Tensor(np.random.default_rng(11).normal(size=(2, 3, 4, 6)))
+    for n_heads in (1, 2, 3, 6):
+        split = ad.split_heads(batch, n_heads)
+        assert split.shape == (2, 3, n_heads, 4, 6 // n_heads)
+        np.testing.assert_array_equal(ad.merge_heads(split).data, batch.data)
+    with pytest.raises(ShapeError):
+        ad.split_heads(x, 4)
 
 
 def test_matmul_rejects_mismatched_batches():

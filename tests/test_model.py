@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
@@ -178,8 +180,7 @@ def test_encoder_output_shapes_and_gates():
     assert enc.h_text.shape == (5, 8)
     assert enc.h_image.shape == (5, 8)
     assert enc.fused.shape == (5, 8)
-    assert len(enc.gates) == cfg.n_heads
-    assert all(g.shape == (5, cfg.n_regions) for g in enc.gates)
+    assert enc.gates.shape == (cfg.n_heads, 5, cfg.n_regions)
     assert 0.0 < enc.mean_gate() < 1.0
 
 
@@ -194,11 +195,10 @@ def test_closed_gates_encode_zero_values():
     cfg = tiny_config()
     m = MMTModel(cfg, seed=5)
     # zero projections => all scores 0 => sigmoid = 0.5, not above threshold
-    for wq in m.cross_weights.wq:
-        wq.data[:] = 0.0
+    m.cross_weights.wq.data[:] = 0.0
     ids = [BOS_ID, 3, 7, EOS_ID]
     enc = m.encode(ids, tiny_image(cfg), None, GateMode.infer(0.5))
-    assert all((g.alpha.data == 0.0).all() for g in enc.gates)
+    assert (enc.gates.alpha.data == 0.0).all()
     zeros = Tensor(np.zeros((len(ids), cfg.d_model)))
     direct = zeros
     for layer in m.img_layers:
@@ -352,6 +352,35 @@ def loss_and_grads(m, src, tgt, images, noise, mode):
     return loss.item(), enc, {p.name: p.tensor.grad.copy() for p in params}
 
 
+def assert_batch_matches_loop(m, srcs, tgts, images, mode):
+    """The batched forward must equal running the examples one at a time:
+    the mean loss, the averaged gradients, the per-example gate means, and
+    the noise stream left behind."""
+    single_noise = NoiseSource(42)
+    losses, gates = [], []
+    grads = {p.name: np.zeros_like(p.tensor.data) for p in m.named_parameters()}
+    for i, (s, t) in enumerate(zip(srcs, tgts)):
+        value, enc, g = loss_and_grads(m, s, t, None if images is None else images[i],
+                                       single_noise, mode)
+        losses.append(value)
+        gates.append(enc.mean_gate())
+        for name in grads:
+            grads[name] += g[name] / len(srcs)
+
+    batch_noise = NoiseSource(42)
+    value, enc, batch_grads = loss_and_grads(m, pad_batch(srcs), pad_batch(tgts), images,
+                                             batch_noise, mode)
+    assert value == pytest.approx(np.mean(losses), rel=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(batch_grads[name], g, rtol=0, atol=1e-10, err_msg=name)
+    if gates[0] is None:
+        assert enc.mean_gate() is None
+    else:
+        assert enc.gates.shape[:2] == (len(srcs), m.cfg.n_heads)
+        np.testing.assert_allclose(enc.mean_gate(), gates, rtol=1e-12)
+    assert batch_noise.state() == single_noise.state()
+
+
 @pytest.mark.parametrize("mode", [GateMode.train(), GateMode.infer()], ids=["train", "infer"])
 @pytest.mark.parametrize("variant", [
     {}, {"n_enc_layers": 2, "gumbel_layer": 2}, {"n_enc_layers": 2, "gumbel_layer": 3},
@@ -360,34 +389,47 @@ def loss_and_grads(m, src, tgt, images, noise, mode):
     {"ablation": AblationFlags(no_gated_fusion=True)},
 ], ids=["default", "layer2", "after_stack", "vanilla", "text_only", "no_fusion"])
 def test_batched_loss_matches_per_example_loop(variant, mode):
-    # The batched forward must equal running the examples one at a time:
-    # the mean loss, the averaged gradients, the per-example gate means, and
-    # the noise stream left behind.
     cfg = tiny_config(loss_alpha=LossWeightMode("trainable", 0.5), **variant)
     m = MMTModel(cfg, seed=17)
     images = None if cfg.ablation.text_only else batch_images(cfg)
-    single_noise = NoiseSource(42)
-    losses, gates = [], []
-    grads = {p.name: np.zeros_like(p.tensor.data) for p in m.named_parameters()}
-    for i, (s, t) in enumerate(zip(BATCH_SRC, BATCH_TGT)):
-        value, enc, g = loss_and_grads(m, s, t, None if images is None else images[i],
-                                       single_noise, mode)
-        losses.append(value)
-        gates.append(enc.mean_gate())
-        for name in grads:
-            grads[name] += g[name] / len(BATCH_SRC)
+    assert_batch_matches_loop(m, BATCH_SRC, BATCH_TGT, images, mode)
 
-    batch_noise = NoiseSource(42)
-    src, tgt = pad_batch(BATCH_SRC), pad_batch(BATCH_TGT)
-    value, enc, batch_grads = loss_and_grads(m, src, tgt, images, batch_noise, mode)
-    assert value == pytest.approx(np.mean(losses), rel=1e-12)
-    for name, g in grads.items():
-        np.testing.assert_allclose(batch_grads[name], g, rtol=0, atol=1e-10, err_msg=name)
-    if gates[0] is None:
-        assert enc.mean_gate() is None
-    else:
-        np.testing.assert_allclose(enc.mean_gate(), gates, rtol=1e-12)
-    assert batch_noise.state() == single_noise.state()
+
+@st.composite
+def small_models(draw):
+    """A tiny model of random shape: heads, layers, gumbel_layer, one ablation
+    flag or none, and init seed."""
+    n_enc = draw(st.integers(1, 2))
+    flag = draw(st.sampled_from((None,) + AblationFlags.NAMES))
+    cfg = tiny_config(n_heads=draw(st.sampled_from([1, 2, 4])), n_enc_layers=n_enc,
+                      n_dec_layers=draw(st.integers(1, 2)),
+                      gumbel_layer=draw(st.integers(1, n_enc + 1)),
+                      ablation=AblationFlags.from_names([flag] if flag else []),
+                      loss_alpha=LossWeightMode("trainable", 0.5))
+    return MMTModel(cfg, seed=draw(st.integers(0, 2 ** 16)))
+
+
+def sentences(min_len, max_len):
+    return st.lists(st.integers(3, 9), min_size=min_len, max_size=max_len)
+
+
+def random_images(cfg, n, seed):
+    if cfg.ablation.text_only:
+        return None
+    return np.random.default_rng(seed).normal(size=(n, cfg.n_regions, cfg.d_image))
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=small_models(), pairs=st.lists(st.tuples(sentences(1, 6), sentences(2, 6)),
+                                        min_size=1, max_size=3),
+       train_mode=st.booleans(), image_seed=st.integers(0, 100))
+def test_padded_batch_matches_single_sentences_for_random_lengths(m, pairs, train_mode,
+                                                                  image_seed):
+    srcs = [s for s, _ in pairs]
+    tgts = [t for _, t in pairs]
+    mode = GateMode.train() if train_mode else GateMode.infer()
+    assert_batch_matches_loop(m, srcs, tgts, random_images(m.cfg, len(pairs), image_seed),
+                              mode)
 
 
 def test_end_to_end_gradients_padded_batch():
@@ -456,27 +498,38 @@ def check_lengths(seed, lengths):
         assert lengths == [1] * len(BATCH_SRC)
 
 
+def assert_cached_decode_matches_full_recompute(m, src, image, max_len):
+    """Cached greedy decoding emits the full recompute's tokens, and feeding
+    the same tokens one row at a time through a cache gives every step's
+    logits.  Returns the tokens."""
+    want, want_logits = full_recompute_greedy(m, src, image, max_len)
+    got, enc = m.greedy_decode(src, image, max_len)
+    assert got == want
+    cache = m.decoder_cache()
+    with ad.no_grad():
+        for step, tok in enumerate([BOS_ID] + want[:len(want_logits) - 1]):
+            logits = m.decode([tok], enc.fused, cache=cache)
+            np.testing.assert_allclose(logits.data[-1], want_logits[step], rtol=0, atol=1e-12)
+    assert cache.length == len(want_logits)
+    return got
+
+
 @DECODE_VARIANTS
 @DECODE_SEEDS
 def test_cached_greedy_decode_matches_full_recompute(variant, seed):
     m, images = decode_inputs(variant, seed)
-    lengths = []
-    for i, src in enumerate(BATCH_SRC):
-        image = None if images is None else images[i]
-        want, want_logits = full_recompute_greedy(m, src, image, MAX_LEN)
-        got, enc = m.greedy_decode(src, image, MAX_LEN)
-        assert got == want
-        lengths.append(len(got))
-        # Feeding the same tokens one row at a time through a cache gives
-        # every step's logits.
-        cache = m.decoder_cache()
-        with ad.no_grad():
-            for step, tok in enumerate([BOS_ID] + want[:len(want_logits) - 1]):
-                logits = m.decode([tok], enc.fused, cache=cache)
-                np.testing.assert_allclose(logits.data[-1], want_logits[step], rtol=0,
-                                           atol=1e-12)
-        assert cache.length == len(want_logits)
+    lengths = [len(assert_cached_decode_matches_full_recompute(
+        m, src, None if images is None else images[i], MAX_LEN))
+        for i, src in enumerate(BATCH_SRC)]
     check_lengths(seed, lengths)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=small_models(), src=sentences(1, 6), image_seed=st.integers(0, 100))
+def test_cached_greedy_decode_matches_full_recompute_for_random_configs(m, src, image_seed):
+    images = random_images(m.cfg, 1, image_seed)
+    assert_cached_decode_matches_full_recompute(m, src, None if images is None else images[0],
+                                                MAX_LEN)
 
 
 @DECODE_VARIANTS

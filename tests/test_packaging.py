@@ -1,11 +1,11 @@
 import importlib
-import importlib.util
 import inspect
 import tomllib
 from pathlib import Path
 
 import gumbel_mmt
 from gumbel_mmt import model
+from helpers import load_bench_tracing
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -21,10 +21,7 @@ def test_every_console_script_target_resolves():
 def test_benchmark_tracer_targets_resolve_in_the_package():
     # The tracer patches these names from outside the package; a rename or a
     # changed signature here would break the traced benchmark run.
-    spec = importlib.util.spec_from_file_location("bench_tracing",
-                                                  ROOT / "benchmark" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench_tracing()
     for span, module, attr in tracing.FUNCTION_SPANS:
         assert callable(getattr(getattr(gumbel_mmt, module), attr, None)), span
     for span, cls, attr in tracing.METHOD_SPANS:

@@ -8,7 +8,9 @@ from gumbel_mmt import autodiff as ad
 from gumbel_mmt import training
 from gumbel_mmt.autodiff import make_parameter
 from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset
+from gumbel_mmt.attention import GateMatrix
 from gumbel_mmt.errors import ConfigError, TrainingError
+from gumbel_mmt.gumbel import GateMode, NoiseSource
 from gumbel_mmt.model import LossWeightMode, MMTModel, ModelConfig
 from gumbel_mmt.training import (AdamState, Metrics, TrainConfig, adam_step, evaluate,
                                  teacher_forced_loss, train)
@@ -178,6 +180,39 @@ def test_evaluate_matches_golden_metrics(eval_batch, monkeypatch):
     m = MMTModel(cfg, seed=7)
     train(m, ds, TINY_TRAIN)
     assert evaluate(m, ds.train + ds.val + ds.test, seed=TINY_TRAIN.seed) == GOLDEN_METRICS
+
+
+# The tiny model after TINY_TRAIN, encoding its 15 sentences as one padded
+# batch, recorded at the commit that attended head by head: the infer-mode
+# gate sums and counts per example (all, relevant, noise regions), and, for a
+# train-mode encode from NoiseSource(11), the values drawn and the next draw.
+GOLDEN_GATE_OPEN = [[22, 4, 18], [22, 5, 17], [16, 4, 12], [24, 2, 22], [7, 2, 5],
+                    [18, 1, 17], [24, 5, 19], [10, 2, 8], [11, 3, 8], [17, 1, 16],
+                    [27, 3, 24], [35, 7, 28], [19, 3, 16], [35, 3, 32], [12, 2, 10]]
+GOLDEN_GATE_ROWS = [7, 5, 7, 6, 5, 5, 7, 4, 5, 4, 6, 6, 6, 7, 5]   # real text rows
+GOLDEN_NOISE_DRAWN = 1360
+GOLDEN_NEXT_UNIFORM = float.fromhex("0x1.c8e89f27e9222p-2")
+
+
+def test_gate_stats_and_noise_stream_match_golden():
+    ds, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    train(m, ds, TINY_TRAIN)
+    split = ds.train + ds.val + ds.test
+    src, _, images = training._batch(m, split, TINY_TRAIN.seed)
+    relevant = [ex.meta.relevant_regions for ex in split]
+    enc = m.encode(src, images, None, GateMode.infer(cfg.gate_threshold))
+    assert isinstance(enc.gates, GateMatrix)
+    assert enc.gates.shape == (len(split), cfg.n_heads, src.shape[1], cfg.n_regions)
+    stats = enc.gate_stats(relevant)
+    np.testing.assert_array_equal(stats.open, GOLDEN_GATE_OPEN)
+    per_row = cfg.n_heads * np.array(GOLDEN_GATE_ROWS)[:, None]
+    np.testing.assert_array_equal(stats.count, per_row * [4, 1, 3])   # 4 regions, 1 relevant
+
+    noise = NoiseSource(11)
+    m.encode(src, images, noise, GateMode.train(), tau=0.5)
+    assert noise.n_drawn == GOLDEN_NOISE_DRAWN
+    assert noise.uniform(1)[0] == GOLDEN_NEXT_UNIFORM
 
 
 def test_teacher_forced_loss_is_mean_of_example_losses():
