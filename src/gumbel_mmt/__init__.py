@@ -3,7 +3,7 @@ built on a small float64 reverse-mode autodiff core."""
 
 from . import autodiff, attention, bleu, data, gradcheck, gumbel, model, training
 from .autodiff import Tensor, Parameter, backward, no_grad, reset_tape
-from .gumbel import GateMode, NoiseSource, Temperature
+from .gumbel import GateMode, NoiseSource
 from .model import AblationFlags, LossWeightMode, MMTModel, ModelConfig
 from .training import TrainConfig, evaluate, train
 

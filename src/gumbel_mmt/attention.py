@@ -198,12 +198,14 @@ def multi_head_gumbel_attention(x_text: Tensor, x_image: Tensor, weights: Attent
 
     Each head draws its own noise; in a batch, ``lengths`` holds the text
     lengths, and the gates of padded text rows are computed and left unused.
-    Pass gates_out to collect the (..., H, t, r) gates as one GateMatrix."""
+    Pass gates_out to collect the (..., H, t, r) gates as one GateMatrix.
+    Train mode needs a NoiseSource; infer mode reads none."""
+    if mode.is_train and src is None:
+        raise ConfigError("train-mode Gumbel attention needs a NoiseSource")
+
     def gates(scores: Tensor) -> Tensor:
-        noise = None
-        if mode.is_train and src is not None:
-            noise = _gate_noise(src, scores.shape, lengths)
-        alpha = gumbel_sigmoid(scores, tau, src, mode, noise)
+        noise = _gate_noise(src, scores.shape, lengths) if mode.is_train else None
+        alpha = gumbel_sigmoid(scores, tau, mode, noise)
         if gates_out is not None:
             gates_out.append(GateMatrix(alpha))
         return alpha

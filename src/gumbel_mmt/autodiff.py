@@ -1,18 +1,19 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records itself on a module-global tape (rebuilt each forward
-pass via :func:`reset_tape`).  :func:`backward` walks the tape in reverse
-recording order and accumulates gradients into every tensor that has a
-gradient buffer allocated; calling it twice without zeroing doubles the
-gradients.  All data is float64 and row-major; there is no broadcasting
-beyond the few fixed patterns the ops below implement.
+Every operation appends a record to a module-global tape, a plain list
+emptied by :func:`reset_tape` before each forward pass.  :func:`backward`
+walks the tape in reverse recording order and accumulates gradients into
+every tensor that has a gradient buffer allocated; calling it twice without
+zeroing doubles the gradients.  All data is float64 and row-major; there is
+no broadcasting beyond the few fixed patterns the ops below implement.
 
 Leading batch dimensions: the row-wise ops (matmul, transpose2d,
 softmax_rows, layer_norm, cross_entropy, cosine_similarity, add_bias,
-embedding_lookup, split_heads, merge_heads) act on the last one or two axes
-and treat any axes before them as a batch, so one sentence is a ``(t, d)``
-tensor and a padded batch of sentences a ``(b, t, d)`` tensor run through the
-same ops.  Multi-head attention adds a head axis, ``(..., H, t, d_head)``.
+embedding_lookup, split_heads, merge_heads, mean_pool) act on the last one or
+two axes and treat any axes before them as a batch, so one sentence is a
+``(t, d)`` tensor and a padded batch of sentences a ``(b, t, d)`` tensor run
+through the same ops.  Multi-head attention adds a head axis,
+``(..., H, t, d_head)``.
 """
 
 from __future__ import annotations
@@ -77,26 +78,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
 
-    # Arithmetic sugar; scalars go through scale/add_scalar so no general
-    # broadcasting sneaks in.
-    def __add__(self, other):
-        return add_scalar(self, other) if isinstance(other, (int, float)) else add(self, other)
-
-    def __sub__(self, other):
-        return add_scalar(self, -other) if isinstance(other, (int, float)) else sub(self, other)
-
-    def __mul__(self, other):
-        return scale(self, other) if isinstance(other, (int, float)) else mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Parameter(NamedTuple):
     """A named trainable tensor; the gradient buffer is always allocated."""
@@ -123,27 +104,14 @@ class Record(NamedTuple):
     backward: Callable[[Array], tuple[Array | None, ...]]
 
 
-class Tape:
-    """Ordered log of operations; inputs of each record were recorded
-    before it, so reverse iteration is a valid backward order."""
-
-    def __init__(self):
-        self.records: list[Record] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-_tape = Tape()
+# Ordered log of operations; the inputs of each record were recorded before it,
+# so reverse iteration is a valid backward order.
+_tape: list[Record] = []
 _grad_enabled = [True]
 
 
-def active_tape() -> Tape:
-    return _tape
-
-
 def reset_tape() -> None:
-    _tape.records.clear()
+    _tape.clear()
 
 
 @contextmanager
@@ -167,7 +135,7 @@ def _emit(inputs: tuple[Tensor, ...], out_data: Array,
     if _grad_enabled[-1]:
         rec = Record(inputs, out, backward)
         out.node = rec
-        _tape.records.append(rec)
+        _tape.append(rec)
     return out
 
 
@@ -178,7 +146,7 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
     adjoint: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
-    for rec in reversed(_tape.records):
+    for rec in reversed(_tape):
         out_adj = adjoint.get(rec.output)
         if out_adj is None:
             continue
@@ -234,11 +202,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require(a.shape == b.shape, f"add shapes differ: {a.shape} vs {b.shape}")
     return _emit((a, b), a.data + b.data, lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require(a.shape == b.shape, f"sub shapes differ: {a.shape} vs {b.shape}")
-    return _emit((a, b), a.data - b.data, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -321,17 +284,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     _require(d != 0, "layer_norm over zero-width rows")
     _require(gain.shape == (d,) and bias.shape == (d,),
              f"layer_norm affine shapes {gain.shape}/{bias.shape} != ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean computes, without its Python-level overhead.
+    mu = x.data.sum(axis=-1, keepdims=True) / d
+    xc = x.data - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     gd = gain.data
 
     def back(g: Array):
         dxhat = g * gd
         dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                    - dxhat.sum(axis=-1, keepdims=True) / d
+                    - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
     return _emit((x, gain, bias), xhat * gd + bias.data, back)
@@ -408,13 +373,6 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     return _emit((a, b), np.asarray(c), back)
 
 
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    old = x.shape
-    # numpy's reshape returns a view of x; the output owns a copy.
-    return _emit((x,), x.data.reshape(shape).copy(), lambda g: (g.reshape(old),))
-
-
 def transpose2d(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     _require(x.data.ndim >= 2, f"transpose2d on shape {x.shape}")
@@ -469,21 +427,14 @@ def reduce_mean(x: Tensor) -> Tensor:
                  lambda g: (np.full_like(x.data, float(g) / n),))
 
 
-def mean_axis0(x: Tensor) -> Tensor:
-    """Mean over rows: (t, d) -> (d,).  Used to pool positions to one vector."""
-    _require(x.data.ndim == 2 and x.shape[0] >= 1, f"mean_axis0 on shape {x.shape}")
-    t = x.shape[0]
-    return _emit((x,), x.data.mean(axis=0),
-                 lambda g: (np.tile(g / t, (t, 1)),))
-
-
 def mean_pool(x: Tensor, lengths) -> Tensor:
-    """Per-example mean of the first lengths[i] rows: (b, t, d) -> (b, d).
-    Pools a right-padded batch without reading its padding."""
+    """Mean of the first n rows of each sequence: ``(..., t, d)`` to
+    ``(..., d)``, with lengths of shape ``(...)``, a scalar for one ``(t, d)``
+    sentence.  Pools a right-padded batch without reading its padding."""
     n = np.asarray(lengths, dtype=np.int64)
-    _require(x.data.ndim == 3 and n.shape == (x.shape[0],)
-             and bool(((n >= 1) & (n <= x.shape[1])).all()),
+    _require(x.data.ndim >= 2 and n.shape == x.shape[:-2]
+             and bool(((n >= 1) & (n <= x.shape[-2])).all()),
              f"mean_pool of {x.shape} over lengths {n.tolist()}")
-    w = (np.arange(x.shape[1]) < n[:, None]) / n[:, None]   # (b, t)
-    return _emit((x,), (w[:, None, :] @ x.data)[:, 0, :],
-                 lambda g: (w[:, :, None] * g[:, None, :],))
+    w = (np.arange(x.shape[-2]) < n[..., None]) / n[..., None]   # (..., t)
+    return _emit((x,), (w[..., None, :] @ x.data)[..., 0, :],
+                 lambda g: (w[..., :, None] * g[..., None, :],))

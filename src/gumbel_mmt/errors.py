@@ -13,9 +13,5 @@ class TrainingError(RuntimeError):
     """Training aborted: non-finite loss or gradient, empty dataset, etc."""
 
 
-class CheckpointError(RuntimeError):
-    """Checkpoint file is unreadable, truncated, or version-incompatible."""
-
-
 class DataError(ValueError):
     """Dataset file or task specification is invalid."""

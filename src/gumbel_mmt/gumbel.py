@@ -1,10 +1,11 @@
-"""Gumbel noise and the differentiable discrete-sampling family built on it:
-Gumbel-Max categorical draws, the Gumbel-Softmax relaxation, and per-element
-Gumbel-Sigmoid gates with a deterministic thresholded inference mode.
+"""Gumbel-Sigmoid gates: the one discrete relaxation of Gumbel-Attention.
 
-Noise tensors are constants to the autodiff tape: gradients flow through the
-logits only (the reparameterisation reading).  Fresh noise is drawn on every
-forward pass.
+A gate over a score e is sigmoid((e + G' - G'') / tau) in train mode, with
+G' and G'' independent Gumbel(0,1) draws, and the constant sigmoid(e) >
+threshold in infer mode.  The noise is a constant to the autodiff tape, so
+gradients flow through the scores only (the reparameterisation reading).
+:class:`NoiseSource` draws it; the attention routine draws fresh noise on
+every forward pass and hands it to :func:`gumbel_sigmoid`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 # Uniform draws are clamped away from 0 and 1 so the double log stays finite.
 _U_CLAMP = 1e-12
@@ -40,24 +41,6 @@ class NoiseSource:
 
     def state(self) -> dict:
         return {"bit_generator": self._rng.bit_generator.state, "n_drawn": self.n_drawn}
-
-    def set_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["bit_generator"]
-        self.n_drawn = int(state["n_drawn"])
-
-
-@dataclass(frozen=True)
-class Temperature:
-    """Softness of the relaxation; must be positive."""
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ConfigError(f"temperature must be > 0, got {self.value}")
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 def _check_tau(tau) -> float:
@@ -97,64 +80,23 @@ class GateMode:
         return self.kind is GateKind.TRAIN
 
 
-def sample_gumbel(src: NoiseSource, shape) -> Tensor:
-    """I.i.d. standard Gumbel samples as a constant tensor (no gradient)."""
-    return Tensor(src.gumbel(shape))
-
-
-def gumbel_max(log_pi, src: NoiseSource, n_samples: int | None = None):
-    """Categorical sampling: one-hot at argmax(log pi + g).
-
-    Returns a (k,) one-hot array, or (n_samples, k) when n_samples is given.
-    Ties break toward the lowest index.
-    """
-    logits = log_pi.data if isinstance(log_pi, Tensor) else np.asarray(log_pi, dtype=np.float64)
-    if logits.ndim != 1 or logits.size < 1:
-        raise ConfigError(f"gumbel_max wants a non-empty vector of logits, got shape {logits.shape}")
-    if not np.isfinite(logits).all():
-        raise ValueError("gumbel_max logits must be finite")
-    k = logits.size
-    n = 1 if n_samples is None else int(n_samples)
-    g = src.gumbel((n, k))
-    hot = np.zeros((n, k))
-    hot[np.arange(n), np.argmax(logits + g, axis=1)] = 1.0
-    return hot[0] if n_samples is None else hot
-
-
-def gumbel_softmax(log_pi: Tensor, tau, src: NoiseSource) -> Tensor:
-    """Relaxed one-hot sample(s): softmax((log pi + g) / tau).
-
-    Accepts a (k,) vector or an (n, k) batch; each row gets independent noise
-    and comes back on the simplex.  Differentiable in log_pi.
-    """
-    tau = _check_tau(tau)
-    vec = log_pi.data.ndim == 1
-    x = ad.reshape(log_pi, (1, log_pi.size)) if vec else log_pi
-    noisy = ad.add(x, Tensor(src.gumbel(x.shape)))
-    y = ad.softmax_rows(ad.scale(noisy, 1.0 / tau))
-    return ad.reshape(y, (log_pi.size,)) if vec else y
-
-
 def logistic_noise(src: NoiseSource, shape) -> np.ndarray:
     """G' - G'' for two independent Gumbel draws of the given shape."""
     return src.gumbel(shape) - src.gumbel(shape)
 
 
-def gumbel_sigmoid(e: Tensor, tau, src: NoiseSource | None, mode: GateMode,
-                   noise: np.ndarray | None = None) -> Tensor:
+def gumbel_sigmoid(e: Tensor, tau, mode: GateMode, noise: np.ndarray | None) -> Tensor:
     """Per-element binary gates over arbitrary-shape inputs.
 
-    Train mode: sigmoid((e + G' - G'') / tau) with fresh independent noise per
-    element, differentiable in e.  The noise G' - G'' is drawn from src, or
-    given as ``noise`` when the caller drew it in an order of its own.  Infer
-    mode: constant 0/1 tensor, 1 where sigmoid(e) exceeds the threshold.
+    Train mode: sigmoid((e + noise) / tau), differentiable in e, where noise
+    is the logistic noise G' - G'' of e's shape (see :func:`logistic_noise`).
+    Infer mode: constant 0/1 tensor, 1 where sigmoid(e) exceeds the
+    threshold; pass None for the noise.
     """
     tau = _check_tau(tau)
     if mode.is_train:
-        if noise is None:
-            if src is None:
-                raise ConfigError("train-mode gumbel_sigmoid needs a NoiseSource")
-            noise = logistic_noise(src, e.shape)
+        if noise is None or noise.shape != e.shape:
+            raise ShapeError(f"train-mode gates over {e.shape} need noise of that shape")
         return ad.sigmoid(ad.scale(ad.add(e, Tensor(noise)), 1.0 / tau))
     probs = 1.0 / (1.0 + np.exp(-np.clip(e.data, -700, 700)))
     return Tensor((probs > mode.threshold).astype(np.float64))

@@ -44,23 +44,6 @@ class AblationFlags:
     no_similarity_loss: bool = False
     text_only: bool = False
 
-    NAMES = ("vanilla_attention", "random_image", "shared_encoders",
-             "no_gated_fusion", "no_similarity_loss", "text_only")
-
-    @classmethod
-    def from_names(cls, names) -> "AblationFlags":
-        flags = cls()
-        for n in names:
-            if n not in cls.NAMES:
-                raise ConfigError(f"unknown ablation {n!r}; choose from {cls.NAMES}")
-            setattr(flags, n, True)
-        return flags
-
-    def active(self) -> list[str]:
-        if self.text_only:
-            return ["text_only"]
-        return [n for n in self.NAMES if getattr(self, n)]
-
 
 @dataclass
 class LossWeightMode:
@@ -91,7 +74,9 @@ class ModelConfig:
     d_image: int = 512
     n_regions: int = 49
     vocab_src: int = 50
-    vocab_tgt: int = 50
+    # The default disambiguation task has 50 source tokens, and its target
+    # side holds both translations of the ambiguous word: 51 tokens.
+    vocab_tgt: int = 51
     gumbel_layer: int = 1           # attention before layer L; n_enc_layers+1 = after the stack
     ablation: AblationFlags = field(default_factory=AblationFlags)
     margin: float = 0.3
@@ -219,15 +204,13 @@ def gated_fusion(h_image: Tensor, h_text: Tensor, w: Tensor, u: Tensor) -> Tenso
 def similarity_loss(h_image: Tensor, h_text: Tensor, margin: float,
                     lengths: np.ndarray | None = None) -> Tensor:
     """Hinge on (1 - cosine - margin) between the mean-pooled branch outputs.
-    For a padded batch, pass the source lengths: each example pools its real
-    rows, and the result is the mean of the examples' hinges."""
-    if lengths is not None:
-        c = ad.cosine_similarity(ad.mean_pool(h_image, lengths), ad.mean_pool(h_text, lengths))
-        return ad.reduce_mean(ad.relu(ad.add_scalar(ad.scale(c, -1.0), 1.0 - margin)))
-    pooled_img = ad.mean_axis0(h_image) if h_image.data.ndim == 2 else h_image
-    pooled_txt = ad.mean_axis0(h_text) if h_text.data.ndim == 2 else h_text
-    c = ad.cosine_similarity(pooled_img, pooled_txt)
-    return ad.relu(ad.add_scalar(ad.scale(c, -1.0), 1.0 - margin))
+    One sentence pools all its rows; for a padded batch, pass the source
+    lengths: each example pools its real rows, and the result is the mean of
+    the examples' hinges."""
+    if lengths is None:
+        lengths = np.full(h_text.shape[:-2], h_text.shape[-2])
+    c = ad.cosine_similarity(ad.mean_pool(h_image, lengths), ad.mean_pool(h_text, lengths))
+    return ad.reduce_mean(ad.relu(ad.add_scalar(ad.scale(c, -1.0), 1.0 - margin)))
 
 
 def total_loss(logits: Tensor, targets, h_image: Tensor | None, h_text: Tensor | None,

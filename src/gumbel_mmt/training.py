@@ -145,7 +145,6 @@ class EpochStats:
 class TrainLog:
     epochs: list[EpochStats] = field(default_factory=list)
     step_losses: list[float] = field(default_factory=list)
-    best_epoch: int | None = None
 
 
 def _image_for(model: MMTModel, ex: Example, seed: int) -> np.ndarray | None:
@@ -259,27 +258,25 @@ def evaluate(model: MMTModel, split: list[Example], seed: int = 0,
 
 
 def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
-          start_epoch: int = 0, adam_state: AdamState | None = None,
-          noise: NoiseSource | None = None,
-          on_epoch_end: Callable[[int, EpochStats, AdamState, NoiseSource], None] | None = None,
-          ) -> TrainLog:
-    """Seeded epoch loop: shuffle, then per batch one padded forward and
-    backward pass, clip, Adam step.  The batch loss is the mean of its
-    examples' losses.  Gates are stochastic (fresh noise per forward pass);
-    validation metrics use deterministic thresholded gates."""
+          on_epoch_end: Callable[[int, EpochStats], None] | None = None) -> TrainLog:
+    """Seeded epoch loop from fresh Adam moments and a fresh noise stream:
+    shuffle, then per batch one padded forward and backward pass, clip, Adam
+    step.  The batch loss is the mean of its examples' losses.  Gates are
+    stochastic (fresh noise per forward pass); validation metrics use
+    deterministic thresholded gates.  After each epoch, on_epoch_end gets
+    the epoch index and its stats."""
     if not dataset.train:
         raise TrainingError("training split is empty")
     check_compatible(model.cfg, dataset.train + dataset.val, dataset)
     params = model.named_parameters()
-    state = adam_state if adam_state is not None else AdamState()
-    src = noise if noise is not None else NoiseSource([cfg.seed, _NOISE_STREAM])
+    state = AdamState()
+    src = NoiseSource([cfg.seed, _NOISE_STREAM])
     log = TrainLog()
     n = len(dataset.train)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = steps_per_epoch * cfg.epochs
-    best_bleu = -1.0
 
-    for epoch in range(start_epoch, cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
         epoch_losses = []
         gate_means = []
@@ -318,9 +315,6 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
             mean_train_gate=float(np.mean(gate_means)) if gate_means else None,
         )
         log.epochs.append(stats)
-        if val.bleu > best_bleu:
-            best_bleu = val.bleu
-            log.best_epoch = epoch
         if on_epoch_end is not None:
-            on_epoch_end(epoch, stats, state, src)
+            on_epoch_end(epoch, stats)
     return log

@@ -7,7 +7,7 @@ from gumbel_mmt import autodiff as ad
 from gumbel_mmt.attention import (causal_mask, init_attention_weights, key_padding_mask,
                                   multi_head_attention, multi_head_gumbel_attention)
 from gumbel_mmt.autodiff import Tensor
-from gumbel_mmt.errors import ShapeError
+from gumbel_mmt.errors import ConfigError, ShapeError
 from gumbel_mmt.gradcheck import gradient_error
 from gumbel_mmt.gumbel import GateMode, NoiseSource, logistic_noise
 
@@ -364,6 +364,15 @@ def test_infer_mode_is_deterministic():
     a = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
     b = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
     np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_train_mode_gumbel_attention_needs_a_noise_source():
+    w = rand_weights(9, 4, 6, 4, 2)
+    x_text, x_image = Tensor(np.ones((3, 4))), Tensor(np.ones((5, 6)))
+    ad.reset_tape()
+    with pytest.raises(ConfigError, match="NoiseSource"):
+        multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.train())
+    assert ad._tape == []   # raised before any op was recorded
 
 
 def test_gumbel_attention_gradients_with_frozen_noise():

@@ -160,7 +160,7 @@ def test_no_grad_suppresses_recording():
     p = Tensor([1.0, 2.0], grad=True)
     with ad.no_grad():
         loss = ad.reduce_sum(ad.mul(p, p))
-    assert len(ad.active_tape()) == 0
+    assert loss.node is None and ad._tape == []
     ad.backward(loss)
     np.testing.assert_array_equal(p.grad, np.zeros(2))
 
@@ -183,7 +183,7 @@ def test_backward_composite_matches_finite_differences():
 @given(arrays(np.float64, (4, 6), elements=st.floats(-100, 100)))
 def test_reshape_transpose_roundtrip_bit_exact(x):
     t = Tensor(x)
-    back = ad.reshape(ad.reshape(t, (8, 3)), (4, 6))
+    back = ad.merge_heads(ad.split_heads(t, 3))
     np.testing.assert_array_equal(back.data, x)
     twice = ad.transpose2d(ad.transpose2d(t))
     np.testing.assert_array_equal(twice.data, x)
@@ -252,7 +252,7 @@ def test_constructor_copies_caller_data():
     t = Tensor(src)
     src[0, 0] = 99.0
     assert t.data[0, 0] == 0.0
-    out = ad.reshape(t, (3, 2))
+    out = ad.transpose2d(t)
     out.data[0, 0] = -1.0
     assert t.data[0, 0] == 0.0
 
@@ -286,6 +286,7 @@ def test_batched_primitives_match_per_example_loop():
     pooled = ad.mean_pool(Tensor(x), [4, 2, 1])
     for i, n in enumerate([4, 2, 1]):
         np.testing.assert_allclose(pooled.data[i], x[i, :n].mean(axis=0), rtol=1e-13)
+        np.testing.assert_array_equal(ad.mean_pool(Tensor(x[i]), n).data, pooled.data[i])
 
 
 def test_split_heads_hand_case_and_round_trip():

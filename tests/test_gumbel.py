@@ -7,8 +7,8 @@ from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ConfigError
 from gumbel_mmt.gradcheck import gradient_error
-from gumbel_mmt.gumbel import (GateMode, NoiseSource, Temperature, gumbel_max,
-                               gumbel_sigmoid, gumbel_softmax, sample_gumbel)
+from gumbel_mmt.errors import ShapeError
+from gumbel_mmt.gumbel import GateMode, NoiseSource, gumbel_sigmoid, logistic_noise
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -40,110 +40,37 @@ def test_gumbel_fixed_point_at_one_over_e():
 
 
 def test_gumbel_moments():
-    g = sample_gumbel(NoiseSource(7), (1_000_000,)).data
+    g = NoiseSource(7).gumbel((1_000_000,))
     assert g.mean() == pytest.approx(EULER_GAMMA, abs=5e-3)
     assert g.var() == pytest.approx(math.pi ** 2 / 6, abs=2e-2)
 
 
-# -- gumbel_max ----------------------------------------------------------------
-
-def test_gumbel_max_single_class():
-    for _ in range(5):
-        np.testing.assert_array_equal(gumbel_max([0.0], NoiseSource(3)), [1.0])
-
-
-def test_gumbel_max_uniform_frequencies():
-    n = 100_000
-    hot = gumbel_max(np.zeros(4), NoiseSource(11), n_samples=n)
-    freq = hot.mean(axis=0)
-    sigma = math.sqrt(0.25 * 0.75 / n)
-    np.testing.assert_allclose(freq, 0.25, atol=3 * sigma)
-
-
-def test_gumbel_max_matches_categorical():
-    pi = np.array([0.5, 0.3, 0.2])
-    n = 100_000
-    freq = gumbel_max(np.log(pi), NoiseSource(5), n_samples=n).mean(axis=0)
-    for p, f in zip(pi, freq):
-        assert abs(f - p) <= 3 * math.sqrt(p * (1 - p) / n)
-
-
-def test_gumbel_max_rejects_non_finite():
-    with pytest.raises(ValueError, match="finite"):
-        gumbel_max([0.0, -np.inf], NoiseSource(0))
-
-
-# -- gumbel_softmax --------------------------------------------------------------
-
-def test_gumbel_softmax_on_simplex():
-    rng = np.random.default_rng(0)
-    out = gumbel_softmax(Tensor(rng.normal(size=(50, 6))), 1.0, NoiseSource(1))
-    assert (out.data >= 0).all()
-    np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_gumbel_softmax_low_temperature_is_nearly_one_hot():
-    log_pi = Tensor([0.3, -0.8, 1.2, 0.1])
-    g = NoiseSource(9).gumbel((4,))
-    out = gumbel_softmax(log_pi, 0.01, NoiseSource(9))
-    k = int(np.argmax(log_pi.data + g))
-    assert out.data[k] >= 0.999
-
-
-def test_gumbel_softmax_high_temperature_is_nearly_uniform():
-    out = gumbel_softmax(Tensor([0.3, -0.8, 1.2, 0.1]), 100.0, NoiseSource(9))
-    np.testing.assert_allclose(out.data, 0.25, atol=0.01)
-
-
-def test_gumbel_softmax_rejects_bad_temperature():
-    with pytest.raises(ConfigError):
-        gumbel_softmax(Tensor([0.0, 0.0]), 0.0, NoiseSource(0))
-    with pytest.raises(ConfigError):
-        Temperature(-1.0)
-
-
-def test_gumbel_softmax_gradient_with_frozen_noise():
-    rng = np.random.default_rng(4)
-    log_pi = Tensor(rng.uniform(-1, 1, size=(5,)))
-    w = Tensor(rng.uniform(-1, 1, size=(5,)))
-
-    def forward():
-        return ad.reduce_sum(ad.mul(gumbel_softmax(log_pi, 0.7, NoiseSource(123)), w))
-
-    assert gradient_error(forward, [log_pi]) < 1e-4
-
-
-def test_temperature_monotonicity():
-    taus = [0.1, 0.5, 1.0, 5.0, 10.0]
-    rng = np.random.default_rng(0)
-    logits = Tensor(rng.normal(size=(10_000, 4)))
-    means = [gumbel_softmax(logits, t, NoiseSource(77)).data.max(axis=1).mean()
-             for t in taus]
-    assert all(a >= b for a, b in zip(means, means[1:]))
-
-
 # -- gumbel_sigmoid --------------------------------------------------------------
 
+def train_gates(e, tau, seed):
+    return gumbel_sigmoid(e, tau, GateMode.train(), logistic_noise(NoiseSource(seed), e.shape))
+
+
 def test_gumbel_sigmoid_symmetry_at_zero():
-    out = gumbel_sigmoid(Tensor(np.zeros(100_000)), 1.0, NoiseSource(2), GateMode.train())
+    out = train_gates(Tensor(np.zeros(100_000)), 1.0, 2)
     assert (out.data > 0.5).mean() == pytest.approx(0.5, abs=5e-3)
     assert ((out.data > 0) & (out.data < 1)).all()
 
 
 def test_gumbel_sigmoid_exceedance_matches_sigmoid():
-    out = gumbel_sigmoid(Tensor(np.full(100_000, 4.0)), 1.0, NoiseSource(3), GateMode.train())
+    out = train_gates(Tensor(np.full(100_000, 4.0)), 1.0, 3)
     assert (out.data > 0.5).mean() == pytest.approx(1 / (1 + math.exp(-4)), abs=5e-3)
 
 
 def test_gumbel_sigmoid_infer_thresholds():
-    out = gumbel_sigmoid(Tensor([3.0, -3.0]), 1.0, None, GateMode.infer(0.5))
+    out = gumbel_sigmoid(Tensor([3.0, -3.0]), 1.0, GateMode.infer(0.5), None)
     np.testing.assert_array_equal(out.data, [1.0, 0.0])
 
 
 def test_gumbel_sigmoid_infer_is_deterministic():
     e = Tensor(np.linspace(-2, 2, 13))
-    a = gumbel_sigmoid(e, 1.0, None, GateMode.infer(0.3))
-    b = gumbel_sigmoid(e, 1.0, None, GateMode.infer(0.3))
+    a = gumbel_sigmoid(e, 1.0, GateMode.infer(0.3), None)
+    b = gumbel_sigmoid(e, 1.0, GateMode.infer(0.3), None)
     np.testing.assert_array_equal(a.data, b.data)
     assert set(np.unique(a.data)) <= {0.0, 1.0}
 
@@ -153,14 +80,21 @@ def test_gumbel_sigmoid_gradient_with_frozen_noise():
     e = Tensor(rng.uniform(-2, 2, size=(3, 4)))
 
     def forward():
-        return ad.reduce_sum(gumbel_sigmoid(e, 0.8, NoiseSource(55), GateMode.train()))
+        return ad.reduce_sum(train_gates(e, 0.8, 55))
 
     assert gradient_error(forward, [e]) < 1e-4
 
 
 def test_gumbel_sigmoid_rejects_bad_temperature():
     with pytest.raises(ConfigError):
-        gumbel_sigmoid(Tensor([0.0]), -0.5, NoiseSource(0), GateMode.train())
+        train_gates(Tensor([0.0]), -0.5, 0)
+
+
+def test_train_mode_gumbel_sigmoid_needs_noise_of_the_gates_shape():
+    e = Tensor(np.zeros((2, 3)))
+    for noise in (None, np.zeros((3, 2))):
+        with pytest.raises(ShapeError, match=r"\(2, 3\)"):
+            gumbel_sigmoid(e, 1.0, GateMode.train(), noise)
 
 
 def test_gate_mode_threshold_validation():
@@ -172,12 +106,6 @@ def test_gate_mode_threshold_validation():
 
 def test_same_seed_same_gates():
     e = Tensor(np.linspace(-1, 1, 20).reshape(4, 5))
-    a = gumbel_sigmoid(e, 1.0, NoiseSource(99), GateMode.train())
-    b = gumbel_sigmoid(e, 1.0, NoiseSource(99), GateMode.train())
+    a = train_gates(e, 1.0, 99)
+    b = train_gates(e, 1.0, 99)
     np.testing.assert_array_equal(a.data, b.data)
-    sm_a = gumbel_softmax(Tensor([0.1, 0.2]), 1.0, NoiseSource(1))
-    sm_b = gumbel_softmax(Tensor([0.1, 0.2]), 1.0, NoiseSource(1))
-    np.testing.assert_array_equal(sm_a.data, sm_b.data)
-    mx_a = gumbel_max([0.1, 0.2, 0.3], NoiseSource(6), n_samples=50)
-    mx_b = gumbel_max([0.1, 0.2, 0.3], NoiseSource(6), n_samples=50)
-    np.testing.assert_array_equal(mx_a, mx_b)

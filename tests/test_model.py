@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from gumbel_mmt.model import (AblationFlags, LossWeightMode, MMTModel, ModelConf
                               embed, gated_fusion, pad_batch, similarity_loss,
                               sinusoid_position_encoding, total_loss)
 
-from helpers import full_recompute_greedy
+from helpers import full_recompute_greedy, load_bench_tracing
 
 
 @pytest.fixture(autouse=True)
@@ -372,7 +374,12 @@ def assert_batch_matches_loop(m, srcs, tgts, images, mode):
                                              batch_noise, mode)
     assert value == pytest.approx(np.mean(losses), rel=1e-12)
     for name, g in grads.items():
-        np.testing.assert_allclose(batch_grads[name], g, rtol=0, atol=1e-10, err_msg=name)
+        # Closed infer-mode gates can send all-zero rows through layer norm,
+        # which scales their gradients by 1/sqrt(eps) per layer, so the
+        # tolerance grows with the gradient where it exceeds 1.
+        np.testing.assert_allclose(batch_grads[name], g, rtol=0,
+                                   atol=1e-10 * max(1.0, float(np.abs(g).max())),
+                                   err_msg=name)
     if gates[0] is None:
         assert enc.mean_gate() is None
     else:
@@ -400,11 +407,11 @@ def small_models(draw):
     """A tiny model of random shape: heads, layers, gumbel_layer, one ablation
     flag or none, and init seed."""
     n_enc = draw(st.integers(1, 2))
-    flag = draw(st.sampled_from((None,) + AblationFlags.NAMES))
+    flag = draw(st.sampled_from([None] + [f.name for f in dataclasses.fields(AblationFlags)]))
     cfg = tiny_config(n_heads=draw(st.sampled_from([1, 2, 4])), n_enc_layers=n_enc,
                       n_dec_layers=draw(st.integers(1, 2)),
                       gumbel_layer=draw(st.integers(1, n_enc + 1)),
-                      ablation=AblationFlags.from_names([flag] if flag else []),
+                      ablation=AblationFlags(**({flag: True} if flag else {})),
                       loss_alpha=LossWeightMode("trainable", 0.5))
     return MMTModel(cfg, seed=draw(st.integers(0, 2 ** 16)))
 
@@ -430,6 +437,56 @@ def test_padded_batch_matches_single_sentences_for_random_lengths(m, pairs, trai
     mode = GateMode.train() if train_mode else GateMode.infer()
     assert_batch_matches_loop(m, srcs, tgts, random_images(m.cfg, len(pairs), image_seed),
                               mode)
+
+
+def test_one_sentence_equals_a_batch_of_one():
+    # One (t, d) sentence pools through the same mean_pool as a padded batch.
+    rng = np.random.default_rng(21)
+    h_img, h_txt = rng.normal(size=(2, 5, 4))
+    one = similarity_loss(Tensor(h_img), Tensor(h_txt), 0.3).item()
+    batch = similarity_loss(Tensor(h_img[None]), Tensor(h_txt[None]), 0.3, np.array([5]))
+    assert one > 0 and one == pytest.approx(batch.item(), rel=0, abs=1e-12)
+    cfg = tiny_config(loss_alpha=LossWeightMode("trainable", 0.5))
+    m = MMTModel(cfg, seed=20)
+    image = tiny_image(cfg)
+    for mode in (GateMode.train(), GateMode.infer()):
+        single, _ = m.loss(BATCH_SRC[0], BATCH_TGT[0], image, NoiseSource(3), mode)
+        batched, _ = m.loss(pad_batch(BATCH_SRC[:1]), pad_batch(BATCH_TGT[:1]), image[None],
+                            NoiseSource(3), mode)
+        assert single.item() == pytest.approx(batched.item(), rel=0, abs=1e-12)
+
+
+# Primitives no model path calls: gradient checks sum their outputs with it.
+TEST_ONLY_PRIMITIVES = {"reduce_sum"}
+
+
+def test_model_calls_every_primitive(monkeypatch):
+    # The primitive set is closed: a padded train-mode loss and backward with
+    # Gumbel and with softmax cross-attention, then a batched greedy decode,
+    # call every primitive the benchmark's tracer counts.
+    primitives = load_bench_tracing().primitive_names(ad)
+    assert TEST_ONLY_PRIMITIVES <= set(primitives)
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and name.split(".")[0] == "gumbel_mmt"]
+    called = set()
+    for name in primitives:
+        fn = getattr(ad, name)
+
+        def spy(*args, _name=name, _fn=fn, **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, spy)
+    src, tgt = pad_batch(BATCH_SRC), pad_batch(BATCH_TGT)
+    for flags in (AblationFlags(), AblationFlags(vanilla_attention=True)):
+        cfg = tiny_config(ablation=flags, loss_alpha=LossWeightMode("trainable", 0.5))
+        m = MMTModel(cfg, seed=22)
+        loss_and_grads(m, src, tgt, batch_images(cfg), NoiseSource(0), GateMode.train())
+    m.greedy_decode(src, batch_images(cfg), max_len=4)
+    assert sorted(set(primitives) - called - TEST_ONLY_PRIMITIVES) == []
 
 
 def test_end_to_end_gradients_padded_batch():

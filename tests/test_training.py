@@ -225,9 +225,20 @@ def test_teacher_forced_loss_is_mean_of_example_losses():
 
 # -- rejecting data the model cannot read -----------------------------------------
 
-def test_default_spec_and_default_config_are_rejected_before_compute():
+def test_default_spec_fits_the_default_config():
     ds = generate_dataset(SyntheticTaskSpec(n_train=2, n_val=1, n_test=1))
     m = MMTModel(ModelConfig())
+    training.check_compatible(m.cfg, ds.train + ds.val + ds.test, ds)
+    ends = []
+    log = train(m, ds, TrainConfig(batch_size=2, epochs=1),
+                on_epoch_end=lambda epoch, stats: ends.append((epoch, stats)))
+    assert len(log.step_losses) == 1 and math.isfinite(log.step_losses[0])
+    assert ends == [(0, log.epochs[0])]
+
+
+def test_too_small_target_vocabulary_is_rejected_before_compute():
+    ds = generate_dataset(SyntheticTaskSpec(n_train=2, n_val=1, n_test=1))
+    m = MMTModel(ModelConfig(vocab_tgt=50))
     before = [p.tensor.data.copy() for p in m.named_parameters()]
     # ds.train holds both labels, so the last target id, 50, is in use
     for run in (lambda: train(m, ds, TrainConfig()),
