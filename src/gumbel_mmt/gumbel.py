@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 # Uniform draws are clamped away from 0 and 1 so the double log stays finite.
 _U_CLAMP = 1e-12
@@ -95,8 +95,6 @@ def gumbel_sigmoid(e: Tensor, tau, mode: GateMode, noise: np.ndarray | None) -> 
     """
     tau = _check_tau(tau)
     if mode.is_train:
-        if noise is None or noise.shape != e.shape:
-            raise ShapeError(f"train-mode gates over {e.shape} need noise of that shape")
         return ad.sigmoid(ad.scale(ad.add(e, Tensor(noise)), 1.0 / tau))
     probs = 1.0 / (1.0 + np.exp(-np.clip(e.data, -700, 700)))
     return Tensor((probs > mode.threshold).astype(np.float64))

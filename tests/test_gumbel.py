@@ -7,7 +7,6 @@ from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ConfigError
 from gumbel_mmt.gradcheck import gradient_error
-from gumbel_mmt.errors import ShapeError
 from gumbel_mmt.gumbel import GateMode, NoiseSource, gumbel_sigmoid, logistic_noise
 
 EULER_GAMMA = 0.5772156649015329
@@ -88,13 +87,6 @@ def test_gumbel_sigmoid_gradient_with_frozen_noise():
 def test_gumbel_sigmoid_rejects_bad_temperature():
     with pytest.raises(ConfigError):
         train_gates(Tensor([0.0]), -0.5, 0)
-
-
-def test_train_mode_gumbel_sigmoid_needs_noise_of_the_gates_shape():
-    e = Tensor(np.zeros((2, 3)))
-    for noise in (None, np.zeros((3, 2))):
-        with pytest.raises(ShapeError, match=r"\(2, 3\)"):
-            gumbel_sigmoid(e, 1.0, GateMode.train(), noise)
 
 
 def test_gate_mode_threshold_validation():
