@@ -4,8 +4,11 @@ cross-modal variant.  Scores are always divided by sqrt(d_head).
 
 One routine serves both.  Each of Q, K and V is projected once per block by a
 stacked ``(d_in, H * d_head)`` matrix, the heads are split into a batch axis,
-``(..., H, t, d_head)``, every head attends through the same batched ops, and
-the merged heads are projected by wo.
+``(..., H, t, d_head)``, and every head attends through the same batched ops:
+one ``attention_scores`` primitive gives the scaled scores q k^T / sqrt(d_head)
+without copying the keys, the selection turns them into weights (the softmax
+applies its mask itself), the weights sum the values, and the merged heads
+are projected by wo.
 
 Inputs are one sequence, ``(t, d)``, or a padded batch, ``(b, t, d)``.  In a
 batch, masks carry the key padding; a mask is broadcast over the head axis as
@@ -27,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .gumbel import GateMode, NoiseSource, gumbel_sigmoid, logistic_noise
+from .gumbel import GateMode, NoiseSource, gumbel_sigmoid
 
 
 @dataclass
@@ -149,7 +152,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeights,
         vh = _project(v, weights.wv, weights.n_heads)
     else:
         kh, vh = cache.keys_values(k, v, weights)
-    scores = ad.scale(ad.matmul(qh, ad.transpose2d(kh)), 1.0 / math.sqrt(weights.d_head))
+    scores = ad.attention_scores(qh, kh, 1.0 / math.sqrt(weights.d_head))
     return ad.matmul(ad.merge_heads(ad.matmul(select(scores), vh)), weights.wo)
 
 
@@ -161,11 +164,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeig
     :class:`KVCache`), and the mask covers every cached key; a cache is only
     accepted under ``autodiff.no_grad``."""
     def softmax(scores: Tensor) -> Tensor:
-        if mask is not None:
-            # One mask for every head: a broadcast view over the head axis.
-            heads = np.broadcast_to(mask[..., None, :, :], scores.shape)
-            scores = ad.mask_fill(scores, heads, -np.inf)
-        return ad.softmax_rows(scores)
+        # One mask for every head: a broadcast view over the head axis.
+        heads = None if mask is None else np.broadcast_to(mask[..., None, :, :], scores.shape)
+        return ad.softmax_rows(scores, heads)
 
     return _attend(q, k, v, weights, softmax, cache)
 
@@ -174,16 +175,21 @@ def _gate_noise(src: NoiseSource, shape: tuple[int, ...],
                 lengths: np.ndarray | None = None) -> np.ndarray:
     """Logistic noise for (..., H, t, r) gates.
 
-    Drawn example by example, then head by head, for each example's first
-    lengths[i] text rows only (padded rows get zeros), so a batch consumes
-    the stream exactly as encoding its examples one at a time does.
+    Ordered example by example, then head by head, for each example's first
+    lengths[i] text rows only (padded rows get zeros), with each head's G'
+    block before its G'' block, so a batch consumes the stream exactly as
+    encoding its examples one at a time does.  All of it is one draw.
     """
     n_heads, t, r = shape[-3:]
+    counts = [t] if lengths is None else [int(n) for n in lengths]
+    g = src.gumbel(2 * n_heads * r * sum(counts))
     noise = np.zeros(shape)
-    per_example = noise.reshape(math.prod(shape[:-3]), n_heads, t, r)
-    for i, n in enumerate([t] if lengths is None else lengths):
-        for h in range(n_heads):
-            per_example[i, h, :n] = logistic_noise(src, (int(n), r))
+    per_example = noise.reshape(len(counts), n_heads, t, r)
+    start = 0
+    for i, n in enumerate(counts):
+        block = g[start:start + 2 * n_heads * n * r].reshape(n_heads, 2, n, r)
+        np.subtract(block[:, 0], block[:, 1], out=per_example[i, :, :n])
+        start += block.size
     return noise
 
 

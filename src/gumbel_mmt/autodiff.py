@@ -7,7 +7,13 @@ every tensor that has a gradient buffer allocated; calling it twice without
 zeroing doubles the gradients.  All data is float64 and row-major; there is
 no broadcasting beyond the few fixed patterns the ops below implement.
 
-Leading batch dimensions: the row-wise ops (matmul, transpose2d,
+The primitives, each with an analytic backward: matmul, attention_scores,
+add, mul, scale, add_scalar, add_bias, relu, sigmoid, softplus,
+softmax_rows (optionally masked), layer_norm, cross_entropy,
+cosine_similarity, split_heads, merge_heads, embedding_lookup, reduce_sum,
+reduce_mean and mean_pool.
+
+Leading batch dimensions: the row-wise ops (matmul, attention_scores,
 softmax_rows, layer_norm, cross_entropy, cosine_similarity, add_bias,
 embedding_lookup, split_heads, merge_heads, mean_pool) act on the last one or
 two axes and treat any axes before them as a batch, so one sentence is a
@@ -147,14 +153,19 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
     adjoint: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     for rec in reversed(_tape):
-        out_adj = adjoint.get(rec.output)
+        # Every use of a record's output was recorded after it, so its
+        # adjoint is complete here and can be freed once it is used.
+        out_adj = adjoint.pop(rec.output, None)
         if out_adj is None:
             continue
+        if rec.output.grad is not None:
+            rec.output.grad += out_adj.reshape(rec.output.grad.shape)
         for t, g in zip(rec.inputs, rec.backward(out_adj)):
             if g is None:
                 continue
             acc = adjoint.get(t)
             adjoint[t] = g if acc is None else acc + g
+    # What is left are the adjoints of leaves.
     for t, g in adjoint.items():
         if t.grad is not None:
             t.grad += g.reshape(t.grad.shape)
@@ -169,9 +180,11 @@ def zero_grads(params: Sequence[Parameter]) -> None:
 # primitives
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: Callable[[], str]) -> None:
+    # The message is built only on failure: formatting shapes on every call
+    # would cost a sizeable share of a small op.
     if not cond:
-        raise ShapeError(msg)
+        raise ShapeError(msg())
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -179,7 +192,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ``(..., n, k) @ (..., k, m)`` multiplies matching leading indices."""
     _require(a.data.ndim >= 2 and b.data.ndim >= 2 and a.shape[-1] == b.shape[-2]
              and (b.data.ndim == 2 or a.shape[:-2] == b.shape[:-2]),
-             f"matmul shapes disagree: {a.shape} x {b.shape}")
+             lambda: f"matmul shapes disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
     if bd.ndim == 2:
         # Fold the leading axes into rows: one 2-d product, and the weight
@@ -200,12 +213,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require(a.shape == b.shape, f"add shapes differ: {a.shape} vs {b.shape}")
+    _require(a.shape == b.shape, lambda: f"add shapes differ: {a.shape} vs {b.shape}")
     return _emit((a, b), a.data + b.data, lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require(a.shape == b.shape, f"mul shapes differ: {a.shape} vs {b.shape}")
+    _require(a.shape == b.shape, lambda: f"mul shapes differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
     return _emit((a, b), ad * bd, lambda g: (g * bd, g * ad))
 
@@ -223,23 +236,29 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Row-broadcast add: x is (..., d), b is (d,)."""
     _require(b.data.ndim == 1 and x.shape[-1] == b.shape[0],
-             f"add_bias: {x.shape} + {b.shape}")
+             lambda: f"add_bias: {x.shape} + {b.shape}")
     return _emit((x, b), x.data + b.data,
                  lambda g: (g, g.reshape(-1, b.shape[0]).sum(axis=0)))
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _emit((x,), np.where(mask, x.data, 0.0), lambda g: (g * mask,))
+    """max(x, 0); a NaN passes through."""
+    y = np.maximum(x.data, 0.0)
+    return _emit((x,), y, lambda g: (g * (y > 0),))
 
 
 def _sigmoid(x: Array) -> Array:
-    # Stable in both tails.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(min(x, 0)) / (1 + exp(-|x|)) is 1 / (1 + exp(-x)) for x >= 0 and
+    # exp(x) / (1 + exp(x)) below: stable in both tails, bit for bit the
+    # two-branch form, without indexing either branch out.
+    # Written in place; the out= arrays keep a 0-d input a 0-d array.
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(out, out=out)
+    out /= den
     return out
 
 
@@ -254,11 +273,18 @@ def softplus(x: Tensor) -> Tensor:
     return _emit((x,), y, lambda g: (g * s,))
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
+def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
+    """Softmax over the last axis.  Entries where the constant mask is True
+    get weight 0 and no gradient; the mask has x's full shape, and a
+    broadcast view of a smaller one will do."""
     _require(x.data.ndim >= 2 and x.shape[-1] >= 1,
-             f"softmax_rows needs non-empty rows of a 2-d or batched tensor, got {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
+             lambda: f"softmax_rows needs non-empty rows of a 2-d or batched tensor, "
+                     f"got {x.shape}")
+    xd = x.data
+    if mask is not None:
+        _require(mask.shape == x.shape, lambda: f"mask shape {mask.shape} != {x.shape}")
+        xd = np.where(mask, -np.inf, xd)
+    z = xd - xd.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
 
@@ -269,21 +295,13 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit((x,), y, back)
 
 
-def mask_fill(x: Tensor, mask: Array, value: float) -> Tensor:
-    """Replace entries where mask is True by a constant (no gradient there).
-    The mask has x's full shape; a broadcast view of a smaller one will do."""
-    _require(mask.shape == x.shape, f"mask shape {mask.shape} != {x.shape}")
-    keep = ~mask
-    return _emit((x,), np.where(mask, value, x.data), lambda g: (g * keep,))
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalise over the last axis, then scale and shift it."""
-    _require(x.data.ndim >= 2, f"layer_norm expects 2-d or batched input, got {x.shape}")
+    _require(x.data.ndim >= 2, lambda: f"layer_norm expects 2-d or batched input, got {x.shape}")
     d = x.shape[-1]
-    _require(d != 0, "layer_norm over zero-width rows")
+    _require(d != 0, lambda: "layer_norm over zero-width rows")
     _require(gain.shape == (d,) and bias.shape == (d,),
-             f"layer_norm affine shapes {gain.shape}/{bias.shape} != ({d},)")
+             lambda: f"layer_norm affine shapes {gain.shape}/{bias.shape} != ({d},)")
     # sum / d is what ndarray.mean computes, without its Python-level overhead.
     mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
@@ -308,10 +326,10 @@ def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Ten
     mean over the other positions; with constant weights of the targets'
     shape it is their weighted sum."""
     _require(logits.data.ndim >= 2,
-             f"cross_entropy logits must be 2-d or batched, got {logits.shape}")
+             lambda: f"cross_entropy logits must be 2-d or batched, got {logits.shape}")
     ids = np.asarray(targets, dtype=np.int64)
     _require(ids.shape == logits.shape[:-1],
-             f"cross_entropy targets shape {ids.shape} vs logits {logits.shape}")
+             lambda: f"cross_entropy targets shape {ids.shape} vs logits {logits.shape}")
     v = logits.shape[-1]
     ids = ids.reshape(-1)
     t = ids.shape[0]
@@ -325,7 +343,7 @@ def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Ten
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
         _require(w.shape == logits.shape[:-1],
-                 f"cross_entropy weights shape {w.shape} vs logits {logits.shape}")
+                 lambda: f"cross_entropy weights shape {w.shape} vs logits {logits.shape}")
         w = w.reshape(-1)[live]
     x = logits.data.reshape(t, v)
     z = x - x.max(axis=1, keepdims=True)
@@ -351,7 +369,7 @@ def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Ten
 def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     """Cosine of matching vectors along the last axis: (..., d) -> (...)."""
     _require(a.data.ndim >= 1 and a.shape == b.shape,
-             f"cosine_similarity needs matching vectors, got {a.shape} and {b.shape}")
+             lambda: f"cosine_similarity needs matching vectors, got {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
     s = (ad * bd).sum(axis=-1)
     na = np.sqrt((ad * ad).sum(axis=-1))
@@ -373,17 +391,29 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     return _emit((a, b), np.asarray(c), back)
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    _require(x.data.ndim >= 2, f"transpose2d on shape {x.shape}")
-    return _emit((x,), x.data.swapaxes(-1, -2).copy(), lambda g: (g.swapaxes(-1, -2),))
+def attention_scores(q: Tensor, k: Tensor, c: float) -> Tensor:
+    """``c * q @ k^T`` over the last two axes: ``(..., t, d)`` queries and
+    ``(..., n, d)`` keys with the same leading axes give ``(..., t, n)``.
+    The keys are read through a transposed view, never copied."""
+    _require(q.data.ndim >= 2 and q.shape[:-2] == k.shape[:-2] and q.shape[-1] == k.shape[-1],
+             lambda: f"attention_scores shapes disagree: {q.shape} x {k.shape}")
+    c = float(c)
+    qd, kd = q.data, k.data
+    s = qd @ kd.swapaxes(-1, -2)
+    s *= c
+
+    def back(g: Array):
+        gc = g * c
+        return gc @ kd, gc.swapaxes(-1, -2) @ qd
+
+    return _emit((q, k), s, back)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
     """``(..., t, n_heads * d)`` to ``(..., n_heads, t, d)``: column block h
     of every row becomes head h's row, so the heads form a batch axis."""
     _require(x.data.ndim >= 2 and n_heads >= 1 and x.shape[-1] % n_heads == 0,
-             f"split_heads of {x.shape} into {n_heads} heads")
+             lambda: f"split_heads of {x.shape} into {n_heads} heads")
     *lead, t, width = x.shape
     split = x.data.reshape(*lead, t, n_heads, width // n_heads)
     return _emit((x,), split.swapaxes(-2, -3).copy(),
@@ -393,7 +423,7 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
 def merge_heads(x: Tensor) -> Tensor:
     """``(..., n_heads, t, d)`` to ``(..., t, n_heads * d)``, the inverse of
     :func:`split_heads`."""
-    _require(x.data.ndim >= 3, f"merge_heads on shape {x.shape}")
+    _require(x.data.ndim >= 3, lambda: f"merge_heads on shape {x.shape}")
     *lead, n_heads, t, d = x.shape
     merged = x.data.swapaxes(-2, -3).copy().reshape(*lead, t, n_heads * d)
     return _emit((x,), merged,
@@ -402,7 +432,7 @@ def merge_heads(x: Tensor) -> Tensor:
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of the table: ids of any shape s give an (*s, d) tensor."""
-    _require(table.data.ndim == 2, f"embedding table must be 2-d, got {table.shape}")
+    _require(table.data.ndim == 2, lambda: f"embedding table must be 2-d, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(f"token id out of range [0, {table.shape[0]}): {idx}")
@@ -434,7 +464,7 @@ def mean_pool(x: Tensor, lengths) -> Tensor:
     n = np.asarray(lengths, dtype=np.int64)
     _require(x.data.ndim >= 2 and n.shape == x.shape[:-2]
              and bool(((n >= 1) & (n <= x.shape[-2])).all()),
-             f"mean_pool of {x.shape} over lengths {n.tolist()}")
+             lambda: f"mean_pool of {x.shape} over lengths {n.tolist()}")
     w = (np.arange(x.shape[-2]) < n[..., None]) / n[..., None]   # (..., t)
     return _emit((x,), (w[..., None, :] @ x.data)[..., 0, :],
                  lambda g: (w[..., :, None] * g[..., None, :],))

@@ -102,10 +102,10 @@ def _case_cosine_similarity(rng):
     return lambda: ad.cosine_similarity(a, b), [a, b], 1e-4
 
 
-def _case_transpose2d(rng):
-    x = rand_tensor(rng, (3, 4))
-    w = Tensor(rng.uniform(-1, 1, size=(4, 3)))
-    return lambda: ad.reduce_sum(ad.mul(ad.transpose2d(x), w)), [x], 1e-4
+def _case_attention_scores(rng):
+    q, k = rand_tensor(rng, (3, 4)), rand_tensor(rng, (5, 4))
+    w = Tensor(rng.uniform(-1, 1, size=(3, 5)))
+    return lambda: ad.reduce_sum(ad.mul(ad.attention_scores(q, k, 0.5), w)), [q, k], 1e-4
 
 
 def _case_embedding_lookup(rng):
@@ -125,10 +125,12 @@ def _case_reduce_mean(rng):
     return lambda: ad.mul(ad.reduce_mean(x), ad.reduce_mean(x)), [x], 1e-4
 
 
-def _case_mask_fill(rng):
-    x = rand_tensor(rng, (4, 4))
-    mask = rng.random((4, 4)) < 0.3
-    return lambda: ad.reduce_sum(ad.sigmoid(ad.mask_fill(x, mask, -30.0))), [x], 1e-4
+def _case_softmax_rows_masked(rng):
+    x = rand_tensor(rng, (4, 5))
+    mask = rng.random((4, 5)) < 0.4
+    mask[:, 0] = False  # every row keeps a key
+    w = Tensor(rng.uniform(-1, 1, size=(4, 5)))
+    return lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(x, mask), w)), [x], 1e-4
 
 
 # Batched forms: the same primitives over a leading batch axis.
@@ -176,10 +178,10 @@ def _case_cosine_similarity_rows(rng):
     return lambda: ad.reduce_sum(ad.mul(ad.cosine_similarity(a, b), w)), [a, b], 1e-4
 
 
-def _case_transpose2d_batched(rng):
-    x = rand_tensor(rng, (2, 3, 4))
-    w = Tensor(rng.uniform(-1, 1, size=(2, 4, 3)))
-    return lambda: ad.reduce_sum(ad.mul(ad.transpose2d(x), w)), [x], 1e-4
+def _case_attention_scores_heads(rng):
+    q, k = rand_tensor(rng, (2, 2, 3, 4)), rand_tensor(rng, (2, 2, 5, 4))
+    w = Tensor(rng.uniform(-1, 1, size=(2, 2, 3, 5)))
+    return lambda: ad.reduce_sum(ad.mul(ad.attention_scores(q, k, -0.7), w)), [q, k], 1e-4
 
 
 def _case_embedding_lookup_batched(rng):
@@ -233,10 +235,13 @@ def _case_merge_heads_two_leading(rng):
     return lambda: ad.reduce_sum(ad.mul(ad.merge_heads(x), w)), [x], 1e-4
 
 
-def _case_mask_fill_batched(rng):
-    x = rand_tensor(rng, (2, 3, 3))
-    mask = np.broadcast_to(rng.random((2, 1, 3)) < 0.4, (2, 3, 3))
-    return lambda: ad.reduce_sum(ad.sigmoid(ad.mask_fill(x, mask, -30.0))), [x], 1e-4
+def _case_softmax_rows_masked_heads(rng):
+    # As attention passes it: one (b, t, n) mask viewed over the head axis.
+    x = rand_tensor(rng, (2, 3, 4, 5))
+    pad = np.arange(5) >= np.array([5, 2])[:, None]
+    mask = np.broadcast_to(pad[:, None, None, :], x.shape)
+    w = Tensor(rng.uniform(-1, 1, size=x.shape))
+    return lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(x, mask), w)), [x], 1e-4
 
 
 PRIMITIVE_CASES = {
@@ -253,11 +258,11 @@ PRIMITIVE_CASES = {
     "layer_norm": _case_layer_norm,
     "cross_entropy": _case_cross_entropy,
     "cosine_similarity": _case_cosine_similarity,
-    "transpose2d": _case_transpose2d,
+    "attention_scores": _case_attention_scores,
     "embedding_lookup": _case_embedding_lookup,
     "reduce_sum": _case_reduce_sum,
     "reduce_mean": _case_reduce_mean,
-    "mask_fill": _case_mask_fill,
+    "softmax_rows_masked": _case_softmax_rows_masked,
     "matmul_batched_weights": _case_matmul_batched_weights,
     "matmul_batched_pairs": _case_matmul_batched_pairs,
     "matmul_batched_heads": _case_matmul_batched_heads,
@@ -265,12 +270,12 @@ PRIMITIVE_CASES = {
     "layer_norm_batched": _case_layer_norm_batched,
     "cross_entropy_weighted": _case_cross_entropy_weighted,
     "cosine_similarity_rows": _case_cosine_similarity_rows,
-    "transpose2d_batched": _case_transpose2d_batched,
+    "attention_scores_heads": _case_attention_scores_heads,
     "embedding_lookup_batched": _case_embedding_lookup_batched,
     "mean_pool": _case_mean_pool,
     "mean_pool_single": _case_mean_pool_single,
     "mean_pool_two_leading": _case_mean_pool_two_leading,
-    "mask_fill_batched": _case_mask_fill_batched,
+    "softmax_rows_masked_heads": _case_softmax_rows_masked_heads,
     "split_heads": _case_split_heads,
     "split_heads_two_leading": _case_split_heads_two_leading,
     "merge_heads": _case_merge_heads,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gumbel_mmt import autodiff as ad
-from gumbel_mmt.attention import (causal_mask, init_attention_weights, key_padding_mask,
-                                  multi_head_attention, multi_head_gumbel_attention)
+from gumbel_mmt.attention import (_gate_noise, causal_mask, init_attention_weights,
+                                  key_padding_mask, multi_head_attention,
+                                  multi_head_gumbel_attention)
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ConfigError, ShapeError
 from gumbel_mmt.gradcheck import gradient_error
@@ -118,13 +119,13 @@ def test_shape_mismatch_raises():
 def test_mask_is_a_view_over_the_heads(monkeypatch):
     # One key-padding mask serves every head as a broadcast view, not a copy.
     seen = []
-    fill = ad.mask_fill
+    softmax = ad.softmax_rows
 
-    def spy(x, mask, value):
+    def spy(x, mask=None):
         seen.append(mask)
-        return fill(x, mask, value)
+        return softmax(x, mask)
 
-    monkeypatch.setattr(ad, "mask_fill", spy)
+    monkeypatch.setattr(ad, "softmax_rows", spy)
     rng = np.random.default_rng(4)
     w = rand_weights(5, 4, 4, 4, 2)
     x = Tensor(rng.normal(size=(2, 3, 4)))
@@ -409,3 +410,18 @@ def test_heads_draw_independent_noise():
                                     1.0, NoiseSource(s), GateMode.train(), gates_out=gates)
         draws.append(gates[0].alpha.data)
     assert any(not np.array_equal(draws[0], d) for d in draws[1:])
+
+
+def test_gate_noise_is_the_per_head_draws_bit_for_bit():
+    # One draw per call, laid out as if each (example, head) block of real
+    # rows drew its own G' - G'' in turn; padded rows get zeros.
+    src, ref = NoiseSource(4), NoiseSource(4)
+    noise = _gate_noise(src, (3, 2, 4, 5), np.array([4, 1, 3]))
+    for i, n in enumerate([4, 1, 3]):
+        for h in range(2):
+            np.testing.assert_array_equal(noise[i, h, :n], logistic_noise(ref, (n, 5)))
+            np.testing.assert_array_equal(noise[i, h, n:], 0.0)
+    assert src.state() == ref.state()
+    one = _gate_noise(NoiseSource(4), (2, 3, 5))
+    ref = NoiseSource(4)
+    np.testing.assert_array_equal(one, [logistic_noise(ref, (3, 5)) for _ in range(2)])

@@ -67,6 +67,59 @@ def test_sigmoid_values():
     assert np.isfinite(out.data).all()
 
 
+def two_branch_sigmoid(x):
+    """The reference form: 1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x))
+    elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_two_branch_form():
+    rng = np.random.default_rng(12)
+    x = np.concatenate([
+        rng.normal(scale=3.0, size=2000),
+        rng.uniform(-800.0, 800.0, size=2000),        # both tails, past exp's range
+        -np.logspace(-320, 3, 500), np.logspace(-320, 3, 500),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 709.0, -745.0]])
+    want = two_branch_sigmoid(x)
+    got = ad.sigmoid(Tensor(x)).data
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert ad.sigmoid(Tensor(-3.0)).data.shape == ()
+
+
+def test_relu_matches_the_where_form():
+    rng = np.random.default_rng(13)
+    x = np.concatenate([rng.normal(size=500), [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300]])
+    np.testing.assert_array_equal(ad.relu(Tensor(x)).data, np.where(x > 0, x, 0.0))
+    # A NaN passes through rather than being zeroed.
+    assert np.isnan(ad.relu(Tensor([np.nan])).data).all()
+
+
+def test_attention_scores_hand_case_and_shape_errors():
+    q = Tensor([[1.0, 2.0], [0.0, 1.0]])
+    k = Tensor([[3.0, 1.0], [1.0, -1.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(ad.attention_scores(q, k, 0.5).data,
+                                  [[2.5, -0.5, 2.0], [0.5, -0.5, 1.0]])
+    with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3, 3\)"):
+        ad.attention_scores(q, Tensor(np.zeros((3, 3))), 1.0)
+    with pytest.raises(ShapeError):
+        ad.attention_scores(Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((3, 3, 2))), 1.0)
+
+
+def test_masked_softmax_zeroes_masked_keys():
+    x = np.array([[1.0, 5.0, 2.0], [0.0, 3.0, -1.0]])
+    mask = np.array([[False, True, False], [False, False, True]])
+    got = ad.softmax_rows(Tensor(x), mask).data
+    np.testing.assert_array_equal(got[mask], 0.0)
+    np.testing.assert_allclose(got[0, [0, 2]], ad.softmax_rows(Tensor(x[:1, [0, 2]])).data[0])
+    with pytest.raises(ShapeError, match="mask shape"):
+        ad.softmax_rows(Tensor(x), mask[:, :2])
+
+
 def test_layer_norm_constant_row_is_bias():
     out = ad.layer_norm(Tensor([[5.0, 5.0, 5.0, 5.0]]), Tensor(np.ones(4)), Tensor(np.zeros(4)))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
@@ -148,6 +201,16 @@ def test_backward_twice_doubles_exactly():
     np.testing.assert_array_equal(b.grad, 2.0 * once_b)
 
 
+def test_backward_fills_an_intermediate_gradient_buffer():
+    # Adjoints are freed during the walk; an op output with a buffer still
+    # receives its gradient, like a leaf.
+    x = Tensor([1.0, -2.0, 3.0], grad=True)
+    h = ad.scale(x, 2.0).alloc_grad()
+    ad.backward(ad.reduce_sum(ad.mul(h, h)))
+    np.testing.assert_array_equal(h.grad, 2.0 * h.data)
+    np.testing.assert_array_equal(x.grad, 8.0 * x.data)
+
+
 def test_zero_grads_resets():
     p = Tensor([1.0, 4.0], grad=True)
     ad.backward(ad.reduce_sum(ad.mul(p, p)))
@@ -185,8 +248,6 @@ def test_reshape_transpose_roundtrip_bit_exact(x):
     t = Tensor(x)
     back = ad.merge_heads(ad.split_heads(t, 3))
     np.testing.assert_array_equal(back.data, x)
-    twice = ad.transpose2d(ad.transpose2d(t))
-    np.testing.assert_array_equal(twice.data, x)
 
 
 def test_tensor_invariants():
@@ -252,7 +313,7 @@ def test_constructor_copies_caller_data():
     t = Tensor(src)
     src[0, 0] = 99.0
     assert t.data[0, 0] == 0.0
-    out = ad.transpose2d(t)
+    out = ad.scale(t, 1.0)
     out.data[0, 0] = -1.0
     assert t.data[0, 0] == 0.0
 
@@ -273,14 +334,15 @@ def test_batched_primitives_match_per_example_loop():
     x = rng.normal(size=(3, 4, 6))
     w = rng.normal(size=(6, 5))
     gain, bias = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
+    mask = rng.random(size=(3, 4, 6)) < 0.3
+    mask[..., 0] = False
     batched = [ad.matmul(Tensor(x), Tensor(w)), ad.softmax_rows(Tensor(x)),
-               ad.layer_norm(Tensor(x), gain, bias), ad.transpose2d(Tensor(x)),
-               ad.matmul(Tensor(x), ad.transpose2d(Tensor(x)))]
+               ad.softmax_rows(Tensor(x), mask), ad.layer_norm(Tensor(x), gain, bias),
+               ad.attention_scores(Tensor(x), Tensor(x), 0.3)]
     for i in range(3):
         xi = Tensor(x[i])
-        single = [ad.matmul(xi, Tensor(w)), ad.softmax_rows(xi),
-                  ad.layer_norm(xi, gain, bias), ad.transpose2d(xi),
-                  ad.matmul(xi, ad.transpose2d(xi))]
+        single = [ad.matmul(xi, Tensor(w)), ad.softmax_rows(xi), ad.softmax_rows(xi, mask[i]),
+                  ad.layer_norm(xi, gain, bias), ad.attention_scores(xi, xi, 0.3)]
         for b, s in zip(batched, single):
             np.testing.assert_allclose(b.data[i], s.data, rtol=1e-13, atol=1e-14)
     pooled = ad.mean_pool(Tensor(x), [4, 2, 1])

@@ -438,6 +438,54 @@ def test_padded_batch_matches_single_sentences_for_random_lengths(m, pairs, trai
                               mode)
 
 
+def real_rows_forward(m, src, tgt, images, n_real, mode):
+    """Logits, gates, and the parameter gradients of the token loss of the
+    first n_real rows of a padded batch; later rows weigh nothing."""
+    params = m.named_parameters()
+    ad.zero_grads(params)
+    ad.reset_tape()
+    enc = m.encode(src, images, NoiseSource(9), mode)
+    logits = m.decode(tgt[:, :-1], enc.fused, enc.lengths)
+    weights = np.zeros(tgt[:, 1:].shape)
+    weights[:n_real] = 1.0
+    ad.backward(ad.cross_entropy(logits, tgt[:, 1:], weights=weights))
+    ad.reset_tape()
+    gates = None if enc.gates is None else enc.gates.alpha.data
+    return logits.data, gates, {p.name: p.tensor.grad.copy() for p in params}
+
+
+@settings(max_examples=15, deadline=None)
+@given(m=small_models(), pairs=st.lists(st.tuples(sentences(1, 5), sentences(2, 5)),
+                                        min_size=1, max_size=3),
+       extra=st.lists(st.tuples(sentences(1, 5), sentences(2, 5)), max_size=2),
+       extra_src_cols=st.integers(0, 2), extra_tgt_cols=st.integers(0, 2),
+       train_mode=st.booleans(), image_seed=st.integers(0, 100))
+def test_padding_leaves_the_real_rows_unchanged(m, pairs, extra, extra_src_cols,
+                                                extra_tgt_cols, train_mode, image_seed):
+    # Extra rows after the real ones and extra padding columns reach the real
+    # rows only through masked keys and zero-weight losses.
+    mode = GateMode.train() if train_mode else GateMode.infer()
+    n, srcs, tgts = len(pairs), [s for s, _ in pairs], [t for _, t in pairs]
+    images = random_images(m.cfg, n + len(extra), image_seed)
+    src, tgt = pad_batch(srcs), pad_batch(tgts)
+    want_logits, want_gates, want_grads = real_rows_forward(
+        m, src, tgt, None if images is None else images[:n], n, mode)
+
+    wide_src = np.pad(pad_batch(srcs + [s for s, _ in extra]), ((0, 0), (0, extra_src_cols)))
+    wide_tgt = np.pad(pad_batch(tgts + [t for _, t in extra]), ((0, 0), (0, extra_tgt_cols)))
+    logits, gates, grads = real_rows_forward(m, wide_src, wide_tgt, images, n, mode)
+
+    t = tgt.shape[1] - 1
+    real = (tgt[:, 1:] != 0)[..., None]
+    np.testing.assert_allclose(logits[:n, :t] * real, want_logits * real, rtol=1e-12, atol=1e-12)
+    if want_gates is not None:
+        rows = (src != 0)[:, None, :, None]
+        np.testing.assert_allclose(gates[:n, :, :src.shape[1]] * rows, want_gates * rows,
+                                   rtol=1e-12, atol=1e-12)
+    for name, g in want_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=1e-10, atol=1e-10, err_msg=name)
+
+
 def test_one_sentence_equals_a_batch_of_one():
     # One (t, d) sentence pools through the same mean_pool as a padded batch.
     rng = np.random.default_rng(21)
