@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 Array = np.ndarray
 
@@ -100,7 +100,7 @@ def check_unique_names(params: Sequence[Parameter]) -> None:
     seen: dict[str, int] = {}
     for p in params:
         if p.name in seen:
-            raise ValueError(f"duplicate parameter name: {p.name!r}")
+            raise ConfigError(f"duplicate parameter name: {p.name!r}")
         seen[p.name] = 1
 
 
@@ -336,7 +336,7 @@ def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Ten
     live = ids != pad_id
     bad = live & ((ids < 0) | (ids >= v))
     if bad.any():
-        raise ValueError(f"target id {ids[bad][0]} out of range for vocab {v}")
+        raise DataError(f"target id {ids[bad][0]} out of range [0, {v})")
     n_live = int(live.sum())
     if n_live == 0:
         return _emit((logits,), np.zeros(()), lambda g: (np.zeros(logits.shape),))
@@ -434,8 +434,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of the table: ids of any shape s give an (*s, d) tensor."""
     _require(table.data.ndim == 2, lambda: f"embedding table must be 2-d, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ValueError(f"token id out of range [0, {table.shape[0]}): {idx}")
+    n = table.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise DataError(f"token id {idx[(idx < 0) | (idx >= n)][0]} out of range [0, {n})")
 
     def back(g: Array):
         dt = np.zeros_like(table.data)

@@ -14,4 +14,4 @@ class TrainingError(RuntimeError):
 
 
 class DataError(ValueError):
-    """Dataset file or task specification is invalid."""
+    """Invalid task specification, vocabulary or token id."""

@@ -96,5 +96,4 @@ def gumbel_sigmoid(e: Tensor, tau, mode: GateMode, noise: np.ndarray | None) -> 
     tau = _check_tau(tau)
     if mode.is_train:
         return ad.sigmoid(ad.scale(ad.add(e, Tensor(noise)), 1.0 / tau))
-    probs = 1.0 / (1.0 + np.exp(-np.clip(e.data, -700, 700)))
-    return Tensor((probs > mode.threshold).astype(np.float64))
+    return Tensor((ad._sigmoid(e.data) > mode.threshold).astype(np.float64))

@@ -439,8 +439,8 @@ class MMTModel:
 
     def alpha_eff(self) -> float:
         if self.alpha_raw is not None:
-            x = float(self.alpha_raw.data)
-            return float(np.maximum(x, 0.0) + np.log1p(np.exp(-abs(x))))
+            with ad.no_grad():
+                return ad.softplus(self.alpha_raw).item()
         return self.cfg.loss_alpha.value
 
     # -- encoding -----------------------------------------------------------

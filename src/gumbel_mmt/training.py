@@ -123,7 +123,7 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> No
 class Metrics:
     bleu: float
     token_accuracy: float
-    ambiguous_token_accuracy: float | None
+    ambiguous_token_accuracy: float
     mean_gate_open_rate: float | None
     relevant_open_rate: float | None = None
     noise_open_rate: float | None = None
@@ -135,7 +135,7 @@ class EpochStats:
     train_loss: float
     val_loss: float
     val_bleu: float
-    val_amb_acc: float | None
+    val_amb_acc: float
     gate_open_rate: float | None
     alpha_eff: float
     mean_train_gate: float | None
@@ -223,7 +223,7 @@ def evaluate(model: MMTModel, split: list[Example], seed: int = 0,
     if max_len is None:
         max_len = max(len(ex.tgt_ids) for ex in split) + 2
     hyps, refs = [], []
-    amb_total = amb_correct = 0
+    amb_correct = 0
     tok_accs = []
     gate_open, gate_count = np.zeros(3), np.zeros(3)
     for start in range(0, len(split), _EVAL_BATCH):
@@ -240,17 +240,15 @@ def evaluate(model: MMTModel, split: list[Example], seed: int = 0,
             refs.append(ref)
             matches = sum(1 for i in range(min(len(hyp), len(ref))) if hyp[i] == ref[i])
             tok_accs.append(matches / len(ref) if ref else 1.0)
-            if ex.meta.amb_tgt_pos >= 0:
-                amb_total += 1
-                pos = ex.meta.amb_tgt_pos
-                if pos < len(hyp) and hyp[pos] == ref[pos]:
-                    amb_correct += 1
+            pos = ex.meta.amb_tgt_pos
+            if pos < len(hyp) and hyp[pos] == ref[pos]:
+                amb_correct += 1
     gate_rate, rel_rate, noise_rate = (o / c if c else None
                                        for o, c in zip(gate_open, gate_count))
     return Metrics(
         bleu=corpus_bleu(hyps, refs),
         token_accuracy=float(np.mean(tok_accs)),
-        ambiguous_token_accuracy=amb_correct / amb_total if amb_total else None,
+        ambiguous_token_accuracy=amb_correct / len(split),
         mean_gate_open_rate=gate_rate,
         relevant_open_rate=rel_rate,
         noise_open_rate=noise_rate,

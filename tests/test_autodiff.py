@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
-from gumbel_mmt.errors import ShapeError
+from gumbel_mmt.errors import ConfigError, DataError, ShapeError
 from helpers import PRIMITIVE_CASES, check_primitive, load_bench_tracing
 
 
@@ -157,7 +157,7 @@ def test_cross_entropy_skips_padding():
 
 
 def test_cross_entropy_rejects_out_of_range_target():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(DataError, match=r"target id 7 out of range \[0, 3\)"):
         ad.cross_entropy(Tensor(np.zeros((2, 3))), [1, 7])
 
 
@@ -263,13 +263,16 @@ def test_parameter_names_unique():
     from gumbel_mmt.autodiff import check_unique_names, make_parameter
     a = make_parameter("w", np.zeros(2))
     b = make_parameter("w", np.zeros(2))
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ConfigError, match="duplicate parameter name: 'w'"):
         check_unique_names([a, b])
 
 
 def test_embedding_lookup_rejects_bad_ids():
-    with pytest.raises(ValueError, match="out of range"):
-        ad.embedding_lookup(Tensor(np.zeros((4, 2))), [0, 5])
+    # The message names the first bad id in row-major order and the valid range.
+    with pytest.raises(DataError, match=r"^token id 5 out of range \[0, 4\)$"):
+        ad.embedding_lookup(Tensor(np.zeros((4, 2))), [[0, 5], [-1, 9]])
+    with pytest.raises(DataError, match=r"^token id -1 out of range \[0, 4\)$"):
+        ad.embedding_lookup(Tensor(np.zeros((4, 2))), [3, -1])
 
 
 # -- finite differences for every primitive -----------------------------------

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gumbel_mmt.data import (AMBIGUOUS_TOKEN, BOS_ID, EOS_ID, PAD_ID, UNK_ID, Dataset,
-                             Example, SyntheticTaskSpec, Task, Vocabulary,
-                             build_vocabularies, generate_dataset, load_dataset, load_split,
-                             random_image_for, save_dataset)
+from gumbel_mmt.data import (AMBIGUOUS_TOKEN, BOS_ID, EOS_ID, PAD_ID, UNK_ID,
+                             SyntheticTaskSpec, Vocabulary, generate_dataset, random_image_for)
 from gumbel_mmt.errors import DataError
 
 
 def small_spec(**kw):
-    base = dict(task=Task.DISAMBIGUATION, vocab_size=20, seq_len_min=4, seq_len_max=6,
+    base = dict(vocab_size=20, seq_len_min=4, seq_len_max=6,
                 n_regions=9, d_image=16, n_relevant_regions=3, noise_regions_std=1.0,
                 n_train=40, n_val=10, n_test=10, seed=99)
     base.update(kw)
@@ -95,6 +93,7 @@ def test_dataset_is_deterministic():
     for ea, eb in zip(a.train + a.val + a.test, b.train + b.val + b.test):
         assert ea.src_ids == eb.src_ids
         assert ea.tgt_ids == eb.tgt_ids
+        assert ea.meta == eb.meta
         np.testing.assert_array_equal(ea.image, eb.image)
 
 
@@ -112,93 +111,6 @@ def test_majority_baseline_is_chance():
     labels = [ex.meta.label for ex in ds.test]
     majority = max(labels.count(0), labels.count(1)) / len(labels)
     assert majority == pytest.approx(0.5, abs=0.05)
-
-
-def test_copy_task_targets_equal_sources():
-    ds = generate_dataset(small_spec(task=Task.COPY))
-    assert ds.src_vocab is ds.tgt_vocab
-    for ex in ds.train:
-        assert ex.src_ids == ex.tgt_ids
-        assert ex.meta.amb_tgt_pos == -1
-
-
-# -- persistence -------------------------------------------------------------------
-
-def test_save_load_roundtrip(tmp_path):
-    ds = generate_dataset(small_spec())
-    save_dataset(tmp_path, ds)
-    assert (tmp_path / "manifest.json").exists()
-    loaded = load_dataset(tmp_path)
-    assert loaded.spec == ds.spec
-    for ea, eb in zip(ds.test, loaded.test):
-        assert ea.src_ids == eb.src_ids
-        assert ea.tgt_ids == eb.tgt_ids
-        assert ea.meta.relevant_regions == eb.meta.relevant_regions
-        np.testing.assert_array_equal(ea.image, eb.image)
-
-
-def test_files_are_byte_identical_across_runs(tmp_path):
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    save_dataset(d1, generate_dataset(small_spec()))
-    save_dataset(d2, generate_dataset(small_spec()))
-    for name in ("train.txt", "val.txt", "test.txt", "manifest.json"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
-
-def test_split_files_carry_seed_header(tmp_path):
-    import json
-    save_dataset(tmp_path, generate_dataset(small_spec()))
-    header = json.loads((tmp_path / "train.txt").read_text().splitlines()[0])
-    assert header["seed"] == 99
-    assert header["n_regions"] == 9
-
-
-def test_load_split_names_missing_meta_key(tmp_path):
-    import json
-    ds = generate_dataset(small_spec())
-    save_dataset(tmp_path, ds)
-    path = tmp_path / "val.txt"
-    lines = path.read_text().splitlines()
-    src, tgt, meta, blob = lines[2].split("\t")
-    meta = json.loads(meta)
-    del meta["amb_tgt_pos"]
-    lines[2] = "\t".join([src, tgt, json.dumps(meta), blob])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match=r"val.txt:3: meta lacks key 'amb_tgt_pos'"):
-        load_split(path, ds.src_vocab, ds.tgt_vocab)
-
-
-@pytest.mark.parametrize("side,field", [("src", 0), ("tgt", 1)])
-def test_load_split_names_an_unknown_token(tmp_path, side, field):
-    ds = generate_dataset(small_spec())
-    save_dataset(tmp_path, ds)
-    path = tmp_path / "test.txt"
-    lines = path.read_text().splitlines()
-    parts = lines[3].split("\t")
-    parts[field] = parts[field] + " zz9"
-    lines[3] = "\t".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match=rf"test.txt:4: {side} token 'zz9' is not in the vocabulary"):
-        load_split(path, ds.src_vocab, ds.tgt_vocab)
-
-
-def test_load_dataset_checks_manifest_counts(tmp_path):
-    save_dataset(tmp_path, generate_dataset(small_spec()))
-    path = tmp_path / "val.txt"
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")   # drop the last example
-    with pytest.raises(DataError, match=r"val.txt: 9 examples, but the manifest counts 10"):
-        load_dataset(tmp_path)
-
-
-def test_load_dataset_checks_split_headers_against_the_manifest(tmp_path):
-    save_dataset(tmp_path, generate_dataset(small_spec()))
-    other = tmp_path / "other"
-    save_dataset(other, generate_dataset(small_spec(seed=100)))
-    (tmp_path / "train.txt").write_bytes((other / "train.txt").read_bytes())
-    with pytest.raises(DataError, match=r"train.txt: header has seed=100, but the manifest "
-                                        r"has seed=99"):
-        load_dataset(tmp_path)
 
 
 def test_random_image_is_stable_per_example():

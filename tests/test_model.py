@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.data import BOS_ID, EOS_ID
-from gumbel_mmt.errors import ConfigError, ShapeError
+from gumbel_mmt.errors import ConfigError, DataError, ShapeError
 from gumbel_mmt.gradcheck import gradient_error
 from gumbel_mmt.gumbel import GateMode, NoiseSource
 from gumbel_mmt.model import (AblationFlags, LossWeightMode, MMTModel, ModelConfig,
@@ -63,7 +63,7 @@ def test_same_token_differs_only_by_pe():
 
 def test_embed_rejects_bad_ids():
     table = Tensor(np.zeros((5, 8)))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(DataError, match=r"token id 7 out of range \[0, 5\)"):
         embed([7], table, sinusoid_position_encoding(4, 8))
 
 
