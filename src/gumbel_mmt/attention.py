@@ -2,13 +2,13 @@
 scaled dot-product attention, or the per-element Gumbel-Sigmoid gates of the
 cross-modal variant.  Scores are always divided by sqrt(d_head).
 
-One routine serves both.  Each of Q, K and V is projected once per block by a
-stacked ``(d_in, H * d_head)`` matrix, the heads are split into a batch axis,
-``(..., H, t, d_head)``, and every head attends through the same batched ops:
-one ``attention_scores`` primitive gives the scaled scores q k^T / sqrt(d_head)
-without copying the keys, the selection turns them into weights (the softmax
-applies its mask itself), the weights sum the values, and the merged heads
-are projected by wo.
+One routine serves both.  Each of Q, K and V is projected once per block by
+one ``linear`` record with a stacked ``(d_in, H * d_head)`` matrix, the heads
+are split into a batch axis, ``(..., H, t, d_head)``, and every head attends
+through the same batched ops: one ``attention_scores`` primitive gives the
+scaled scores q k^T / sqrt(d_head) without copying the keys, the selection
+turns them into weights (the softmax applies its mask itself), a batched
+``matmul`` sums the values, and the merged heads are projected by wo.
 
 Inputs are one sequence, ``(t, d)``, or a padded batch, ``(b, t, d)``.  In a
 batch, masks carry the key padding; a mask is broadcast over the head axis as
@@ -74,19 +74,6 @@ def init_attention_weights(rng: np.random.Generator, d_in_q: int, d_in_k: int,
                             n_heads=n_heads)
 
 
-@dataclass
-class GateMatrix:
-    """Selection weights per (head, text position, image region), shaped
-    ``(..., H, t, r)``: values in (0,1) from stochastic training gates, or
-    exactly {0,1} in infer mode."""
-
-    alpha: Tensor
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.alpha.shape
-
-
 def causal_mask(t: int, start: int = 0) -> np.ndarray:
     """(t, start + t) mask for t query positions that follow start cached ones:
     True where query position start + i would attend to a later key j."""
@@ -132,7 +119,7 @@ def key_padding_mask(lengths: np.ndarray | None, n_queries: int,
 
 def _project(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
     """(..., t, d_in) projected by a stacked weight: (..., H, t, d_head)."""
-    return ad.split_heads(ad.matmul(x, w), n_heads)
+    return ad.split_heads(ad.linear(x, w), n_heads)
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeights,
@@ -153,7 +140,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeights,
     else:
         kh, vh = cache.keys_values(k, v, weights)
     scores = ad.attention_scores(qh, kh, 1.0 / math.sqrt(weights.d_head))
-    return ad.matmul(ad.merge_heads(ad.matmul(select(scores), vh)), weights.wo)
+    return ad.linear(ad.merge_heads(ad.matmul(select(scores), vh)), weights.wo)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeights,
@@ -195,25 +182,26 @@ def _gate_noise(src: NoiseSource, shape: tuple[int, ...],
 
 def multi_head_gumbel_attention(x_text: Tensor, x_image: Tensor, weights: AttentionWeights,
                                 tau, src: NoiseSource | None, mode: GateMode,
-                                gates_out: list[GateMatrix] | None = None,
-                                lengths: np.ndarray | None = None) -> Tensor:
+                                lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Gated attention of text queries over image regions: each head's
     value is v_i = sum_j alpha_ij (x_j wv), with per-element Gumbel-Sigmoid
     gates alpha in place of the softmax.  Rows are not renormalised, so a
     fully closed row yields a zero vector (total rejection of the image).
 
-    Each head draws its own noise; in a batch, ``lengths`` holds the text
-    lengths, and the gates of padded text rows are computed and left unused.
-    Pass gates_out to collect the (..., H, t, r) gates as one GateMatrix.
-    Train mode needs a NoiseSource; infer mode reads none."""
+    Returns the values and the ``(..., H, t, r)`` gates: values in (0,1)
+    from stochastic train-mode gates, or exactly {0,1} in infer mode.  Each
+    head draws its own noise; in a batch, ``lengths`` holds the text lengths,
+    and the gates of padded text rows are computed and left unused.  Train
+    mode needs a NoiseSource; infer mode reads none."""
     if mode.is_train and src is None:
         raise ConfigError("train-mode Gumbel attention needs a NoiseSource")
+    alpha: Tensor | None = None
 
     def gates(scores: Tensor) -> Tensor:
+        nonlocal alpha
         noise = _gate_noise(src, scores.shape, lengths) if mode.is_train else None
         alpha = gumbel_sigmoid(scores, tau, mode, noise)
-        if gates_out is not None:
-            gates_out.append(GateMatrix(alpha))
         return alpha
 
-    return _attend(x_text, x_image, x_image, weights, gates)
+    values = _attend(x_text, x_image, x_image, weights, gates)
+    return values, alpha

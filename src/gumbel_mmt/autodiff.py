@@ -7,14 +7,14 @@ every tensor that has a gradient buffer allocated; calling it twice without
 zeroing doubles the gradients.  All data is float64 and row-major; there is
 no broadcasting beyond the few fixed patterns the ops below implement.
 
-The primitives, each with an analytic backward: matmul, attention_scores,
-add, mul, scale, add_scalar, add_bias, relu, sigmoid, softplus,
-softmax_rows (optionally masked), layer_norm, cross_entropy,
+The primitives, each with an analytic backward: linear, matmul,
+attention_scores, add, mul, scale, add_scalar, relu, sigmoid, softplus,
+softmax_rows (optionally masked), residual_layer_norm, cross_entropy,
 cosine_similarity, split_heads, merge_heads, embedding_lookup, reduce_sum,
 reduce_mean and mean_pool.
 
-Leading batch dimensions: the row-wise ops (matmul, attention_scores,
-softmax_rows, layer_norm, cross_entropy, cosine_similarity, add_bias,
+Leading batch dimensions: the row-wise ops (linear, matmul, attention_scores,
+softmax_rows, residual_layer_norm, cross_entropy, cosine_similarity,
 embedding_lookup, split_heads, merge_heads, mean_pool) act on the last one or
 two axes and treat any axes before them as a batch, so one sentence is a
 ``(t, d)`` tensor and a padded batch of sentences a ``(b, t, d)`` tensor run
@@ -188,28 +188,39 @@ def _require(cond: bool, msg: Callable[[], str]) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``(..., n, k) @ (k, m)`` applies one matrix to every leading index;
-    ``(..., n, k) @ (..., k, m)`` multiplies matching leading indices."""
-    _require(a.data.ndim >= 2 and b.data.ndim >= 2 and a.shape[-1] == b.shape[-2]
-             and (b.data.ndim == 2 or a.shape[:-2] == b.shape[:-2]),
+    """``(..., n, k) @ (..., k, m)`` multiplies matching leading indices, such
+    as attention weights and values.  A weight shared by every leading index
+    goes through :func:`linear`."""
+    _require(a.data.ndim >= 2 and b.data.ndim >= 2 and a.shape[:-2] == b.shape[:-2]
+             and a.shape[-1] == b.shape[-2],
              lambda: f"matmul shapes disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    if bd.ndim == 2:
-        # Fold the leading axes into rows: one 2-d product, and the weight
-        # gradient sums over every row of the batch.
-        k, m = bd.shape
-        rows = ad.reshape(-1, k)
+    return _emit((a, b), ad @ bd,
+                 lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
 
-        def back(g: Array):
-            g2 = g.reshape(-1, m)
-            return (g2 @ bd.T).reshape(ad.shape), rows.T @ g2
 
-        return _emit((a, b), (rows @ bd).reshape(ad.shape[:-1] + (m,)), back)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``(..., n, k) @ (k, m)``, plus a ``(m,)`` bias if one is given: one
+    matrix applied to every leading index."""
+    _require(x.data.ndim >= 2 and w.data.ndim == 2 and x.shape[-1] == w.shape[0]
+             and (b is None or b.shape == w.shape[1:]),
+             lambda: f"linear shapes disagree: {x.shape} x {w.shape}"
+                     + ("" if b is None else f" + {b.shape}"))
+    xd, wd = x.data, w.data
+    k, m = wd.shape
+    # Fold the leading axes into rows: one 2-d product, and the weight and
+    # bias gradients sum over every row of the batch.
+    rows = xd.reshape(-1, k)
+    y = (rows @ wd).reshape(xd.shape[:-1] + (m,))
+    if b is not None:
+        y += b.data
 
-    def back_batched(g: Array):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+    def back(g: Array):
+        g2 = g.reshape(-1, m)
+        grads = ((g2 @ wd.T).reshape(xd.shape), rows.T @ g2)
+        return grads if b is None else grads + (g2.sum(axis=0),)
 
-    return _emit((a, b), ad @ bd, back_batched)
+    return _emit((x, w) if b is None else (x, w, b), y, back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -231,14 +242,6 @@ def scale(x: Tensor, c: float) -> Tensor:
 def add_scalar(x: Tensor, c: float) -> Tensor:
     c = float(c)
     return _emit((x,), x.data + c, lambda g: (g,))
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast add: x is (..., d), b is (d,)."""
-    _require(b.data.ndim == 1 and x.shape[-1] == b.shape[0],
-             lambda: f"add_bias: {x.shape} + {b.shape}")
-    return _emit((x, b), x.data + b.data,
-                 lambda g: (g, g.reshape(-1, b.shape[0]).sum(axis=0)))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -295,16 +298,21 @@ def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
     return _emit((x,), y, back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise over the last axis, then scale and shift it."""
-    _require(x.data.ndim >= 2, lambda: f"layer_norm expects 2-d or batched input, got {x.shape}")
+def residual_layer_norm(x: Tensor, h: Tensor, gain: Tensor, bias: Tensor,
+                        eps: float = 1e-5) -> Tensor:
+    """Normalise the residual sum ``x + h`` over the last axis, then scale and
+    shift it: the post-norm step LayerNorm(x + sublayer(x))."""
+    _require(x.data.ndim >= 2 and x.shape == h.shape,
+             lambda: f"residual_layer_norm expects matching 2-d or batched inputs, "
+                     f"got {x.shape} and {h.shape}")
     d = x.shape[-1]
-    _require(d != 0, lambda: "layer_norm over zero-width rows")
+    _require(d != 0, lambda: "residual_layer_norm over zero-width rows")
     _require(gain.shape == (d,) and bias.shape == (d,),
-             lambda: f"layer_norm affine shapes {gain.shape}/{bias.shape} != ({d},)")
+             lambda: f"residual_layer_norm affine shapes {gain.shape}/{bias.shape} != ({d},)")
+    s = x.data + h.data
     # sum / d is what ndarray.mean computes, without its Python-level overhead.
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
+    mu = s.sum(axis=-1, keepdims=True) / d
+    xc = s - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
@@ -315,9 +323,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dx = inv * (dxhat
                     - dxhat.sum(axis=-1, keepdims=True) / d
                     - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+        # One array for both summands: backward never writes into an adjoint.
+        return dx, dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
-    return _emit((x, gain, bias), xhat * gd + bias.data, back)
+    return _emit((x, h, gain, bias), xhat * gd + bias.data, back)
 
 
 def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Tensor:

@@ -80,16 +80,12 @@ class GateMode:
         return self.kind is GateKind.TRAIN
 
 
-def logistic_noise(src: NoiseSource, shape) -> np.ndarray:
-    """G' - G'' for two independent Gumbel draws of the given shape."""
-    return src.gumbel(shape) - src.gumbel(shape)
-
-
 def gumbel_sigmoid(e: Tensor, tau, mode: GateMode, noise: np.ndarray | None) -> Tensor:
     """Per-element binary gates over arbitrary-shape inputs.
 
     Train mode: sigmoid((e + noise) / tau), differentiable in e, where noise
-    is the logistic noise G' - G'' of e's shape (see :func:`logistic_noise`).
+    is the logistic noise G' - G'' of e's shape: the difference of two
+    independent :meth:`NoiseSource.gumbel` draws.
     Infer mode: constant 0/1 tensor, 1 where sigmoid(e) exceeds the
     threshold; pass None for the noise.
     """

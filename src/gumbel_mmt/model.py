@@ -6,6 +6,9 @@ L = n_enc_layers + 1 means both modalities are fully encoded first), then the
 two branch outputs are merged by an elementwise learned gate.  The decoder is
 a standard causal transformer decoder over the fused memory.
 
+Each layer step is one tape record: ``linear`` for a weight product and its
+bias, ``residual_layer_norm`` for a post-norm sublayer LayerNorm(x + sublayer(x)).
+
 Every forward takes one sentence (1-d token ids, a ``(r, d_image)`` image)
 or a batch: ``(b, t)`` token ids right-padded with PAD_ID and ``(b, r,
 d_image)`` images.  A batch runs through the same code with a leading axis,
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (AttentionWeights, GateMatrix, KVCache, causal_mask,
+from .attention import (AttentionWeights, KVCache, causal_mask,
                         init_attention_weights, key_padding_mask, multi_head_attention,
                         multi_head_gumbel_attention)
 from .autodiff import Parameter, Tensor, check_unique_names
@@ -56,8 +59,8 @@ class LossWeightMode:
     def __post_init__(self):
         if self.kind not in ("fixed", "trainable"):
             raise ConfigError(f"loss weight mode must be fixed|trainable, got {self.kind!r}")
-        if self.value < 0:
-            raise ConfigError(f"loss weight must be >= 0, got {self.value}")
+        if not 0.0 <= self.value < np.inf:
+            raise ConfigError(f"loss weight must be finite and >= 0, got {self.value}")
 
     @property
     def trainable(self) -> bool:
@@ -113,7 +116,7 @@ class EncoderOutput:
     h_text: Tensor
     h_image: Tensor | None
     fused: Tensor
-    gates: GateMatrix | None = None     # (..., H, t, r) gates of the cross-modal attention
+    gates: Tensor | None = None         # (..., H, t, r) gates of the cross-modal attention
     lengths: np.ndarray | None = None   # source lengths of a batch; None for one sentence
 
     def gate_stats(self, relevant_regions: list[list[int]] | None = None
@@ -124,7 +127,7 @@ class EncoderOutput:
         if self.gates is None:
             return None
         heads, t, r = self.gates.shape[-3:]
-        alpha = self.gates.alpha.data.reshape(-1, heads, t, r)
+        alpha = self.gates.data.reshape(-1, heads, t, r)
         b = alpha.shape[0]
         lengths = np.full(b, t) if self.lengths is None else self.lengths
         real = np.arange(t) < lengths[:, None]                  # (b, t)
@@ -197,7 +200,7 @@ def gated_fusion(h_image: Tensor, h_text: Tensor, w: Tensor, u: Tensor) -> Tenso
     lambda = sigmoid(h_image w + h_text u)."""
     if h_image.shape != h_text.shape:
         raise ShapeError(f"fusion inputs differ: {h_image.shape} vs {h_text.shape}")
-    lam = ad.sigmoid(ad.add(ad.matmul(h_image, w), ad.matmul(h_text, u)))
+    lam = ad.sigmoid(ad.add(ad.linear(h_image, w), ad.linear(h_text, u)))
     return ad.add(h_text, ad.mul(lam, h_image))
 
 
@@ -268,8 +271,8 @@ class LayerNorm:
         self.gain = init.vector(d, 1.0)
         self.bias = init.vector(d, 0.0)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias)
+    def __call__(self, x: Tensor, h: Tensor) -> Tensor:
+        return ad.residual_layer_norm(x, h, self.gain, self.bias)
 
     def params(self, prefix: str) -> list[Parameter]:
         return [Parameter(f"{prefix}.gain", self.gain), Parameter(f"{prefix}.bias", self.bias)]
@@ -283,8 +286,7 @@ class FeedForward:
         self.b2 = init.vector(d_model)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = ad.relu(ad.add_bias(ad.matmul(x, self.w1), self.b1))
-        return ad.add_bias(ad.matmul(h, self.w2), self.b2)
+        return ad.linear(ad.relu(ad.linear(x, self.w1, self.b1)), self.w2, self.b2)
 
     def params(self, prefix: str) -> list[Parameter]:
         return [Parameter(f"{prefix}.w1", self.w1), Parameter(f"{prefix}.b1", self.b1),
@@ -305,8 +307,8 @@ class EncoderLayer:
         self.ln2 = LayerNorm(init, d_model)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        h = self.ln1(ad.add(x, multi_head_attention(x, x, x, self.attn, mask)))
-        return self.ln2(ad.add(h, self.ffn(h)))
+        h = self.ln1(x, multi_head_attention(x, x, x, self.attn, mask))
+        return self.ln2(h, self.ffn(h))
 
     def params(self, prefix: str) -> list[Parameter]:
         return (_attn_params(f"{prefix}.self_attn", self.attn)
@@ -331,11 +333,10 @@ class DecoderLayer:
                  memory_mask: np.ndarray | None = None,
                  cache: tuple[KVCache, KVCache] | None = None) -> Tensor:
         self_cache, memory_cache = (None, None) if cache is None else cache
-        h = self.ln1(ad.add(x, multi_head_attention(x, x, x, self.self_attn, mask,
-                                                    self_cache)))
-        h = self.ln2(ad.add(h, multi_head_attention(h, memory, memory, self.cross_attn,
-                                                    memory_mask, memory_cache)))
-        return self.ln3(ad.add(h, self.ffn(h)))
+        h = self.ln1(x, multi_head_attention(x, x, x, self.self_attn, mask, self_cache))
+        h = self.ln2(h, multi_head_attention(h, memory, memory, self.cross_attn,
+                                             memory_mask, memory_cache))
+        return self.ln3(h, self.ffn(h))
 
     def params(self, prefix: str) -> list[Parameter]:
         return (_attn_params(f"{prefix}.self_attn", self.self_attn)
@@ -477,17 +478,17 @@ class MMTModel:
         L = cfg.gumbel_layer
         x_img = Tensor(image)
         if L >= 2:
-            x_img = ad.add_bias(ad.matmul(x_img, self.img_proj_w), self.img_proj_b)
+            x_img = ad.linear(x_img, self.img_proj_w, self.img_proj_b)
             for layer in self.img_layers[: L - 1]:
                 x_img = layer(x_img)
         query = states[min(L - 1, cfg.n_enc_layers)]
 
-        gates: list[GateMatrix] = []
+        gates = None
         if cfg.ablation.vanilla_attention:
             v = multi_head_attention(query, x_img, x_img, self.cross_weights)
         else:
-            v = multi_head_gumbel_attention(query, x_img, self.cross_weights, tau,
-                                            noise, mode, gates_out=gates, lengths=lengths)
+            v, gates = multi_head_gumbel_attention(query, x_img, self.cross_weights, tau,
+                                                   noise, mode, lengths=lengths)
         # From here the image branch has one row per text position.
         for layer in self.img_layers[max(L - 1, 0):] if L <= cfg.n_enc_layers else []:
             v = layer(v, text_mask)
@@ -498,7 +499,7 @@ class MMTModel:
         else:
             fused = gated_fusion(h_image, h_text, self.fusion_w, self.fusion_u)
         return EncoderOutput(h_text=h_text, h_image=h_image, fused=fused,
-                             gates=gates[0] if gates else None, lengths=lengths)
+                             gates=gates, lengths=lengths)
 
     # -- decoding and losses --------------------------------------------------
 
@@ -531,7 +532,7 @@ class MMTModel:
             x = layer(x, memory, mask, memory_mask, None if cache is None else cache.layers[i])
         if cache is not None:
             cache.length += t
-        return ad.add_bias(ad.matmul(x, self.out_w), self.out_b)
+        return ad.linear(x, self.out_w, self.out_b)
 
     def loss(self, src_ids, tgt_ids, image: np.ndarray | None,
              noise: NoiseSource | None, mode: GateMode, tau: float = 1.0

@@ -43,12 +43,15 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError(f"betas must lie in (0,1), got {self.beta1}, {self.beta2}")
-        if self.lr <= 0 or self.eps <= 0:
-            raise ConfigError("lr and eps must be positive")
+        # Written so that NaN fails each check too.
+        for name in ("lr", "eps", "tau", "tau_end"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if np.isnan(self.clip_norm):
+            raise ConfigError("clip_norm must be a number (<= 0 disables clipping), got nan")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
-        if self.tau <= 0 or self.tau_end <= 0:
-            raise ConfigError("temperatures must be positive")
 
     def tau_at(self, step: int, total_steps: int) -> float:
         if total_steps <= 1:

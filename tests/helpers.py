@@ -1,7 +1,8 @@
 """Shared test utilities: a registry of finite-difference gradient cases for
 every differentiable primitive, and for its batched form where it has one, a
-full-recompute greedy decoder that cached decoding is checked against, and a
-loader for the benchmark's tracer, whose names tests check against the package.
+full-recompute greedy decoder that cached decoding is checked against, the
+logistic-noise oracle that gate noise is checked against, and a loader for the
+benchmark's tracer, whose names tests check against the package.
 Each gradient case factory draws random inputs in [-2, 2] (resampled away from
 relu/hinge kinks) and returns (forward, leaves, tol)."""
 
@@ -16,7 +17,7 @@ from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.data import BOS_ID, EOS_ID
 from gumbel_mmt.gradcheck import gradient_error
-from gumbel_mmt.gumbel import GateMode
+from gumbel_mmt.gumbel import GateMode, NoiseSource
 
 
 def rand_tensor(rng, shape, lo=-2.0, hi=2.0):
@@ -57,9 +58,15 @@ def _case_add_scalar(rng):
     return lambda: ad.reduce_sum(ad.mul(ad.add_scalar(x, 1.5), x)), [x], 1e-4
 
 
-def _case_add_bias(rng):
-    x, b = rand_tensor(rng, (4, 3)), rand_tensor(rng, (3,))
-    return lambda: ad.reduce_sum(ad.mul(ad.add_bias(x, b), ad.add_bias(x, b))), [x, b], 1e-4
+def _case_linear(rng):
+    x, w = rand_tensor(rng, (3, 4)), rand_tensor(rng, (4, 2))
+    return lambda: ad.reduce_sum(ad.mul(ad.linear(x, w), ad.linear(x, w))), [x, w], 1e-4
+
+
+def _case_linear_bias(rng):
+    x, w, b = rand_tensor(rng, (4, 3)), rand_tensor(rng, (3, 2)), rand_tensor(rng, (2,))
+    return (lambda: ad.reduce_sum(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b))),
+            [x, w, b], 1e-4)
 
 
 def _case_relu(rng):
@@ -83,11 +90,20 @@ def _case_softmax_rows(rng):
     return lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(x), w)), [x], 1e-4
 
 
-def _case_layer_norm(rng):
-    x = rand_tensor(rng, (3, 6))
-    gain, bias = rand_tensor(rng, (6,)), rand_tensor(rng, (6,))
-    return lambda: ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, bias),
-                                        ad.layer_norm(x, gain, bias))), [x, gain, bias], 1e-4
+def _residual_layer_norm_case(rng, shape):
+    x, h = rand_tensor(rng, shape), rand_tensor(rng, shape)
+    gain, bias = rand_tensor(rng, shape[-1:]), rand_tensor(rng, shape[-1:])
+    w = Tensor(rng.uniform(-1, 1, size=shape))
+
+    def forward():
+        y = ad.residual_layer_norm(x, h, gain, bias)
+        return ad.reduce_sum(ad.mul(ad.mul(y, y), w))
+
+    return forward, [x, h, gain, bias], 1e-4
+
+
+def _case_residual_layer_norm(rng):
+    return _residual_layer_norm_case(rng, (3, 6))
 
 
 def _case_cross_entropy(rng):
@@ -135,9 +151,10 @@ def _case_softmax_rows_masked(rng):
 
 # Batched forms: the same primitives over a leading batch axis.
 
-def _case_matmul_batched_weights(rng):
-    a, b = rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 2))
-    return lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b], 1e-4
+def _case_linear_two_leading(rng):
+    x, w, b = rand_tensor(rng, (2, 3, 2, 4)), rand_tensor(rng, (4, 3)), rand_tensor(rng, (3,))
+    return (lambda: ad.reduce_sum(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b))),
+            [x, w, b], 1e-4)
 
 
 def _case_matmul_batched_pairs(rng):
@@ -156,11 +173,8 @@ def _case_softmax_rows_batched(rng):
     return lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(x), w)), [x], 1e-4
 
 
-def _case_layer_norm_batched(rng):
-    x = rand_tensor(rng, (2, 3, 6))
-    gain, bias = rand_tensor(rng, (6,)), rand_tensor(rng, (6,))
-    return lambda: ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, bias),
-                                        ad.layer_norm(x, gain, bias))), [x, gain, bias], 1e-4
+def _case_residual_layer_norm_batched(rng):
+    return _residual_layer_norm_case(rng, (2, 3, 6))
 
 
 def _case_cross_entropy_weighted(rng):
@@ -245,17 +259,18 @@ def _case_softmax_rows_masked_heads(rng):
 
 
 PRIMITIVE_CASES = {
+    "linear": _case_linear,
+    "linear_bias": _case_linear_bias,
     "matmul": _case_matmul,
     "add": _case_add,
     "mul": _case_mul,
     "scale": _case_scale,
     "add_scalar": _case_add_scalar,
-    "add_bias": _case_add_bias,
     "relu": _case_relu,
     "sigmoid": _case_sigmoid,
     "softplus": _case_softplus,
     "softmax_rows": _case_softmax_rows,
-    "layer_norm": _case_layer_norm,
+    "residual_layer_norm": _case_residual_layer_norm,
     "cross_entropy": _case_cross_entropy,
     "cosine_similarity": _case_cosine_similarity,
     "attention_scores": _case_attention_scores,
@@ -263,11 +278,11 @@ PRIMITIVE_CASES = {
     "reduce_sum": _case_reduce_sum,
     "reduce_mean": _case_reduce_mean,
     "softmax_rows_masked": _case_softmax_rows_masked,
-    "matmul_batched_weights": _case_matmul_batched_weights,
+    "linear_two_leading": _case_linear_two_leading,
     "matmul_batched_pairs": _case_matmul_batched_pairs,
     "matmul_batched_heads": _case_matmul_batched_heads,
     "softmax_rows_batched": _case_softmax_rows_batched,
-    "layer_norm_batched": _case_layer_norm_batched,
+    "residual_layer_norm_batched": _case_residual_layer_norm_batched,
     "cross_entropy_weighted": _case_cross_entropy_weighted,
     "cosine_similarity_rows": _case_cosine_similarity_rows,
     "attention_scores_heads": _case_attention_scores_heads,
@@ -304,6 +319,12 @@ def check_primitive(name: str, n_cases: int, seed: int = 0) -> float:
         assert err < tol, f"{name}: rel err {err:.3g} >= {tol}"
         worst = max(worst, err)
     return worst
+
+
+def logistic_noise(src: NoiseSource, shape) -> np.ndarray:
+    """G' - G'' for two independent Gumbel draws of the given shape: the
+    per-block noise that the attention's single noise draw must reproduce."""
+    return src.gumbel(shape) - src.gumbel(shape)
 
 
 def full_recompute_greedy(model, src_ids, image, max_len: int):

@@ -10,7 +10,8 @@ from gumbel_mmt.attention import (_gate_noise, causal_mask, init_attention_weigh
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ConfigError, ShapeError
 from gumbel_mmt.gradcheck import gradient_error
-from gumbel_mmt.gumbel import GateMode, NoiseSource, logistic_noise
+from gumbel_mmt.gumbel import GateMode, NoiseSource
+from helpers import logistic_noise
 
 
 @pytest.fixture(autouse=True)
@@ -215,38 +216,33 @@ def test_score_divisor_is_sqrt_d_head():
     soft = multi_head_attention(x_text, x_image, x_image, w)
     assert soft.data[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), abs=1e-12)
     # sigmoid(1/2) = 0.622 opens a 0.6 threshold; sigmoid(1/sqrt(8)) = 0.587 would not.
-    gates = []
-    multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.6),
-                                gates_out=gates)
-    np.testing.assert_array_equal(gates[0].alpha.data[0], [[1.0, 0.0]])
+    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.6))
+    np.testing.assert_array_equal(gates.data[0], [[1.0, 0.0]])
 
 
 def test_empty_text_gives_empty_gates():
     w = rand_weights(5, 4, 6, 4, 2)
-    gates = []
-    out = multi_head_gumbel_attention(Tensor(np.zeros((0, 4))), Tensor(np.ones((3, 6))), w,
-                                      1.0, NoiseSource(0), GateMode.train(), gates_out=gates)
+    out, gates = multi_head_gumbel_attention(Tensor(np.zeros((0, 4))), Tensor(np.ones((3, 6))),
+                                             w, 1.0, NoiseSource(0), GateMode.train())
     assert out.shape == (0, 4)
-    assert len(gates) == 1 and gates[0].shape == (2, 0, 3)
+    assert gates.shape == (2, 0, 3)
 
 
 def test_zero_projection_gates_average_half():
     # all scores 0 => train gates are symmetric around 0.5
     w = rand_weights(6, 2, 2, 2, 2)
     w.wq.data[:] = 0.0
-    gates = []
-    multi_head_gumbel_attention(Tensor(np.ones((100, 2))), Tensor(np.ones((500, 2))), w, 1.0,
-                                NoiseSource(12), GateMode.train(), gates_out=gates)
-    assert gates[0].shape == (2, 100, 500)
-    assert gates[0].alpha.data.mean() == pytest.approx(0.5, abs=5e-3)
+    _, gates = multi_head_gumbel_attention(Tensor(np.ones((100, 2))), Tensor(np.ones((500, 2))),
+                                           w, 1.0, NoiseSource(12), GateMode.train())
+    assert gates.shape == (2, 100, 500)
+    assert gates.data.mean() == pytest.approx(0.5, abs=5e-3)
 
 
 def test_infer_gates_threshold_scores():
     w = identity_weights(1, 1)
-    gates = []
-    multi_head_gumbel_attention(Tensor([[1.0]]), Tensor([[3.0], [-3.0]]), w, 1.0, None,
-                                GateMode.infer(0.5), gates_out=gates)
-    np.testing.assert_array_equal(gates[0].alpha.data, [[[1.0, 0.0]]])
+    _, gates = multi_head_gumbel_attention(Tensor([[1.0]]), Tensor([[3.0], [-3.0]]), w, 1.0,
+                                           None, GateMode.infer(0.5))
+    np.testing.assert_array_equal(gates.data, [[[1.0, 0.0]]])
 
 
 def test_score_shift_opens_gates():
@@ -256,10 +252,9 @@ def test_score_shift_opens_gates():
     for s in (0.0, 5.0):
         w = identity_weights(1, 1)
         w.wk.data[:] = s
-        gates = []
-        multi_head_gumbel_attention(ones_t, ones_r, w, 1.0, NoiseSource(21), GateMode.train(),
-                                    gates_out=gates)
-        means.append(gates[0].alpha.data.mean())
+        _, gates = multi_head_gumbel_attention(ones_t, ones_r, w, 1.0, NoiseSource(21),
+                                               GateMode.train())
+        means.append(gates.data.mean())
     assert means[1] > means[0]
 
 
@@ -273,20 +268,18 @@ def test_gate_rows_select_regions():
     proj = x_image.data @ w.wv.data
 
     w.wq.data[:] = 0.0      # every score 0: no gate exceeds 0.5
-    closed = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0, None,
-                                         GateMode.infer(0.5))
+    closed, _ = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0, None,
+                                            GateMode.infer(0.5))
     np.testing.assert_array_equal(closed.data, np.zeros((2, 3)))
 
     w.wq.data[:] = np.eye(3)
     pick = Tensor(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    gates = []
-    picked = multi_head_gumbel_attention(pick, x_image, w, 1.0, None, GateMode.infer(0.5),
-                                         gates_out=gates)
-    np.testing.assert_array_equal(gates[0].alpha.data[0], [[0, 1, 0], [0, 0, 1]])
+    picked, gates = multi_head_gumbel_attention(pick, x_image, w, 1.0, None, GateMode.infer(0.5))
+    np.testing.assert_array_equal(gates.data[0], [[0, 1, 0], [0, 0, 1]])
     np.testing.assert_allclose(picked.data, proj[[1, 2]], atol=1e-12)
 
-    all_open = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0,
-                                           None, GateMode.infer(0.5))
+    all_open, _ = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0,
+                                              None, GateMode.infer(0.5))
     oracle = np.zeros((2, 3))
     for i in range(2):
         for j in range(3):
@@ -299,9 +292,9 @@ def test_multi_head_gumbel_shape_and_single_head_composition():
     w = rand_weights(7, 4, 6, 4, 1)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
-    out = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(9),
-                                      GateMode.train())
-    assert out.shape == (3, 4)
+    out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(9),
+                                             GateMode.train())
+    assert out.shape == (3, 4) and gates.shape == (1, 3, 5)
     noise = logistic_noise(NoiseSource(9), (3, 5))[None]
     want, _ = gumbel_oracle(w, x_text.data, x_image.data, noise)
     np.testing.assert_allclose(out.data, want, atol=1e-12)
@@ -318,10 +311,10 @@ def test_gumbel_attention_matches_per_head_oracle(heads):
     x_image = Tensor(rng.normal(size=(2, 5, 6)))
     lengths = np.array([3, 2])
     for mode in (GateMode.train(), GateMode.infer(0.5)):
-        src, gates = NoiseSource(3), []
-        out = multi_head_gumbel_attention(x_text, x_image, w, 1.0, src, mode,
-                                          gates_out=gates, lengths=lengths)
-        assert gates[0].shape == (2, heads, 3, 5)
+        src = NoiseSource(3)
+        out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, src, mode,
+                                                 lengths=lengths)
+        assert gates.shape == (2, heads, 3, 5)
         oracle_src = NoiseSource(3)
         for i, n in enumerate(lengths):
             noise = None
@@ -329,7 +322,7 @@ def test_gumbel_attention_matches_per_head_oracle(heads):
                 noise = np.stack([logistic_noise(oracle_src, (n, 5)) for _ in range(heads)])
             want, alpha = gumbel_oracle(w, x_text.data[i, :n], x_image.data[i], noise)
             np.testing.assert_allclose(out.data[i, :n], want, rtol=1e-12, atol=1e-13)
-            np.testing.assert_allclose(gates[0].alpha.data[i, :, :n], alpha, rtol=1e-12)
+            np.testing.assert_allclose(gates.data[i, :, :n], alpha, rtol=1e-12)
         assert src.state() == oracle_src.state()
 
 
@@ -342,10 +335,8 @@ def test_forced_open_gates_match_loop_oracle():
     w.wk.data[:] = np.abs(w.wk.data) * 100.0
     x_text = Tensor(np.abs(rng.normal(size=(3, 4))) + 0.1)
     x_image = Tensor(np.abs(rng.normal(size=(5, 6))) + 0.1)
-    gates = []
-    out = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None,
-                                      GateMode.infer(0.5), gates_out=gates)
-    assert len(gates) == 1 and (gates[0].alpha.data == 1.0).all()
+    out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
+    assert (gates.data == 1.0).all()
     heads = []
     for h in range(2):
         v = np.zeros((3, 2))
@@ -362,9 +353,10 @@ def test_infer_mode_is_deterministic():
     w = rand_weights(9, 4, 6, 4, 2)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
-    a = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
-    b = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
+    a, gates_a = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
+    b, gates_b = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
     np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(gates_a.data, gates_b.data)
 
 
 def test_train_mode_gumbel_attention_needs_a_noise_source():
@@ -384,9 +376,9 @@ def test_gumbel_attention_gradients_with_frozen_noise():
     leaves = [w.wq, w.wk, w.wv, w.wo, x_text, x_image]
 
     def forward():
-        return ad.reduce_sum(ad.mul(multi_head_gumbel_attention(
-            x_text, x_image, w, 1.0, NoiseSource(31), GateMode.train(),
-            lengths=np.array([3, 2])), x_text))
+        values, _ = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(31),
+                                                GateMode.train(), lengths=np.array([3, 2]))
+        return ad.reduce_sum(ad.mul(values, x_text))
 
     assert gradient_error(forward, leaves) < 1e-4
 
@@ -396,19 +388,17 @@ def test_heads_draw_independent_noise():
     w = rand_weights(13, 4, 6, 4, 2)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
-    gates = []
-    multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(1),
-                                GateMode.train(), gates_out=gates)
-    assert not np.array_equal(gates[0].alpha.data[0], gates[0].alpha.data[1])
+    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(1),
+                                           GateMode.train())
+    assert not np.array_equal(gates.data[0], gates.data[1])
 
     # distinct seeds on identical inputs differ somewhere across 100 draws
     one = identity_weights(1, 1)
     draws = []
     for s in range(100):
-        gates = []
-        multi_head_gumbel_attention(Tensor(np.ones((2, 1))), Tensor(np.ones((2, 1))), one,
-                                    1.0, NoiseSource(s), GateMode.train(), gates_out=gates)
-        draws.append(gates[0].alpha.data)
+        _, gates = multi_head_gumbel_attention(Tensor(np.ones((2, 1))), Tensor(np.ones((2, 1))),
+                                               one, 1.0, NoiseSource(s), GateMode.train())
+        draws.append(gates.data)
     assert any(not np.array_equal(draws[0], d) for d in draws[1:])
 
 

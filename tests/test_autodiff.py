@@ -121,18 +121,47 @@ def test_masked_softmax_zeroes_masked_keys():
 
 
 def test_layer_norm_constant_row_is_bias():
-    out = ad.layer_norm(Tensor([[5.0, 5.0, 5.0, 5.0]]), Tensor(np.ones(4)), Tensor(np.zeros(4)))
-    np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+    # The residual sum is constant along the row, whatever x and h are.
+    out = ad.residual_layer_norm(Tensor([[1.0, 2.0, 3.0, 4.0]]), Tensor([[4.0, 3.0, 2.0, 1.0]]),
+                                 Tensor(np.ones(4)), Tensor(np.full(4, 0.25)))
+    np.testing.assert_allclose(out.data, 0.25, atol=1e-12)
 
 
 def test_layer_norm_statistics():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(6, 16)))
+    x, h = rng.normal(size=(6, 16)), rng.normal(size=(6, 16))
     gain = Tensor(np.full(16, 1.7))
     bias = Tensor(np.full(16, -0.4))
-    out = ad.layer_norm(x, gain, bias)
+    out = ad.residual_layer_norm(Tensor(x), Tensor(h), gain, bias)
     np.testing.assert_allclose(out.data.mean(axis=1), -0.4, atol=1e-6)
     np.testing.assert_allclose(out.data.std(axis=1), 1.7, atol=1e-3)
+    # Only the sum matters: moving h into x gives the same bits.
+    moved = ad.residual_layer_norm(Tensor(x + h), Tensor(np.zeros_like(h)), gain, bias)
+    np.testing.assert_array_equal(moved.data, out.data)
+
+
+def test_linear_hand_case():
+    x = Tensor([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    w = Tensor([[5.0, 1.0], [6.0, -1.0]])
+    np.testing.assert_array_equal(ad.linear(x, w, Tensor([0.5, -0.5])).data,
+                                  [[[17.5, -1.5], [39.5, -1.5]], [[6.5, -1.5], [5.5, 0.5]]])
+    np.testing.assert_array_equal(ad.linear(x, w).data, ad.matmul(x, Tensor([w.data] * 2)).data)
+
+
+@pytest.mark.parametrize("call,pattern", [
+    (lambda: ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3))),
+     r"\(2, 3\) x \(3, 4\) \+ \(3,\)"),
+    (lambda: ad.linear(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 4)))),
+     r"linear shapes disagree: \(2, 2, 3\) x \(2, 3, 4\)"),
+    (lambda: ad.residual_layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
+                                    Tensor(np.ones(4)), Tensor(np.zeros(4))),
+     r"\(2, 4\) and \(3, 4\)"),
+    (lambda: ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5)))),
+     r"matmul shapes disagree: \(2, 3, 4\) x \(4, 5\)"),
+], ids=["linear_bias_width", "linear_3d_weight", "residual_shapes", "matmul_2d_weight"])
+def test_layer_step_shape_errors(call, pattern):
+    with pytest.raises(ShapeError, match=pattern):
+        call()
 
 
 def test_cross_entropy_uniform():
@@ -339,13 +368,17 @@ def test_batched_primitives_match_per_example_loop():
     gain, bias = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
     mask = rng.random(size=(3, 4, 6)) < 0.3
     mask[..., 0] = False
-    batched = [ad.matmul(Tensor(x), Tensor(w)), ad.softmax_rows(Tensor(x)),
-               ad.softmax_rows(Tensor(x), mask), ad.layer_norm(Tensor(x), gain, bias),
+    y, shift = rng.normal(size=(3, 4, 6)), Tensor(rng.normal(size=5))
+    batched = [ad.linear(Tensor(x), Tensor(w), shift), ad.softmax_rows(Tensor(x)),
+               ad.softmax_rows(Tensor(x), mask),
+               ad.residual_layer_norm(Tensor(x), Tensor(y), gain, bias),
                ad.attention_scores(Tensor(x), Tensor(x), 0.3)]
     for i in range(3):
         xi = Tensor(x[i])
-        single = [ad.matmul(xi, Tensor(w)), ad.softmax_rows(xi), ad.softmax_rows(xi, mask[i]),
-                  ad.layer_norm(xi, gain, bias), ad.attention_scores(xi, xi, 0.3)]
+        single = [ad.linear(xi, Tensor(w), shift), ad.softmax_rows(xi),
+                  ad.softmax_rows(xi, mask[i]),
+                  ad.residual_layer_norm(xi, Tensor(y[i]), gain, bias),
+                  ad.attention_scores(xi, xi, 0.3)]
         for b, s in zip(batched, single):
             np.testing.assert_allclose(b.data[i], s.data, rtol=1e-13, atol=1e-14)
     pooled = ad.mean_pool(Tensor(x), [4, 2, 1])

@@ -56,6 +56,12 @@ def test_spec_validation():
         small_spec(vocab_size=5)
 
 
+@pytest.mark.parametrize("std", [float("nan"), -1.0, float("inf")])
+def test_spec_rejects_bad_noise_std_naming_the_field(std):
+    with pytest.raises(DataError, match="noise_regions_std"):
+        small_spec(noise_regions_std=std)
+
+
 def test_disambiguation_construction():
     spec = small_spec()
     ds = generate_dataset(spec)

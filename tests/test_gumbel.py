@@ -7,7 +7,8 @@ from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ConfigError
 from gumbel_mmt.gradcheck import gradient_error
-from gumbel_mmt.gumbel import GateMode, NoiseSource, gumbel_sigmoid, logistic_noise
+from gumbel_mmt.gumbel import GateMode, NoiseSource, gumbel_sigmoid
+from helpers import logistic_noise
 
 EULER_GAMMA = 0.5772156649015329
 

@@ -200,7 +200,7 @@ def test_closed_gates_encode_zero_values():
     m.cross_weights.wq.data[:] = 0.0
     ids = [BOS_ID, 3, 7, EOS_ID]
     enc = m.encode(ids, tiny_image(cfg), None, GateMode.infer(0.5))
-    assert (enc.gates.alpha.data == 0.0).all()
+    assert (enc.gates.data == 0.0).all()
     zeros = Tensor(np.zeros((len(ids), cfg.d_model)))
     direct = zeros
     for layer in m.img_layers:
@@ -323,6 +323,13 @@ def test_config_validation():
         tiny_config(gumbel_layer=5)  # n_enc_layers=1 allows 1..2
     with pytest.raises(ConfigError):
         LossWeightMode("adaptive")
+
+
+@pytest.mark.parametrize("kind", ["fixed", "trainable"])
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+def test_loss_weight_must_be_finite_and_nonnegative(kind, value):
+    with pytest.raises(ConfigError, match=r"^loss weight must be finite and >= 0, got"):
+        LossWeightMode(kind, value)
 
 
 def test_alpha_eff_nonnegative():
@@ -450,7 +457,7 @@ def real_rows_forward(m, src, tgt, images, n_real, mode):
     weights[:n_real] = 1.0
     ad.backward(ad.cross_entropy(logits, tgt[:, 1:], weights=weights))
     ad.reset_tape()
-    gates = None if enc.gates is None else enc.gates.alpha.data
+    gates = None if enc.gates is None else enc.gates.data
     return logits.data, gates, {p.name: p.tensor.grad.copy() for p in params}
 
 

@@ -7,7 +7,7 @@ import tomllib
 from pathlib import Path
 
 import gumbel_mmt
-from gumbel_mmt import model
+from gumbel_mmt import autodiff, model
 from helpers import load_bench_tracing
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +36,17 @@ def test_benchmark_tracer_targets_resolve_in_the_package():
     assert decode[:2] == ["self", "tgt_in_ids"]
     greedy = list(inspect.signature(model.MMTModel.greedy_decode).parameters)
     assert greedy[:4] == ["self", "src_ids", "image", "max_len"]
+
+
+def test_autodiff_exposes_exactly_the_twenty_primitives():
+    # The benchmark counts ops by wrapping these and requires at least 20 of
+    # them; a deletion or rename here must fail tier-1 before it breaks that.
+    primitives = load_bench_tracing().primitive_names(autodiff)
+    assert primitives == sorted([
+        "linear", "matmul", "attention_scores", "add", "mul", "scale", "add_scalar",
+        "relu", "sigmoid", "softplus", "softmax_rows", "residual_layer_norm",
+        "cross_entropy", "cosine_similarity", "split_heads", "merge_heads",
+        "embedding_lookup", "reduce_sum", "reduce_mean", "mean_pool"])
 
 
 def test_benchmark_workloads_read_only_names_the_package_has():

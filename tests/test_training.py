@@ -6,9 +6,8 @@ import pytest
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt import training
-from gumbel_mmt.autodiff import make_parameter
+from gumbel_mmt.autodiff import Tensor, make_parameter
 from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset
-from gumbel_mmt.attention import GateMatrix
 from gumbel_mmt.errors import ConfigError, TrainingError
 from gumbel_mmt.gumbel import GateMode, NoiseSource
 from gumbel_mmt.model import LossWeightMode, MMTModel, ModelConfig
@@ -116,6 +115,33 @@ def test_tau_at_endpoints():
     assert cfg.tau_at(0, 1) == 2.0
 
 
+# -- configuration ------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,value,pattern", [
+    ("lr", math.nan, r"^lr must be positive and finite, got nan$"),
+    ("lr", 0.0, r"^lr must"),
+    ("lr", math.inf, r"^lr must"),
+    ("eps", math.inf, r"^eps must be positive and finite, got inf$"),
+    ("eps", -1e-9, r"^eps must"),
+    ("tau", math.nan, r"^tau must"),
+    ("tau", 0.0, r"^tau must"),
+    ("tau_end", math.nan, r"^tau_end must"),
+    ("tau_end", math.inf, r"^tau_end must"),
+    ("clip_norm", math.nan, r"^clip_norm must be a number"),
+    ("beta1", math.nan, r"^betas must lie in \(0,1\), got nan"),
+    ("beta2", 1.0, r"^betas must lie in \(0,1\), got 0.9, 1.0"),
+])
+def test_train_config_rejects_bad_values_naming_the_field(field, value, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("clip_norm", [0.0, -1.0, math.inf])
+def test_train_config_accepts_any_clip_norm_but_nan(clip_norm):
+    # clip_norm <= 0 turns clipping off; an infinite bound is never reached.
+    assert TrainConfig(clip_norm=clip_norm).clip_norm == clip_norm
+
+
 # -- the training loop ------------------------------------------------------------
 
 def tiny_task():
@@ -202,7 +228,7 @@ def test_gate_stats_and_noise_stream_match_golden():
     src, _, images = training._batch(m, split, TINY_TRAIN.seed)
     relevant = [ex.meta.relevant_regions for ex in split]
     enc = m.encode(src, images, None, GateMode.infer(cfg.gate_threshold))
-    assert isinstance(enc.gates, GateMatrix)
+    assert isinstance(enc.gates, Tensor)
     assert enc.gates.shape == (len(split), cfg.n_heads, src.shape[1], cfg.n_regions)
     stats = enc.gate_stats(relevant)
     np.testing.assert_array_equal(stats.open, GOLDEN_GATE_OPEN)
