@@ -14,6 +14,9 @@ Inputs are one sequence, ``(t, d)``, or a padded batch, ``(b, t, d)``.  In a
 batch, masks carry the key padding; a mask is broadcast over the head axis as
 a view.
 
+Keys and values come from one source, ``kv``: the sequence itself in
+self-attention, else the encoder memory or the image regions.
+
 Incremental decoding passes :func:`multi_head_attention` a :class:`KVCache`
 per attention block.  A cache holds plain arrays with no tape history, so it
 is valid only under ``autodiff.no_grad``; passing one while the tape records
@@ -38,7 +41,7 @@ class AttentionWeights:
     """Stacked projections of one attention block: columns
     ``h * d_head : (h + 1) * d_head`` of wq, wk and wv belong to head h.
 
-    wq: (d_in_q, H * d_head), wk: (d_in_k, H * d_head), wv: (d_in_v, H * d_head),
+    wq: (d_in_q, H * d_head), wk and wv: (d_in_kv, H * d_head),
     wo: (H * d_head, d_model).
     """
 
@@ -53,8 +56,8 @@ class AttentionWeights:
         return self.wq.shape[1] // self.n_heads
 
 
-def init_attention_weights(rng: np.random.Generator, d_in_q: int, d_in_k: int,
-                           d_in_v: int, d_model: int, n_heads: int) -> AttentionWeights:
+def init_attention_weights(rng: np.random.Generator, d_in_q: int, d_in_kv: int,
+                           d_model: int, n_heads: int) -> AttentionWeights:
     """Uniform(+-1/sqrt(d_in)) weights, drawn head by head for wq, then wk,
     then wv, then wo, and stacked along the columns."""
     if n_heads < 1 or d_model % n_heads != 0:
@@ -69,7 +72,7 @@ def init_attention_weights(rng: np.random.Generator, d_in_q: int, d_in_k: int,
         return Tensor(np.concatenate([u(d_in, d_head) for _ in range(n_heads)], axis=1),
                       grad=True)
 
-    wq, wk, wv = stacked(d_in_q), stacked(d_in_k), stacked(d_in_v)
+    wq, wk, wv = stacked(d_in_q), stacked(d_in_kv), stacked(d_in_kv)
     return AttentionWeights(wq=wq, wk=wk, wv=wv, wo=Tensor(u(d_model, d_model), grad=True),
                             n_heads=n_heads)
 
@@ -87,18 +90,17 @@ class KVCache:
     A self-attention cache (``static=False``) grows by the keys and values of
     the new rows at every call.  A memory cache (``static=True``) projects the
     memory on its first call and reuses that projection afterwards, ignoring
-    the keys and values it is given then."""
+    the ``kv`` it is given then."""
 
     def __init__(self, static: bool = False):
         self.static = static
         self.k: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
-    def keys_values(self, k: Tensor, v: Tensor, weights: AttentionWeights
-                    ) -> tuple[Tensor, Tensor]:
+    def keys_values(self, kv: Tensor, weights: AttentionWeights) -> tuple[Tensor, Tensor]:
         if self.k is None or not self.static:
-            kh = _project(k, weights.wk, weights.n_heads).data
-            vh = _project(v, weights.wv, weights.n_heads).data
+            kh = _project(kv, weights.wk, weights.n_heads).data
+            vh = _project(kv, weights.wv, weights.n_heads).data
             if self.k is None:
                 self.k, self.v = kh, vh
             else:
@@ -122,32 +124,30 @@ def _project(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
     return ad.split_heads(ad.linear(x, w), n_heads)
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeights,
+def _attend(q: Tensor, kv: Tensor, weights: AttentionWeights,
             select: Callable[[Tensor], Tensor], cache: KVCache | None = None) -> Tensor:
     """The one multi-head attention routine: project, split the heads, score,
     select, sum the values, merge the heads and project by wo.  ``select``
     maps the (..., H, t, n) scores to the weights of the values."""
     if cache is not None and ad.is_recording():
         raise ConfigError("a KV cache is valid only under autodiff.no_grad")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key/value count mismatch: {k.shape} vs {v.shape}")
     # q is projected first: the tape order sets the order backward sums the
     # gradients of shared inputs in.
     qh = _project(q, weights.wq, weights.n_heads)
     if cache is None:
-        kh = _project(k, weights.wk, weights.n_heads)
-        vh = _project(v, weights.wv, weights.n_heads)
+        kh = _project(kv, weights.wk, weights.n_heads)
+        vh = _project(kv, weights.wv, weights.n_heads)
     else:
-        kh, vh = cache.keys_values(k, v, weights)
+        kh, vh = cache.keys_values(kv, weights)
     scores = ad.attention_scores(qh, kh, 1.0 / math.sqrt(weights.d_head))
     return ad.linear(ad.merge_heads(ad.matmul(select(scores), vh)), weights.wo)
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeights,
+def multi_head_attention(q: Tensor, kv: Tensor, weights: AttentionWeights,
                          mask: np.ndarray | None = None,
                          cache: KVCache | None = None) -> Tensor:
-    """Softmax attention over the keys, (..., t, n) mask True where a query
-    may not look.  With a cache, the keys and values come from it (see
+    """Softmax attention of q over the n rows of kv, (..., t, n) mask True
+    where a query may not look.  With a cache, the keys and values come from it (see
     :class:`KVCache`), and the mask covers every cached key; a cache is only
     accepted under ``autodiff.no_grad``."""
     def softmax(scores: Tensor) -> Tensor:
@@ -155,7 +155,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, weights: AttentionWeig
         heads = None if mask is None else np.broadcast_to(mask[..., None, :, :], scores.shape)
         return ad.softmax_rows(scores, heads)
 
-    return _attend(q, k, v, weights, softmax, cache)
+    return _attend(q, kv, weights, softmax, cache)
 
 
 def _gate_noise(src: NoiseSource, shape: tuple[int, ...],
@@ -203,5 +203,5 @@ def multi_head_gumbel_attention(x_text: Tensor, x_image: Tensor, weights: Attent
         alpha = gumbel_sigmoid(scores, tau, mode, noise)
         return alpha
 
-    values = _attend(x_text, x_image, x_image, weights, gates)
+    values = _attend(x_text, x_image, weights, gates)
     return values, alpha

@@ -35,11 +35,12 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A dense float64 value, an optional gradient buffer of the same shape,
-    and a back-reference to the tape record that produced it (None for
-    leaves).  The shape is fixed at construction."""
+    """A dense float64 value and an optional gradient buffer of the same
+    shape.  The shape is fixed at construction.  Only the tape refers to the
+    record that produced a tensor, so clearing the tape frees a step's
+    activations without waiting for the cycle collector."""
 
-    __slots__ = ("data", "grad", "node")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data, *, grad: bool = False):
         self.data: Array = np.array(data, dtype=np.float64, order="C")
@@ -48,7 +49,6 @@ class Tensor:
         # a gradient is written, so a model that only infers never faults
         # its gradient memory in.
         self.grad: Array | None = np.zeros(self.data.shape) if grad else None
-        self.node: Record | None = None
 
     @classmethod
     def _adopt(cls, data: Array) -> "Tensor":
@@ -56,7 +56,7 @@ class Tensor:
         C-ordered arrays the ops below allocate; caller-supplied data goes
         through the constructor, which copies."""
         t = cls.__new__(cls)
-        t.data, t.grad, t.node = data, None, None
+        t.data, t.grad = data, None
         return t
 
     @property
@@ -90,10 +90,6 @@ class Parameter(NamedTuple):
 
     name: str
     tensor: Tensor
-
-
-def make_parameter(name: str, data) -> Parameter:
-    return Parameter(name, Tensor(data, grad=True))
 
 
 def check_unique_names(params: Sequence[Parameter]) -> None:
@@ -139,9 +135,7 @@ def _emit(inputs: tuple[Tensor, ...], out_data: Array,
           backward: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
     out = Tensor._adopt(out_data)
     if _grad_enabled[-1]:
-        rec = Record(inputs, out, backward)
-        out.node = rec
-        _tape.append(rec)
+        _tape.append(Record(inputs, out, backward))
     return out
 
 

@@ -8,6 +8,8 @@ a standard causal transformer decoder over the fused memory.
 
 Each layer step is one tape record: ``linear`` for a weight product and its
 bias, ``residual_layer_norm`` for a post-norm sublayer LayerNorm(x + sublayer(x)).
+Each component registers its parameters where it creates them, through a
+seeded ``_Init``, and ``MMTModel.named_parameters`` returns that one list.
 
 Every forward takes one sentence (1-d token ids, a ``(r, d_image)`` image)
 or a batch: ``(b, t)`` token ids right-padded with PAD_ID and ``(b, r,
@@ -251,100 +253,87 @@ def softplus_inverse(y: float) -> float:
 
 
 class _Init:
-    """Per-component seeded initialiser: the same (seed, component name) pair
-    always yields the same draws, so model variants that share component
-    names share initial values."""
+    """Per-component seeded initialiser and registrar: the same (seed,
+    component name) pair always yields the same draws, so model variants that
+    share component names share initial values.  Every tensor it makes is
+    appended to ``params`` as ``component.field``, so the list holds each
+    parameter once, in the order the model creates them."""
 
-    def __init__(self, seed: int, name: str):
+    def __init__(self, seed: int, name: str, params: list[Parameter]):
         self.rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+        self.name = name
+        self.params = params
 
-    def matrix(self, d_in: int, d_out: int) -> Tensor:
+    def tensor(self, field: str, data) -> Tensor:
+        t = Tensor(data, grad=True)
+        self.params.append(Parameter(f"{self.name}.{field}", t))
+        return t
+
+    def matrix(self, field: str, d_in: int, d_out: int) -> Tensor:
         bound = 1.0 / math.sqrt(d_in)
-        return Tensor(self.rng.uniform(-bound, bound, size=(d_in, d_out)), grad=True)
+        return self.tensor(field, self.rng.uniform(-bound, bound, size=(d_in, d_out)))
 
-    def vector(self, d: int, value: float = 0.0) -> Tensor:
-        return Tensor(np.full(d, value), grad=True)
+    def vector(self, field: str, d: int, value: float = 0.0) -> Tensor:
+        return self.tensor(field, np.full(d, value))
+
+    def attention(self, field: str, d_model: int, d_in_kv: int, n_heads: int
+                  ) -> AttentionWeights:
+        """One attention block's weights, registered as ``field.wq`` .. ``field.wo``."""
+        w = init_attention_weights(self.rng, d_model, d_in_kv, d_model, n_heads)
+        prefix = f"{self.name}.{field}." if field else f"{self.name}."
+        self.params += [Parameter(prefix + n, getattr(w, n)) for n in ("wq", "wk", "wv", "wo")]
+        return w
 
 
 class LayerNorm:
-    def __init__(self, init: _Init, d: int):
-        self.gain = init.vector(d, 1.0)
-        self.bias = init.vector(d, 0.0)
+    def __init__(self, init: _Init, field: str, d: int):
+        self.gain = init.vector(f"{field}.gain", d, 1.0)
+        self.bias = init.vector(f"{field}.bias", d, 0.0)
 
     def __call__(self, x: Tensor, h: Tensor) -> Tensor:
         return ad.residual_layer_norm(x, h, self.gain, self.bias)
 
-    def params(self, prefix: str) -> list[Parameter]:
-        return [Parameter(f"{prefix}.gain", self.gain), Parameter(f"{prefix}.bias", self.bias)]
-
 
 class FeedForward:
     def __init__(self, init: _Init, d_model: int, d_ffn: int):
-        self.w1 = init.matrix(d_model, d_ffn)
-        self.b1 = init.vector(d_ffn)
-        self.w2 = init.matrix(d_ffn, d_model)
-        self.b2 = init.vector(d_model)
+        self.w1 = init.matrix("ffn.w1", d_model, d_ffn)
+        self.b1 = init.vector("ffn.b1", d_ffn)
+        self.w2 = init.matrix("ffn.w2", d_ffn, d_model)
+        self.b2 = init.vector("ffn.b2", d_model)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(ad.relu(ad.linear(x, self.w1, self.b1)), self.w2, self.b2)
 
-    def params(self, prefix: str) -> list[Parameter]:
-        return [Parameter(f"{prefix}.w1", self.w1), Parameter(f"{prefix}.b1", self.b1),
-                Parameter(f"{prefix}.w2", self.w2), Parameter(f"{prefix}.b2", self.b2)]
-
-
-def _attn_params(prefix: str, w: AttentionWeights) -> list[Parameter]:
-    return [Parameter(f"{prefix}.{name}", getattr(w, name)) for name in ("wq", "wk", "wv", "wo")]
-
 
 class EncoderLayer:
-    def __init__(self, seed: int, name: str, d_model: int, d_ffn: int, n_heads: int):
-        init = _Init(seed, name)
-        self.attn = init_attention_weights(init.rng, d_model, d_model, d_model,
-                                           d_model, n_heads)
-        self.ln1 = LayerNorm(init, d_model)
+    def __init__(self, init: _Init, d_model: int, d_ffn: int, n_heads: int):
+        self.attn = init.attention("self_attn", d_model, d_model, n_heads)
+        self.ln1 = LayerNorm(init, "ln1", d_model)
         self.ffn = FeedForward(init, d_model, d_ffn)
-        self.ln2 = LayerNorm(init, d_model)
+        self.ln2 = LayerNorm(init, "ln2", d_model)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        h = self.ln1(x, multi_head_attention(x, x, x, self.attn, mask))
+        h = self.ln1(x, multi_head_attention(x, x, self.attn, mask))
         return self.ln2(h, self.ffn(h))
-
-    def params(self, prefix: str) -> list[Parameter]:
-        return (_attn_params(f"{prefix}.self_attn", self.attn)
-                + self.ln1.params(f"{prefix}.ln1")
-                + self.ffn.params(f"{prefix}.ffn")
-                + self.ln2.params(f"{prefix}.ln2"))
 
 
 class DecoderLayer:
-    def __init__(self, seed: int, name: str, d_model: int, d_ffn: int, n_heads: int):
-        init = _Init(seed, name)
-        self.self_attn = init_attention_weights(init.rng, d_model, d_model, d_model,
-                                                d_model, n_heads)
-        self.ln1 = LayerNorm(init, d_model)
-        self.cross_attn = init_attention_weights(init.rng, d_model, d_model, d_model,
-                                                 d_model, n_heads)
-        self.ln2 = LayerNorm(init, d_model)
+    def __init__(self, init: _Init, d_model: int, d_ffn: int, n_heads: int):
+        self.self_attn = init.attention("self_attn", d_model, d_model, n_heads)
+        self.ln1 = LayerNorm(init, "ln1", d_model)
+        self.cross_attn = init.attention("cross_attn", d_model, d_model, n_heads)
+        self.ln2 = LayerNorm(init, "ln2", d_model)
         self.ffn = FeedForward(init, d_model, d_ffn)
-        self.ln3 = LayerNorm(init, d_model)
+        self.ln3 = LayerNorm(init, "ln3", d_model)
 
     def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray | None,
                  memory_mask: np.ndarray | None = None,
                  cache: tuple[KVCache, KVCache] | None = None) -> Tensor:
         self_cache, memory_cache = (None, None) if cache is None else cache
-        h = self.ln1(x, multi_head_attention(x, x, x, self.self_attn, mask, self_cache))
-        h = self.ln2(h, multi_head_attention(h, memory, memory, self.cross_attn,
+        h = self.ln1(x, multi_head_attention(x, x, self.self_attn, mask, self_cache))
+        h = self.ln2(h, multi_head_attention(h, memory, self.cross_attn,
                                              memory_mask, memory_cache))
         return self.ln3(h, self.ffn(h))
-
-    def params(self, prefix: str) -> list[Parameter]:
-        return (_attn_params(f"{prefix}.self_attn", self.self_attn)
-                + self.ln1.params(f"{prefix}.ln1")
-                + _attn_params(f"{prefix}.cross_attn", self.cross_attn)
-                + self.ln2.params(f"{prefix}.ln2")
-                + self.ffn.params(f"{prefix}.ffn")
-                + self.ln3.params(f"{prefix}.ln3"))
 
 
 class DecoderCache:
@@ -366,13 +355,17 @@ class MMTModel:
         self.seed = seed
         ab = cfg.ablation
         d, dk = cfg.d_model, cfg.d_image
+        self._params: list[Parameter] = []
 
-        emb_init = _Init(seed, "embed")
-        self.src_table = emb_init.matrix(cfg.vocab_src, d)
-        self.tgt_table = emb_init.matrix(cfg.vocab_tgt, d)
+        def init(name: str) -> _Init:
+            return _Init(seed, name, self._params)
+
+        emb_init = init("embed")
+        self.src_table = emb_init.matrix("src_table", cfg.vocab_src, d)
+        self.tgt_table = emb_init.matrix("tgt_table", cfg.vocab_tgt, d)
         self.pos_enc = sinusoid_position_encoding(cfg.max_positions, d)
 
-        self.text_layers = [EncoderLayer(seed, f"text_enc.layer{i}", d, cfg.d_ffn, cfg.n_heads)
+        self.text_layers = [EncoderLayer(init(f"text_enc.layer{i}"), d, cfg.d_ffn, cfg.n_heads)
                             for i in range(cfg.n_enc_layers)]
 
         self.img_proj_w = self.img_proj_b = None
@@ -383,60 +376,40 @@ class MMTModel:
             if ab.shared_encoders:
                 self.img_layers = self.text_layers
             else:
-                self.img_layers = [EncoderLayer(seed, f"img_enc.layer{i}", d, cfg.d_ffn,
+                self.img_layers = [EncoderLayer(init(f"img_enc.layer{i}"), d, cfg.d_ffn,
                                                 cfg.n_heads)
                                    for i in range(cfg.n_enc_layers)]
             if cfg.gumbel_layer >= 2:
-                proj_init = _Init(seed, "img_proj")
-                self.img_proj_w = proj_init.matrix(dk, d)
-                self.img_proj_b = proj_init.vector(d)
+                proj_init = init("img_proj")
+                self.img_proj_w = proj_init.matrix("w", dk, d)
+                self.img_proj_b = proj_init.vector("b", d)
                 d_kv = d
             else:
                 d_kv = dk
-            cross_init = _Init(seed, "cross_attn")
-            self.cross_weights = init_attention_weights(cross_init.rng, d, d_kv, d_kv,
-                                                        d, cfg.n_heads)
+            self.cross_weights = init("cross_attn").attention("", d, d_kv, cfg.n_heads)
             if not ab.no_gated_fusion:
-                fusion_init = _Init(seed, "fusion")
-                self.fusion_w = fusion_init.matrix(d, d)
-                self.fusion_u = fusion_init.matrix(d, d)
+                fusion_init = init("fusion")
+                self.fusion_w = fusion_init.matrix("w", d, d)
+                self.fusion_u = fusion_init.matrix("u", d, d)
 
-        self.dec_layers = [DecoderLayer(seed, f"dec.layer{i}", d, cfg.d_ffn, cfg.n_heads)
+        self.dec_layers = [DecoderLayer(init(f"dec.layer{i}"), d, cfg.d_ffn, cfg.n_heads)
                            for i in range(cfg.n_dec_layers)]
-        out_init = _Init(seed, "out_proj")
-        self.out_w = out_init.matrix(d, cfg.vocab_tgt)
-        self.out_b = out_init.vector(cfg.vocab_tgt)
+        out_init = init("out_proj")
+        self.out_w = out_init.matrix("w", d, cfg.vocab_tgt)
+        self.out_b = out_init.vector("b", cfg.vocab_tgt)
 
         self.alpha_raw: Tensor | None = None
         if cfg.loss_alpha.trainable and not (ab.text_only or ab.no_similarity_loss):
-            self.alpha_raw = Tensor(np.asarray(softplus_inverse(cfg.loss_alpha.value)),
-                                    grad=True)
+            self.alpha_raw = init("loss_alpha").tensor(
+                "raw", np.asarray(softplus_inverse(cfg.loss_alpha.value)))
+        check_unique_names(self._params)
 
     # -- parameters ---------------------------------------------------------
 
     def named_parameters(self) -> list[Parameter]:
-        params: list[Parameter] = [Parameter("src_embed.table", self.src_table),
-                                   Parameter("tgt_embed.table", self.tgt_table)]
-        for i, layer in enumerate(self.text_layers):
-            params += layer.params(f"text_enc.layer{i}")
-        if self.img_layers and self.img_layers is not self.text_layers:
-            for i, layer in enumerate(self.img_layers):
-                params += layer.params(f"img_enc.layer{i}")
-        if self.img_proj_w is not None:
-            params += [Parameter("img_proj.w", self.img_proj_w),
-                       Parameter("img_proj.b", self.img_proj_b)]
-        if self.cross_weights is not None:
-            params += _attn_params("cross_attn", self.cross_weights)
-        if self.fusion_w is not None:
-            params += [Parameter("fusion.w", self.fusion_w),
-                       Parameter("fusion.u", self.fusion_u)]
-        for i, layer in enumerate(self.dec_layers):
-            params += layer.params(f"dec.layer{i}")
-        params += [Parameter("out_proj.w", self.out_w), Parameter("out_proj.b", self.out_b)]
-        if self.alpha_raw is not None:
-            params.append(Parameter("loss_alpha.raw", self.alpha_raw))
-        check_unique_names(params)
-        return params
+        """Every trainable tensor once, in creation order, as registered by
+        :class:`_Init`; the order fixes the order gradient norms sum in."""
+        return list(self._params)
 
     def alpha_eff(self) -> float:
         if self.alpha_raw is not None:
@@ -481,16 +454,16 @@ class MMTModel:
             x_img = ad.linear(x_img, self.img_proj_w, self.img_proj_b)
             for layer in self.img_layers[: L - 1]:
                 x_img = layer(x_img)
-        query = states[min(L - 1, cfg.n_enc_layers)]
+        query = states[L - 1]
 
         gates = None
         if cfg.ablation.vanilla_attention:
-            v = multi_head_attention(query, x_img, x_img, self.cross_weights)
+            v = multi_head_attention(query, x_img, self.cross_weights)
         else:
             v, gates = multi_head_gumbel_attention(query, x_img, self.cross_weights, tau,
                                                    noise, mode, lengths=lengths)
         # From here the image branch has one row per text position.
-        for layer in self.img_layers[max(L - 1, 0):] if L <= cfg.n_enc_layers else []:
+        for layer in self.img_layers[L - 1:]:
             v = layer(v, text_mask)
         h_image = v
 

@@ -23,7 +23,7 @@ def fresh_tape():
 
 def rand_weights(seed, d_q, d_kv, d_model, heads):
     rng = np.random.default_rng(seed)
-    return init_attention_weights(rng, d_q, d_kv, d_kv, d_model, heads)
+    return init_attention_weights(rng, d_q, d_kv, d_model, heads)
 
 
 def identity_weights(d, heads):
@@ -75,7 +75,7 @@ def test_single_key_passes_value_through():
     w = rand_weights(1, 4, 4, 4, 2)
     q = Tensor(rng.normal(size=(3, 4)))
     kv = Tensor(rng.normal(size=(1, 4)))
-    out = multi_head_attention(q, kv, kv, w)
+    out = multi_head_attention(q, kv, w)
     np.testing.assert_allclose(out.data, np.tile(kv.data @ w.wv.data @ w.wo.data, (3, 1)),
                                atol=1e-12)
 
@@ -83,16 +83,16 @@ def test_single_key_passes_value_through():
 def test_zero_scores_average_values():
     w = identity_weights(3, 1)
     w.wq.data[:] = 0.0
-    v = Tensor(np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0], [5.0, 6.0, 2.0]]))
-    out = multi_head_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), v, w)
-    np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)))
+    kv = Tensor(np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0], [5.0, 6.0, 2.0]]))
+    out = multi_head_attention(Tensor(np.ones((2, 3))), kv, w)
+    np.testing.assert_allclose(out.data, np.tile(kv.data.mean(axis=0), (2, 1)))
 
 
 def test_scaled_dot_hand_case():
     w = identity_weights(2, 1)
     q = Tensor([[1.0, 0.0]])
     kv = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    out = multi_head_attention(q, kv, kv, w)
+    out = multi_head_attention(q, kv, w)
     np.testing.assert_allclose(out.data, [[0.6698, 0.3302]], atol=1e-4)
 
 
@@ -100,7 +100,7 @@ def test_mask_blocks_future_positions():
     rng = np.random.default_rng(1)
     w = rand_weights(2, 4, 4, 4, 2)
     x = Tensor(rng.normal(size=(4, 4)))
-    masked = multi_head_attention(x, x, x, w, causal_mask(4))
+    masked = multi_head_attention(x, x, w, causal_mask(4))
     # row 0 may only see key 0
     np.testing.assert_allclose(masked.data[0], x.data[0] @ w.wv.data @ w.wo.data, atol=1e-12)
     np.testing.assert_allclose(masked.data, softmax_oracle(w, x.data, x.data, x.data,
@@ -110,11 +110,7 @@ def test_mask_blocks_future_positions():
 def test_shape_mismatch_raises():
     w = rand_weights(3, 3, 3, 4, 2)
     with pytest.raises(ShapeError):
-        multi_head_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
-                             Tensor(np.zeros((3, 3))), w)
-    with pytest.raises(ShapeError):
-        multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))),
-                             Tensor(np.zeros((2, 3))), w)
+        multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))), w)
 
 
 def test_mask_is_a_view_over_the_heads(monkeypatch):
@@ -131,7 +127,7 @@ def test_mask_is_a_view_over_the_heads(monkeypatch):
     w = rand_weights(5, 4, 4, 4, 2)
     x = Tensor(rng.normal(size=(2, 3, 4)))
     mask = key_padding_mask(np.array([3, 1]), 3, 3)
-    multi_head_attention(x, x, x, w, mask)
+    multi_head_attention(x, x, w, mask)
     assert seen[0].shape == (2, 2, 3, 3)
     assert seen[0].strides[1] == 0 and np.shares_memory(seen[0], mask)
 
@@ -142,11 +138,11 @@ def test_single_head_identity_output_projection():
     rng = np.random.default_rng(2)
     w = rand_weights(3, 4, 4, 4, 1)
     w.wo = Tensor(np.eye(4), grad=True)
-    q, k, v = (Tensor(rng.normal(size=(3, 4))) for _ in range(3))
-    got = multi_head_attention(q, k, v, w)
-    s = (q.data @ w.wq.data) @ (k.data @ w.wk.data).T / 2.0
+    q, kv = (Tensor(rng.normal(size=(3, 4))) for _ in range(2))
+    got = multi_head_attention(q, kv, w)
+    s = (q.data @ w.wq.data) @ (kv.data @ w.wk.data).T / 2.0
     p = np.exp(s) / np.exp(s).sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(got.data, p @ v.data @ w.wv.data, atol=1e-12)
+    np.testing.assert_allclose(got.data, p @ kv.data @ w.wv.data, atol=1e-12)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -156,7 +152,7 @@ def test_softmax_attention_matches_per_head_oracle(heads):
     q = Tensor(rng.normal(size=(2, 3, 6)))
     kv = Tensor(rng.normal(size=(2, 4, 5)))
     mask = key_padding_mask(np.array([4, 2]), 3, 4)
-    got = multi_head_attention(q, kv, kv, w, mask)
+    got = multi_head_attention(q, kv, w, mask)
     np.testing.assert_allclose(got.data, softmax_oracle(w, q.data, kv.data, kv.data, mask),
                                rtol=1e-12, atol=1e-13)
 
@@ -165,7 +161,6 @@ def test_multi_head_output_shape():
     rng = np.random.default_rng(3)
     w = rand_weights(4, 8, 8, 8, 4)
     out = multi_head_attention(Tensor(rng.normal(size=(5, 8))),
-                               Tensor(rng.normal(size=(7, 8))),
                                Tensor(rng.normal(size=(7, 8))), w)
     assert out.shape == (5, 8)
     assert w.wq.shape == (8, 8) and w.n_heads == 4 and w.d_head == 2
@@ -187,20 +182,19 @@ def test_stacked_weights_keep_the_per_head_draw_order():
 
 def test_head_count_must_divide_d_model():
     with pytest.raises(ShapeError):
-        init_attention_weights(np.random.default_rng(0), 8, 8, 8, 8, 3)
+        init_attention_weights(np.random.default_rng(0), 8, 8, 8, 3)
 
 
 def test_multi_head_gradients():
     rng = np.random.default_rng(4)
     w = rand_weights(5, 6, 6, 6, 2)
     q = Tensor(rng.uniform(-1, 1, size=(2, 3, 6)))
-    k = Tensor(rng.uniform(-1, 1, size=(2, 4, 6)))
-    v = Tensor(rng.uniform(-1, 1, size=(2, 4, 6)))
+    kv = Tensor(rng.uniform(-1, 1, size=(2, 4, 6)))
     mask = key_padding_mask(np.array([4, 3]), 3, 4)
-    leaves = [w.wq, w.wk, w.wv, w.wo, q, k, v]
+    leaves = [w.wq, w.wk, w.wv, w.wo, q, kv]
 
     def forward():
-        return ad.reduce_sum(ad.mul(multi_head_attention(q, k, v, w, mask), q))
+        return ad.reduce_sum(ad.mul(multi_head_attention(q, kv, w, mask), q))
 
     assert gradient_error(forward, leaves) < 1e-4
 
@@ -213,7 +207,7 @@ def test_score_divisor_is_sqrt_d_head():
     w = identity_weights(8, 2)
     x_text = Tensor([[1.0, 0, 0, 0, 0, 0, 0, 0]])
     x_image = Tensor([[1.0, 0, 0, 0, 0, 0, 0, 0], [0.0, 1, 0, 0, 0, 0, 0, 0]])
-    soft = multi_head_attention(x_text, x_image, x_image, w)
+    soft = multi_head_attention(x_text, x_image, w)
     assert soft.data[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), abs=1e-12)
     # sigmoid(1/2) = 0.622 opens a 0.6 threshold; sigmoid(1/sqrt(8)) = 0.587 would not.
     _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.6))

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -252,9 +254,30 @@ def test_no_grad_suppresses_recording():
     p = Tensor([1.0, 2.0], grad=True)
     with ad.no_grad():
         loss = ad.reduce_sum(ad.mul(p, p))
-    assert loss.node is None and ad._tape == []
+    assert ad._tape == []
     ad.backward(loss)
     np.testing.assert_array_equal(p.grad, np.zeros(2))
+
+
+def test_reset_tape_frees_activations_without_the_cycle_collector():
+    # Only the tape refers to a record, so dropping the tape and the loss
+    # frees every intermediate output at once, with the collector off.
+    w = Tensor(np.ones((3, 4)), grad=True)
+    hidden = ad.relu(ad.linear(Tensor(np.ones((2, 3))), w))
+    loss = ad.reduce_sum(ad.mul(hidden, hidden))
+    ref = weakref.ref(hidden.data)
+    del hidden
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ad.backward(loss)
+        ad.reset_tape()
+        del loss
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    np.testing.assert_array_equal(w.grad, np.full((3, 4), 12.0))
 
 
 def test_backward_composite_matches_finite_differences():
@@ -289,9 +312,9 @@ def test_tensor_invariants():
 
 
 def test_parameter_names_unique():
-    from gumbel_mmt.autodiff import check_unique_names, make_parameter
-    a = make_parameter("w", np.zeros(2))
-    b = make_parameter("w", np.zeros(2))
+    from gumbel_mmt.autodiff import Parameter, check_unique_names
+    a = Parameter("w", Tensor(np.zeros(2), grad=True))
+    b = Parameter("w", Tensor(np.zeros(2), grad=True))
     with pytest.raises(ConfigError, match="duplicate parameter name: 'w'"):
         check_unique_names([a, b])
 

@@ -258,6 +258,72 @@ def test_shared_encoders_halve_encoder_params():
     assert shared.img_layers is shared.text_layers
 
 
+ENC_LAYER = ["self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
+             "ln1.gain", "ln1.bias", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
+             "ln2.gain", "ln2.bias"]
+DEC_LAYER = ["self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
+             "ln1.gain", "ln1.bias",
+             "cross_attn.wq", "cross_attn.wk", "cross_attn.wv", "cross_attn.wo",
+             "ln2.gain", "ln2.bias", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
+             "ln3.gain", "ln3.bias"]
+
+
+def test_named_parameters_are_listed_in_creation_order():
+    # The order is the one the global gradient norm sums in before clipping.
+    m = MMTModel(tiny_config(gumbel_layer=2, loss_alpha=LossWeightMode("trainable", 0.5)),
+                 seed=9)
+    want = (["embed.src_table", "embed.tgt_table"]
+            + [f"text_enc.layer0.{n}" for n in ENC_LAYER]
+            + [f"img_enc.layer0.{n}" for n in ENC_LAYER]
+            + ["img_proj.w", "img_proj.b",
+               "cross_attn.wq", "cross_attn.wk", "cross_attn.wv", "cross_attn.wo",
+               "fusion.w", "fusion.u"]
+            + [f"dec.layer0.{n}" for n in DEC_LAYER]
+            + ["out_proj.w", "out_proj.b", "loss_alpha.raw"])
+    assert [p.name for p in m.named_parameters()] == want
+    assert m.named_parameters()[0].tensor is m.src_table
+    assert m.named_parameters()[-1].tensor is m.alpha_raw
+
+
+def _reachable_trainable_tensors(model):
+    """Tensors with a gradient buffer reachable from the model's attributes,
+    its layers and their attention weights, each once, skipping the list
+    the registry itself keeps."""
+    found, seen = [], set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            if obj.grad is not None:
+                found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif type(obj).__module__.startswith("gumbel_mmt") and hasattr(obj, "__dict__"):
+            for item in vars(obj).values():
+                walk(item)
+
+    for name, value in vars(model).items():
+        if name != "_params":
+            walk(value)
+    return found
+
+
+@pytest.mark.parametrize("flag", [None] + [f.name for f in dataclasses.fields(AblationFlags)])
+@pytest.mark.parametrize("gumbel_layer", [1, 2, 3])
+def test_every_trainable_tensor_is_registered_exactly_once(flag, gumbel_layer):
+    ablation = AblationFlags(**({flag: True} if flag else {}))
+    m = MMTModel(tiny_config(n_enc_layers=2, gumbel_layer=gumbel_layer, ablation=ablation,
+                             loss_alpha=LossWeightMode("trainable", 0.5)), seed=5)
+    registered = [id(p.tensor) for p in m.named_parameters()]
+    assert len(set(registered)) == len(registered)
+    reachable = _reachable_trainable_tensors(m)
+    assert reachable
+    assert {id(t) for t in reachable} == set(registered)
+
+
 # -- decoder ---------------------------------------------------------------------
 
 def test_decoder_causality():

@@ -6,7 +6,7 @@ import pytest
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt import training
-from gumbel_mmt.autodiff import Tensor, make_parameter
+from gumbel_mmt.autodiff import Parameter, Tensor
 from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset
 from gumbel_mmt.errors import ConfigError, TrainingError
 from gumbel_mmt.gumbel import GateMode, NoiseSource
@@ -38,7 +38,7 @@ def hand_adam(grads, lr, b1, b2, eps):
 @pytest.mark.parametrize("clip_norm", [0.0, 100.0], ids=["off", "not_reached"])
 def test_adam_step_matches_hand_computed_update(clip_norm):
     cfg = TrainConfig(lr=0.1, beta1=0.8, beta2=0.9, eps=1e-8, clip_norm=clip_norm)
-    p = make_parameter("w", np.array([1.0, -2.0]))
+    p = Parameter("w", Tensor(np.array([1.0, -2.0]), grad=True))
     state = AdamState()
     steps = [np.array([0.5, -3.0]), np.array([-1.0, 0.25])]
     want = [hand_adam([g[i] for g in steps], 0.1, 0.8, 0.9, 1e-8) for i in range(2)]
@@ -53,8 +53,8 @@ def test_adam_step_matches_hand_computed_update(clip_norm):
 
 def test_adam_step_clips_by_global_norm():
     cfg = TrainConfig(lr=0.1, beta1=0.8, beta2=0.9, eps=1e-8, clip_norm=1.0)
-    a = make_parameter("a", np.zeros(1))
-    b = make_parameter("b", np.zeros(1))
+    a = Parameter("a", Tensor(np.zeros(1), grad=True))
+    b = Parameter("b", Tensor(np.zeros(1), grad=True))
     state = AdamState()
     # Step 1 has global norm 5 and is scaled by 1/5; step 2 has norm 0.5 and
     # is not.  The moments carry the clipped step into step 2.
@@ -74,7 +74,8 @@ def test_adam_step_is_bit_identical_to_the_textbook_expressions():
     cfg = TrainConfig(lr=0.01, clip_norm=1.0)
     rng = np.random.default_rng(0)
     # Zero start: the parameters are the summed updates, with every bit of them.
-    params = [make_parameter("w", np.zeros((3, 4))), make_parameter("raw", np.asarray(0.0))]
+    params = [Parameter("w", Tensor(np.zeros((3, 4)), grad=True)),
+              Parameter("raw", Tensor(np.asarray(0.0), grad=True))]
     want = {p.name: p.tensor.data.copy() for p in params}
     m = {name: np.zeros_like(w) for name, w in want.items()}
     v = {name: np.zeros_like(w) for name, w in want.items()}
@@ -100,7 +101,7 @@ def test_adam_step_is_bit_identical_to_the_textbook_expressions():
 
 
 def test_adam_step_rejects_non_finite_gradient():
-    p = make_parameter("bad.w", np.zeros(2))
+    p = Parameter("bad.w", Tensor(np.zeros(2), grad=True))
     p.tensor.grad[:] = [1.0, np.nan]
     with pytest.raises(TrainingError, match="bad.w"):
         adam_step([p], AdamState(), TrainConfig())
