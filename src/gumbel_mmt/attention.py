@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .gumbel import GateMode, NoiseSource, gumbel_sigmoid
+from .gumbel import NoiseSource, gumbel_sigmoid
 
 
 @dataclass
@@ -125,10 +125,12 @@ def _project(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
 
 
 def _attend(q: Tensor, kv: Tensor, weights: AttentionWeights,
-            select: Callable[[Tensor], Tensor], cache: KVCache | None = None) -> Tensor:
+            select: Callable[[Tensor], Tensor], cache: KVCache | None = None
+            ) -> tuple[Tensor, Tensor]:
     """The one multi-head attention routine: project, split the heads, score,
     select, sum the values, merge the heads and project by wo.  ``select``
-    maps the (..., H, t, n) scores to the weights of the values."""
+    maps the (..., H, t, n) scores to the weights of the values; returns the
+    output and those weights."""
     if cache is not None and ad.is_recording():
         raise ConfigError("a KV cache is valid only under autodiff.no_grad")
     # q is projected first: the tape order sets the order backward sums the
@@ -140,7 +142,8 @@ def _attend(q: Tensor, kv: Tensor, weights: AttentionWeights,
     else:
         kh, vh = cache.keys_values(kv, weights)
     scores = ad.attention_scores(qh, kh, 1.0 / math.sqrt(weights.d_head))
-    return ad.linear(ad.merge_heads(ad.matmul(select(scores), vh)), weights.wo)
+    selected = select(scores)
+    return ad.linear(ad.merge_heads(ad.matmul(selected, vh)), weights.wo), selected
 
 
 def multi_head_attention(q: Tensor, kv: Tensor, weights: AttentionWeights,
@@ -155,7 +158,7 @@ def multi_head_attention(q: Tensor, kv: Tensor, weights: AttentionWeights,
         heads = None if mask is None else np.broadcast_to(mask[..., None, :, :], scores.shape)
         return ad.softmax_rows(scores, heads)
 
-    return _attend(q, kv, weights, softmax, cache)
+    return _attend(q, kv, weights, softmax, cache)[0]
 
 
 def _gate_noise(src: NoiseSource, shape: tuple[int, ...],
@@ -181,27 +184,20 @@ def _gate_noise(src: NoiseSource, shape: tuple[int, ...],
 
 
 def multi_head_gumbel_attention(x_text: Tensor, x_image: Tensor, weights: AttentionWeights,
-                                tau, src: NoiseSource | None, mode: GateMode,
+                                tau, src: NoiseSource | None,
                                 lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Gated attention of text queries over image regions: each head's
     value is v_i = sum_j alpha_ij (x_j wv), with per-element Gumbel-Sigmoid
     gates alpha in place of the softmax.  Rows are not renormalised, so a
     fully closed row yields a zero vector (total rejection of the image).
 
-    Returns the values and the ``(..., H, t, r)`` gates: values in (0,1)
-    from stochastic train-mode gates, or exactly {0,1} in infer mode.  Each
-    head draws its own noise; in a batch, ``lengths`` holds the text lengths,
-    and the gates of padded text rows are computed and left unused.  Train
-    mode needs a NoiseSource; infer mode reads none."""
-    if mode.is_train and src is None:
-        raise ConfigError("train-mode Gumbel attention needs a NoiseSource")
-    alpha: Tensor | None = None
-
+    Returns the values and the ``(..., H, t, r)`` gates.  With a NoiseSource
+    they are stochastic train-mode gates in (0,1), and each head draws its own
+    noise; without one (None) they are the infer gates [score > 0], exactly
+    {0,1}.  In a batch, ``lengths`` holds the text lengths, and the gates of
+    padded text rows are computed and left unused."""
     def gates(scores: Tensor) -> Tensor:
-        nonlocal alpha
-        noise = _gate_noise(src, scores.shape, lengths) if mode.is_train else None
-        alpha = gumbel_sigmoid(scores, tau, mode, noise)
-        return alpha
+        noise = None if src is None else _gate_noise(src, scores.shape, lengths)
+        return gumbel_sigmoid(scores, tau, noise)
 
-    values = _attend(x_text, x_image, weights, gates)
-    return values, alpha
+    return _attend(x_text, x_image, weights, gates)

@@ -95,6 +95,9 @@ class SyntheticTaskSpec:
                 f"n_relevant_regions={self.n_relevant_regions} must lie in (0, {self.n_regions})")
         if self.vocab_size < 8:
             raise DataError(f"vocab_size={self.vocab_size} too small to host the task")
+        for name, low in (("d_image", 1), ("n_train", 0), ("n_val", 0), ("n_test", 0)):
+            if getattr(self, name) < low:
+                raise DataError(f"{name}={getattr(self, name)} must be >= {low}")
         if not 0.0 <= self.noise_regions_std < np.inf:
             raise DataError(
                 f"noise_regions_std={self.noise_regions_std} must be finite and >= 0")

@@ -1,17 +1,16 @@
 """Gumbel-Sigmoid gates: the one discrete relaxation of Gumbel-Attention.
 
 A gate over a score e is sigmoid((e + G' - G'') / tau) in train mode, with
-G' and G'' independent Gumbel(0,1) draws, and the constant sigmoid(e) >
-threshold in infer mode.  The noise is a constant to the autodiff tape, so
-gradients flow through the scores only (the reparameterisation reading).
-:class:`NoiseSource` draws it; the attention routine draws fresh noise on
-every forward pass and hands it to :func:`gumbel_sigmoid`.
+G' and G'' independent Gumbel(0,1) draws, and in infer mode the constant
+[e > 0], the gate's noise-free zero-temperature limit.  The noise is a tape
+constant, so gradients flow through the scores only (the reparameterisation
+reading).  :class:`NoiseSource` draws it; the attention routine draws fresh
+noise on every forward pass and hands it to :func:`gumbel_sigmoid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -50,46 +49,32 @@ def _check_tau(tau) -> float:
     return tau
 
 
-class GateKind(Enum):
-    TRAIN = "train"
-    INFER = "infer"
-
-
 @dataclass(frozen=True)
 class GateMode:
-    """Stochastic gates during training; deterministic thresholding at
-    inference (the threshold only applies in infer mode)."""
+    """Stochastic gates during training, deterministic gates [score > 0] at
+    inference.  ``MMTModel.encode`` turns the mode into the presence or
+    absence of gate noise; nothing below it reads the mode."""
 
-    kind: GateKind
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"gate threshold must lie in (0,1), got {self.threshold}")
+    is_train: bool
 
     @classmethod
     def train(cls) -> "GateMode":
-        return cls(GateKind.TRAIN)
+        return cls(True)
 
     @classmethod
-    def infer(cls, threshold: float = 0.5) -> "GateMode":
-        return cls(GateKind.INFER, threshold)
-
-    @property
-    def is_train(self) -> bool:
-        return self.kind is GateKind.TRAIN
+    def infer(cls) -> "GateMode":
+        return cls(False)
 
 
-def gumbel_sigmoid(e: Tensor, tau, mode: GateMode, noise: np.ndarray | None) -> Tensor:
+def gumbel_sigmoid(e: Tensor, tau, noise: np.ndarray | None) -> Tensor:
     """Per-element binary gates over arbitrary-shape inputs.
 
-    Train mode: sigmoid((e + noise) / tau), differentiable in e, where noise
+    With noise: sigmoid((e + noise) / tau), differentiable in e, where noise
     is the logistic noise G' - G'' of e's shape: the difference of two
     independent :meth:`NoiseSource.gumbel` draws.
-    Infer mode: constant 0/1 tensor, 1 where sigmoid(e) exceeds the
-    threshold; pass None for the noise.
+    Without noise (None): the constant 0/1 tensor [e > 0], the infer gates.
     """
     tau = _check_tau(tau)
-    if mode.is_train:
-        return ad.sigmoid(ad.scale(ad.add(e, Tensor(noise)), 1.0 / tau))
-    return Tensor((ad._sigmoid(e.data) > mode.threshold).astype(np.float64))
+    if noise is None:
+        return Tensor((e.data > 0).astype(np.float64))
+    return ad.sigmoid(ad.scale(ad.add(e, Tensor(noise)), 1.0 / tau))

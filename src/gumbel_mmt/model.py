@@ -63,6 +63,8 @@ class LossWeightMode:
             raise ConfigError(f"loss weight mode must be fixed|trainable, got {self.kind!r}")
         if not 0.0 <= self.value < np.inf:
             raise ConfigError(f"loss weight must be finite and >= 0, got {self.value}")
+        if self.trainable and self.value <= 0.0:
+            raise ConfigError(f"a trainable loss weight must be > 0, got {self.value}")
 
     @property
     def trainable(self) -> bool:
@@ -86,19 +88,21 @@ class ModelConfig:
     ablation: AblationFlags = field(default_factory=AblationFlags)
     margin: float = 0.3
     loss_alpha: LossWeightMode = field(default_factory=LossWeightMode)
-    gate_threshold: float = 0.5
     max_positions: int = 512
 
     def __post_init__(self):
-        if self.n_heads < 1 or self.d_model % self.n_heads:
+        lows = {"n_enc_layers": 0, "n_dec_layers": 0, "n_heads": 1, "d_model": 1, "d_ffn": 1,
+                "d_image": 1, "n_regions": 1, "vocab_src": 1, "vocab_tgt": 1, "max_positions": 1}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.d_model % self.n_heads:
             raise ConfigError(f"n_heads={self.n_heads} must divide d_model={self.d_model}")
         if not -1.0 <= self.margin <= 1.0:
             raise ConfigError(f"margin must lie in [-1, 1], got {self.margin}")
         if not 1 <= self.gumbel_layer <= self.n_enc_layers + 1:
             raise ConfigError(
                 f"gumbel_layer={self.gumbel_layer} out of range 1..{self.n_enc_layers + 1}")
-        if not 0.0 < self.gate_threshold < 1.0:
-            raise ConfigError(f"gate_threshold must lie in (0,1), got {self.gate_threshold}")
 
 
 @dataclass
@@ -243,8 +247,6 @@ def total_loss(logits: Tensor, targets, h_image: Tensor | None, h_text: Tensor |
 
 
 def softplus_inverse(y: float) -> float:
-    if y <= 0:
-        raise ConfigError(f"softplus target must be > 0, got {y}")
     return float(np.log(np.expm1(y)))
 
 
@@ -430,6 +432,9 @@ class MMTModel:
                mode: GateMode, tau: float = 1.0) -> EncoderOutput:
         """Encode one sentence, or a padded batch with one image per row."""
         cfg = self.cfg
+        gumbel = not (cfg.ablation.text_only or cfg.ablation.vanilla_attention)
+        if gumbel and mode.is_train and noise is None:
+            raise ConfigError("train-mode Gumbel attention needs a NoiseSource")
         ids = np.asarray(src_ids, dtype=np.int64)
         lengths = sequence_lengths(ids)
         t = ids.shape[-1]
@@ -457,11 +462,11 @@ class MMTModel:
         query = states[L - 1]
 
         gates = None
-        if cfg.ablation.vanilla_attention:
-            v = multi_head_attention(query, x_img, self.cross_weights)
-        else:
+        if gumbel:
             v, gates = multi_head_gumbel_attention(query, x_img, self.cross_weights, tau,
-                                                   noise, mode, lengths=lengths)
+                                                   noise if mode.is_train else None, lengths)
+        else:
+            v = multi_head_attention(query, x_img, self.cross_weights)
         # From here the image branch has one row per text position.
         for layer in self.img_layers[L - 1:]:
             v = layer(v, text_mask)
@@ -522,7 +527,7 @@ class MMTModel:
 
     def greedy_decode(self, src_ids, image: np.ndarray | None, max_len: int
                       ) -> tuple[list[int] | list[list[int]], EncoderOutput]:
-        """Deterministic argmax decoding with thresholded inference gates, of
+        """Deterministic argmax decoding with infer-mode gates [score > 0], of
         one sentence or a padded (b, t) batch with one image per row.
 
         One encode, then one decoder row per sentence per step through a
@@ -534,8 +539,7 @@ class MMTModel:
         if max_len <= 0:
             raise ConfigError(f"max_len must be positive, got {max_len}")
         with ad.no_grad():
-            enc = self.encode(src_ids, image, None,
-                              GateMode.infer(self.cfg.gate_threshold))
+            enc = self.encode(src_ids, image, None, GateMode.infer())
             batch = enc.fused.shape[:-2]
             step = np.full(batch + (1,), BOS_ID, dtype=np.int64)
             out: list[list[int]] = [[] for _ in range(step.size)]

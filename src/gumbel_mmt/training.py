@@ -201,21 +201,22 @@ def check_compatible(cfg: ModelConfig, examples: list[Example],
 
 def teacher_forced_loss(model: MMTModel, split: list[Example], seed: int) -> float:
     """Mean deterministic (infer-mode gates) loss over a split."""
+    if not split:
+        raise ConfigError("teacher_forced_loss on empty split")
     check_compatible(model.cfg, split)
     total = 0.0
     with ad.no_grad():
         for start in range(0, len(split), _EVAL_BATCH):
             chunk = split[start:start + _EVAL_BATCH]
             src, tgt, images = _batch(model, chunk, seed)
-            loss, _ = model.loss(src, tgt, images, None,
-                                 GateMode.infer(model.cfg.gate_threshold))
+            loss, _ = model.loss(src, tgt, images, None, GateMode.infer())
             total += loss.item() * len(chunk)
     return total / len(split)
 
 
 def evaluate(model: MMTModel, split: list[Example], seed: int = 0,
              max_len: int | None = None) -> Metrics:
-    """Greedy-decode the split with thresholded gates, one padded batch of up
+    """Greedy-decode the split with infer-mode gates [score > 0], one padded batch of up
     to _EVAL_BATCH examples per ``greedy_decode`` call, and aggregate BLEU,
     token accuracy, ambiguous-token accuracy, and the gate open rates over
     all regions, relevant regions and noise regions.  Gates are counted on
@@ -263,8 +264,8 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
     """Seeded epoch loop from fresh Adam moments and a fresh noise stream:
     shuffle, then per batch one padded forward and backward pass, clip, Adam
     step.  The batch loss is the mean of its examples' losses.  Gates are
-    stochastic (fresh noise per forward pass); validation metrics use
-    deterministic thresholded gates.  After each epoch, on_epoch_end gets
+    stochastic (fresh noise per forward pass); validation metrics use the
+    deterministic infer gates [score > 0].  After each epoch, on_epoch_end gets
     the epoch index and its stats."""
     if not dataset.train:
         raise TrainingError("training split is empty")

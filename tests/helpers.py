@@ -1,8 +1,8 @@
 """Shared test utilities: a registry of finite-difference gradient cases for
 every differentiable primitive, and for its batched form where it has one, a
 full-recompute greedy decoder that cached decoding is checked against, the
-logistic-noise oracle that gate noise is checked against, and a loader for the
-benchmark's tracer, whose names tests check against the package.
+logistic-noise and infer-gate oracles that gates are checked against, and a
+loader for the benchmark's tracer, whose names tests check against the package.
 Each gradient case factory draws random inputs in [-2, 2] (resampled away from
 relu/hinge kinks) and returns (forward, leaves, tol)."""
 
@@ -321,6 +321,14 @@ def check_primitive(name: str, n_cases: int, seed: int = 0) -> float:
     return worst
 
 
+def infer_gate_oracle(e: np.ndarray) -> np.ndarray:
+    """Infer-mode gates as the zero-noise Gumbel-Sigmoid rounded at one half:
+    1.0 where sigmoid(e) > 0.5.  exp overflows to inf for e below about
+    -709, and the sigmoid is then 0, so the overflow is silenced."""
+    with np.errstate(over="ignore"):
+        return (1.0 / (1.0 + np.exp(-e)) > 0.5).astype(np.float64)
+
+
 def logistic_noise(src: NoiseSource, shape) -> np.ndarray:
     """G' - G'' for two independent Gumbel draws of the given shape: the
     per-block noise that the attention's single noise draw must reproduce."""
@@ -332,7 +340,7 @@ def full_recompute_greedy(model, src_ids, image, max_len: int):
     decoder over BOS and all tokens emitted so far, and reads the last row.
     Returns the emitted tokens and each step's next-token logits."""
     with ad.no_grad():
-        enc = model.encode(src_ids, image, None, GateMode.infer(model.cfg.gate_threshold))
+        enc = model.encode(src_ids, image, None, GateMode.infer())
         out, step_logits = [BOS_ID], []
         for _ in range(max_len):
             step_logits.append(model.decode(out, enc.fused).data[-1])

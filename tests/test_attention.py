@@ -8,10 +8,10 @@ from gumbel_mmt.attention import (_gate_noise, causal_mask, init_attention_weigh
                                   key_padding_mask, multi_head_attention,
                                   multi_head_gumbel_attention)
 from gumbel_mmt.autodiff import Tensor
-from gumbel_mmt.errors import ConfigError, ShapeError
+from gumbel_mmt.errors import ShapeError
 from gumbel_mmt.gradcheck import gradient_error
-from gumbel_mmt.gumbel import GateMode, NoiseSource
-from helpers import logistic_noise
+from gumbel_mmt.gumbel import NoiseSource
+from helpers import infer_gate_oracle, logistic_noise
 
 
 @pytest.fixture(autouse=True)
@@ -52,7 +52,7 @@ def softmax_oracle(w, q, k, v, mask=None):
     return np.concatenate(heads, axis=-1) @ w.wo.data
 
 
-def gumbel_oracle(w, x_text, x_image, noise=None, threshold=0.5):
+def gumbel_oracle(w, x_text, x_image, noise=None):
     """Gated values per head; noise is (H, t, r) for train-mode gates with
     tau 1, None for infer-mode gates."""
     heads, gates = [], []
@@ -60,7 +60,7 @@ def gumbel_oracle(w, x_text, x_image, noise=None, threshold=0.5):
         qh, kh, vh = head_projections(w, x_text, x_image, x_image, h)
         s = qh @ kh.T / math.sqrt(w.d_head)
         if noise is None:
-            alpha = (1.0 / (1.0 + np.exp(-s)) > threshold).astype(float)
+            alpha = infer_gate_oracle(s)
         else:
             alpha = 1.0 / (1.0 + np.exp(-(s + noise[h])))
         gates.append(alpha)
@@ -209,15 +209,21 @@ def test_score_divisor_is_sqrt_d_head():
     x_image = Tensor([[1.0, 0, 0, 0, 0, 0, 0, 0], [0.0, 1, 0, 0, 0, 0, 0, 0]])
     soft = multi_head_attention(x_text, x_image, w)
     assert soft.data[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), abs=1e-12)
-    # sigmoid(1/2) = 0.622 opens a 0.6 threshold; sigmoid(1/sqrt(8)) = 0.587 would not.
-    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.6))
-    np.testing.assert_array_equal(gates.data[0], [[1.0, 0.0]])
+    # The train-mode gate of region 0 in head 0 is sigmoid(1/2 + noise); a
+    # divisor of sqrt(8) would give sigmoid(0.354 + noise) instead.
+    src, oracle_src = NoiseSource(4), NoiseSource(4)
+    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, src)
+    noise = np.stack([logistic_noise(oracle_src, (1, 2)) for _ in range(2)])
+    _, want = gumbel_oracle(w, x_text.data, x_image.data, noise)
+    np.testing.assert_allclose(gates.data, want, rtol=1e-12)
+    assert gates.data[0, 0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-0.5 - noise[0, 0, 0])),
+                                                rel=1e-12)
 
 
 def test_empty_text_gives_empty_gates():
     w = rand_weights(5, 4, 6, 4, 2)
     out, gates = multi_head_gumbel_attention(Tensor(np.zeros((0, 4))), Tensor(np.ones((3, 6))),
-                                             w, 1.0, NoiseSource(0), GateMode.train())
+                                             w, 1.0, NoiseSource(0))
     assert out.shape == (0, 4)
     assert gates.shape == (2, 0, 3)
 
@@ -227,15 +233,14 @@ def test_zero_projection_gates_average_half():
     w = rand_weights(6, 2, 2, 2, 2)
     w.wq.data[:] = 0.0
     _, gates = multi_head_gumbel_attention(Tensor(np.ones((100, 2))), Tensor(np.ones((500, 2))),
-                                           w, 1.0, NoiseSource(12), GateMode.train())
+                                           w, 1.0, NoiseSource(12))
     assert gates.shape == (2, 100, 500)
     assert gates.data.mean() == pytest.approx(0.5, abs=5e-3)
 
 
 def test_infer_gates_threshold_scores():
     w = identity_weights(1, 1)
-    _, gates = multi_head_gumbel_attention(Tensor([[1.0]]), Tensor([[3.0], [-3.0]]), w, 1.0,
-                                           None, GateMode.infer(0.5))
+    _, gates = multi_head_gumbel_attention(Tensor([[1.0]]), Tensor([[3.0], [-3.0]]), w, 1.0, None)
     np.testing.assert_array_equal(gates.data, [[[1.0, 0.0]]])
 
 
@@ -246,8 +251,7 @@ def test_score_shift_opens_gates():
     for s in (0.0, 5.0):
         w = identity_weights(1, 1)
         w.wk.data[:] = s
-        _, gates = multi_head_gumbel_attention(ones_t, ones_r, w, 1.0, NoiseSource(21),
-                                               GateMode.train())
+        _, gates = multi_head_gumbel_attention(ones_t, ones_r, w, 1.0, NoiseSource(21))
         means.append(gates.data.mean())
     assert means[1] > means[0]
 
@@ -261,19 +265,17 @@ def test_gate_rows_select_regions():
     x_image = Tensor(np.diag([1.0, 2.0, 3.0]))
     proj = x_image.data @ w.wv.data
 
-    w.wq.data[:] = 0.0      # every score 0: no gate exceeds 0.5
-    closed, _ = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0, None,
-                                            GateMode.infer(0.5))
+    w.wq.data[:] = 0.0      # every score 0: no gate opens
+    closed, _ = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0, None)
     np.testing.assert_array_equal(closed.data, np.zeros((2, 3)))
 
     w.wq.data[:] = np.eye(3)
     pick = Tensor(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    picked, gates = multi_head_gumbel_attention(pick, x_image, w, 1.0, None, GateMode.infer(0.5))
+    picked, gates = multi_head_gumbel_attention(pick, x_image, w, 1.0, None)
     np.testing.assert_array_equal(gates.data[0], [[0, 1, 0], [0, 0, 1]])
     np.testing.assert_allclose(picked.data, proj[[1, 2]], atol=1e-12)
 
-    all_open, _ = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0,
-                                              None, GateMode.infer(0.5))
+    all_open, _ = multi_head_gumbel_attention(Tensor(np.ones((2, 3))), x_image, w, 1.0, None)
     oracle = np.zeros((2, 3))
     for i in range(2):
         for j in range(3):
@@ -286,8 +288,7 @@ def test_multi_head_gumbel_shape_and_single_head_composition():
     w = rand_weights(7, 4, 6, 4, 1)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
-    out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(9),
-                                             GateMode.train())
+    out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(9))
     assert out.shape == (3, 4) and gates.shape == (1, 3, 5)
     noise = logistic_noise(NoiseSource(9), (3, 5))[None]
     want, _ = gumbel_oracle(w, x_text.data, x_image.data, noise)
@@ -304,15 +305,15 @@ def test_gumbel_attention_matches_per_head_oracle(heads):
     x_text = Tensor(rng.normal(size=(2, 3, 8)))
     x_image = Tensor(rng.normal(size=(2, 5, 6)))
     lengths = np.array([3, 2])
-    for mode in (GateMode.train(), GateMode.infer(0.5)):
+    for train in (True, False):
         src = NoiseSource(3)
-        out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, src, mode,
-                                                 lengths=lengths)
+        out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0,
+                                                 src if train else None, lengths)
         assert gates.shape == (2, heads, 3, 5)
         oracle_src = NoiseSource(3)
         for i, n in enumerate(lengths):
             noise = None
-            if mode.is_train:
+            if train:
                 noise = np.stack([logistic_noise(oracle_src, (n, 5)) for _ in range(heads)])
             want, alpha = gumbel_oracle(w, x_text.data[i, :n], x_image.data[i], noise)
             np.testing.assert_allclose(out.data[i, :n], want, rtol=1e-12, atol=1e-13)
@@ -329,7 +330,7 @@ def test_forced_open_gates_match_loop_oracle():
     w.wk.data[:] = np.abs(w.wk.data) * 100.0
     x_text = Tensor(np.abs(rng.normal(size=(3, 4))) + 0.1)
     x_image = Tensor(np.abs(rng.normal(size=(5, 6))) + 0.1)
-    out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
+    out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None)
     assert (gates.data == 1.0).all()
     heads = []
     for h in range(2):
@@ -347,19 +348,10 @@ def test_infer_mode_is_deterministic():
     w = rand_weights(9, 4, 6, 4, 2)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
-    a, gates_a = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
-    b, gates_b = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.infer(0.5))
+    a, gates_a = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None)
+    b, gates_b = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None)
     np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(gates_a.data, gates_b.data)
-
-
-def test_train_mode_gumbel_attention_needs_a_noise_source():
-    w = rand_weights(9, 4, 6, 4, 2)
-    x_text, x_image = Tensor(np.ones((3, 4))), Tensor(np.ones((5, 6)))
-    ad.reset_tape()
-    with pytest.raises(ConfigError, match="NoiseSource"):
-        multi_head_gumbel_attention(x_text, x_image, w, 1.0, None, GateMode.train())
-    assert ad._tape == []   # raised before any op was recorded
 
 
 def test_gumbel_attention_gradients_with_frozen_noise():
@@ -371,7 +363,7 @@ def test_gumbel_attention_gradients_with_frozen_noise():
 
     def forward():
         values, _ = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(31),
-                                                GateMode.train(), lengths=np.array([3, 2]))
+                                                np.array([3, 2]))
         return ad.reduce_sum(ad.mul(values, x_text))
 
     assert gradient_error(forward, leaves) < 1e-4
@@ -382,8 +374,7 @@ def test_heads_draw_independent_noise():
     w = rand_weights(13, 4, 6, 4, 2)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
-    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(1),
-                                           GateMode.train())
+    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(1))
     assert not np.array_equal(gates.data[0], gates.data[1])
 
     # distinct seeds on identical inputs differ somewhere across 100 draws
@@ -391,7 +382,7 @@ def test_heads_draw_independent_noise():
     draws = []
     for s in range(100):
         _, gates = multi_head_gumbel_attention(Tensor(np.ones((2, 1))), Tensor(np.ones((2, 1))),
-                                               one, 1.0, NoiseSource(s), GateMode.train())
+                                               one, 1.0, NoiseSource(s))
         draws.append(gates.data)
     assert any(not np.array_equal(draws[0], d) for d in draws[1:])
 

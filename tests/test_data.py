@@ -62,6 +62,19 @@ def test_spec_rejects_bad_noise_std_naming_the_field(std):
         small_spec(noise_regions_std=std)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_train", -1), ("n_val", -1), ("n_test", -2), ("d_image", 0), ("d_image", -3),
+])
+def test_spec_rejects_bad_sizes_naming_the_field(field, value):
+    with pytest.raises(DataError, match=f"^{field}={value} must be >= "):
+        small_spec(**{field: value})
+
+
+def test_empty_splits_are_legal():
+    ds = generate_dataset(small_spec(n_train=0, n_val=0, n_test=0))
+    assert ds.train == ds.val == ds.test == []
+
+
 def test_disambiguation_construction():
     spec = small_spec()
     ds = generate_dataset(spec)

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ConfigError
 from gumbel_mmt.gradcheck import gradient_error
 from gumbel_mmt.gumbel import GateMode, NoiseSource, gumbel_sigmoid
-from helpers import logistic_noise
+from helpers import infer_gate_oracle, logistic_noise
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -48,7 +51,7 @@ def test_gumbel_moments():
 # -- gumbel_sigmoid --------------------------------------------------------------
 
 def train_gates(e, tau, seed):
-    return gumbel_sigmoid(e, tau, GateMode.train(), logistic_noise(NoiseSource(seed), e.shape))
+    return gumbel_sigmoid(e, tau, logistic_noise(NoiseSource(seed), e.shape))
 
 
 def test_gumbel_sigmoid_symmetry_at_zero():
@@ -63,14 +66,29 @@ def test_gumbel_sigmoid_exceedance_matches_sigmoid():
 
 
 def test_gumbel_sigmoid_infer_thresholds():
-    out = gumbel_sigmoid(Tensor([3.0, -3.0]), 1.0, GateMode.infer(0.5), None)
-    np.testing.assert_array_equal(out.data, [1.0, 0.0])
+    # Without noise a gate opens where the score is positive: 2^-60 opens,
+    # though sigmoid(2^-60) rounds to exactly 1/2, and both zeros stay closed.
+    out = gumbel_sigmoid(Tensor([3.0, 2.0 ** -60, 0.0, -0.0, -3.0]), 1.0, None)
+    np.testing.assert_array_equal(out.data, [1.0, 1.0, 0.0, 0.0, 0.0])
+    assert out.data.dtype == np.float64 and ad._tape == []
+
+
+# Finite scores at least 2^-52 from zero, where sigmoid(e) > 1/2 exactly when e > 0.
+_SCORES = st.one_of(st.floats(min_value=2.0 ** -52, allow_infinity=False),
+                    st.floats(max_value=-2.0 ** -52, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, (4, 5), elements=_SCORES))
+def test_infer_gates_are_sigmoid_above_one_half(e):
+    out = gumbel_sigmoid(Tensor(e), 1.0, None)
+    np.testing.assert_array_equal(out.data, infer_gate_oracle(e))
 
 
 def test_gumbel_sigmoid_infer_is_deterministic():
     e = Tensor(np.linspace(-2, 2, 13))
-    a = gumbel_sigmoid(e, 1.0, GateMode.infer(0.3), None)
-    b = gumbel_sigmoid(e, 1.0, GateMode.infer(0.3), None)
+    a = gumbel_sigmoid(e, 1.0, None)
+    b = gumbel_sigmoid(e, 1.0, None)
     np.testing.assert_array_equal(a.data, b.data)
     assert set(np.unique(a.data)) <= {0.0, 1.0}
 
@@ -90,9 +108,7 @@ def test_gumbel_sigmoid_rejects_bad_temperature():
         train_gates(Tensor([0.0]), -0.5, 0)
 
 
-def test_gate_mode_threshold_validation():
-    with pytest.raises(ConfigError):
-        GateMode.infer(1.5)
+def test_gate_mode_is_train():
     assert GateMode.train().is_train
     assert not GateMode.infer().is_train
 

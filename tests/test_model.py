@@ -196,10 +196,10 @@ def test_single_position_sequence():
 def test_closed_gates_encode_zero_values():
     cfg = tiny_config()
     m = MMTModel(cfg, seed=5)
-    # zero projections => all scores 0 => sigmoid = 0.5, not above threshold
+    # zero projections => all scores 0 => no infer gate opens
     m.cross_weights.wq.data[:] = 0.0
     ids = [BOS_ID, 3, 7, EOS_ID]
-    enc = m.encode(ids, tiny_image(cfg), None, GateMode.infer(0.5))
+    enc = m.encode(ids, tiny_image(cfg), None, GateMode.infer())
     assert (enc.gates.data == 0.0).all()
     zeros = Tensor(np.zeros((len(ids), cfg.d_model)))
     direct = zeros
@@ -225,6 +225,20 @@ def test_gumbel_layer_after_stack_uses_encoded_text_query():
     enc = m.encode([BOS_ID, 4, EOS_ID], tiny_image(cfg), NoiseSource(0), GateMode.train())
     # with L = n_enc+1 the gated attention output IS the image branch
     assert enc.h_image.shape == (3, 8)
+
+
+def test_train_mode_encode_needs_a_noise_source_for_gumbel_gates():
+    m = MMTModel(ModelConfig(), seed=0)
+    ids = [BOS_ID, 4, EOS_ID]
+    ad.reset_tape()
+    with pytest.raises(ConfigError, match="NoiseSource"):
+        m.encode(ids, tiny_image(m.cfg), None, GateMode.train())
+    assert ad._tape == []   # raised before any op was recorded
+    for flags in (AblationFlags(text_only=True), AblationFlags(vanilla_attention=True)):
+        m = MMTModel(tiny_config(ablation=flags), seed=0)
+        image = None if flags.text_only else tiny_image(m.cfg)
+        enc = m.encode(ids, image, None, GateMode.train())
+        assert enc.gates is None and enc.fused.shape == (3, 8)
 
 
 def test_vanilla_attention_has_no_gates():
@@ -389,6 +403,20 @@ def test_config_validation():
         tiny_config(gumbel_layer=5)  # n_enc_layers=1 allows 1..2
     with pytest.raises(ConfigError):
         LossWeightMode("adaptive")
+    # softplus never reaches 0, so a trainable weight cannot start there
+    with pytest.raises(ConfigError, match=r"^a trainable loss weight must be > 0, got 0\.0$"):
+        LossWeightMode("trainable", 0.0)
+    assert LossWeightMode("fixed", 0.0).value == 0.0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("d_model", 0), ("d_ffn", 0), ("d_image", 0), ("vocab_src", 0), ("vocab_tgt", 0),
+    ("n_regions", 0), ("max_positions", 0), ("n_heads", 0), ("n_enc_layers", -1),
+    ("n_dec_layers", -1),
+])
+def test_config_rejects_bad_sizes_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be >= {value + 1}, got {value}$"):
+        tiny_config(**{field: value})
 
 
 @pytest.mark.parametrize("kind", ["fixed", "trainable"])

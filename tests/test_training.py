@@ -228,7 +228,7 @@ def test_gate_stats_and_noise_stream_match_golden():
     split = ds.train + ds.val + ds.test
     src, _, images = training._batch(m, split, TINY_TRAIN.seed)
     relevant = [ex.meta.relevant_regions for ex in split]
-    enc = m.encode(src, images, None, GateMode.infer(cfg.gate_threshold))
+    enc = m.encode(src, images, None, GateMode.infer())
     assert isinstance(enc.gates, Tensor)
     assert enc.gates.shape == (len(split), cfg.n_heads, src.shape[1], cfg.n_regions)
     stats = enc.gate_stats(relevant)
@@ -251,6 +251,16 @@ def test_teacher_forced_loss_is_mean_of_example_losses():
 
 
 # -- rejecting data the model cannot read -----------------------------------------
+
+def test_empty_split_is_rejected_before_compute():
+    _, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    ad.reset_tape()
+    for run in (teacher_forced_loss, evaluate):
+        with pytest.raises(ConfigError, match=f"^{run.__name__} on empty split$"):
+            run(m, [], 0)
+    assert ad._tape == []
+
 
 def test_default_spec_fits_the_default_config():
     ds = generate_dataset(SyntheticTaskSpec(n_train=2, n_val=1, n_test=1))
