@@ -1,7 +1,7 @@
 """Gated multi-modal translation models with Gumbel-Sigmoid region selection,
 built on a small float64 reverse-mode autodiff core."""
 
-from . import autodiff, attention, bleu, data, gradcheck, gumbel, model, training
+from . import autodiff, attention, bleu, data, gumbel, model, training
 from .autodiff import Tensor, Parameter, backward, no_grad, reset_tape
 from .gumbel import GateMode, NoiseSource
 from .model import AblationFlags, LossWeightMode, MMTModel, ModelConfig

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .gumbel import NoiseSource, gumbel_sigmoid
 
 
@@ -54,27 +54,6 @@ class AttentionWeights:
     @property
     def d_head(self) -> int:
         return self.wq.shape[1] // self.n_heads
-
-
-def init_attention_weights(rng: np.random.Generator, d_in_q: int, d_in_kv: int,
-                           d_model: int, n_heads: int) -> AttentionWeights:
-    """Uniform(+-1/sqrt(d_in)) weights, drawn head by head for wq, then wk,
-    then wv, then wo, and stacked along the columns."""
-    if n_heads < 1 or d_model % n_heads != 0:
-        raise ShapeError(f"n_heads={n_heads} must divide d_model={d_model}")
-    d_head = d_model // n_heads
-
-    def u(d_in, d_out):
-        bound = 1.0 / math.sqrt(d_in)
-        return rng.uniform(-bound, bound, size=(d_in, d_out))
-
-    def stacked(d_in):
-        return Tensor(np.concatenate([u(d_in, d_head) for _ in range(n_heads)], axis=1),
-                      grad=True)
-
-    wq, wk, wv = stacked(d_in_q), stacked(d_in_kv), stacked(d_in_kv)
-    return AttentionWeights(wq=wq, wk=wk, wv=wv, wo=Tensor(u(d_model, d_model), grad=True),
-                            n_heads=n_heads)
 
 
 def causal_mask(t: int, start: int = 0) -> np.ndarray:

@@ -72,15 +72,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def alloc_grad(self) -> "Tensor":
-        if self.grad is None:
-            self.grad = np.zeros(self.data.shape)
-        return self
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
 
@@ -167,7 +158,7 @@ def backward(loss: Tensor) -> None:
 
 def zero_grads(params: Sequence[Parameter]) -> None:
     for p in params:
-        p.tensor.zero_grad()
+        p.tensor.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

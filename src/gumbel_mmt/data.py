@@ -35,14 +35,10 @@ _SIGNATURE_JITTER = 0.1
 
 
 class Vocabulary:
-    """Token <-> id bijection with fixed reserved ids."""
+    """Token -> id map with fixed reserved ids; ids are assigned in order."""
 
     def __init__(self, tokens=()):
-        self._token_to_id: dict[str, int] = {}
-        self._id_to_token: dict[int, str] = {}
-        for tok, i in _RESERVED:
-            self._token_to_id[tok] = i
-            self._id_to_token[i] = tok
+        self._token_to_id: dict[str, int] = dict(_RESERVED)
         for tok in tokens:
             self.add(tok)
 
@@ -51,23 +47,13 @@ class Vocabulary:
             raise DataError(f"duplicate token {token!r}")
         i = len(self._token_to_id)
         self._token_to_id[token] = i
-        self._id_to_token[i] = token
         return i
 
     def id(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
 
-    def token(self, i: int) -> str:
-        try:
-            return self._id_to_token[i]
-        except KeyError:
-            raise DataError(f"unknown token id {i}") from None
-
     def encode(self, tokens) -> list[int]:
         return [BOS_ID] + [self.id(t) for t in tokens] + [EOS_ID]
-
-    def decode(self, ids) -> list[str]:
-        return [self.token(i) for i in ids if i not in (PAD_ID, BOS_ID, EOS_ID)]
 
     def __len__(self) -> int:
         return len(self._token_to_id)

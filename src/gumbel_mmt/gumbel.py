@@ -28,18 +28,10 @@ class NoiseSource:
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.n_drawn = 0
-
-    def uniform(self, shape) -> np.ndarray:
-        u = self._rng.random(size=shape)
-        self.n_drawn += u.size
-        return np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP)
 
     def gumbel(self, shape) -> np.ndarray:
-        return -np.log(-np.log(self.uniform(shape)))
-
-    def state(self) -> dict:
-        return {"bit_generator": self._rng.bit_generator.state, "n_drawn": self.n_drawn}
+        u = np.clip(self._rng.random(size=shape), _U_CLAMP, 1.0 - _U_CLAMP)
+        return -np.log(-np.log(u))
 
 
 def _check_tau(tau) -> float:

@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (AttentionWeights, KVCache, causal_mask,
-                        init_attention_weights, key_padding_mask, multi_head_attention,
-                        multi_head_gumbel_attention)
+from .attention import (AttentionWeights, KVCache, causal_mask, key_padding_mask,
+                        multi_head_attention, multi_head_gumbel_attention)
 from .autodiff import Parameter, Tensor, check_unique_names
 from .data import BOS_ID, EOS_ID, PAD_ID
 from .errors import ConfigError, ShapeError
@@ -146,16 +145,6 @@ class EncoderOutput:
         return GateStats(open=(per_region[:, None, :] * regions).sum(axis=2),
                          count=regions.sum(axis=2) * (heads * lengths)[:, None])
 
-    def mean_gate(self) -> float | np.ndarray | None:
-        """Mean gate over heads, real text rows and regions: a float for one
-        sentence, a (b,) array for a batch; None without gates."""
-        stats = self.gate_stats()
-        if stats is None:
-            return None
-        if self.lengths is not None:
-            return stats.open[:, 0] / stats.count[:, 0]
-        return float(stats.open[0, 0] / stats.count[0, 0]) if stats.count[0, 0] else None
-
 
 def sequence_lengths(ids: np.ndarray) -> np.ndarray | None:
     """Lengths of a right-padded (b, t) batch of token ids; None for 1-d ids."""
@@ -246,10 +235,6 @@ def total_loss(logits: Tensor, targets, h_image: Tensor | None, h_text: Tensor |
     return ad.add(ce, ad.scale(sim, mode.value))
 
 
-def softplus_inverse(y: float) -> float:
-    return float(np.log(np.expm1(y)))
-
-
 # ---------------------------------------------------------------------------
 # layers
 
@@ -271,20 +256,32 @@ class _Init:
         self.params.append(Parameter(f"{self.name}.{field}", t))
         return t
 
-    def matrix(self, field: str, d_in: int, d_out: int) -> Tensor:
+    def _uniform(self, d_in: int, d_out: int) -> np.ndarray:
         bound = 1.0 / math.sqrt(d_in)
-        return self.tensor(field, self.rng.uniform(-bound, bound, size=(d_in, d_out)))
+        return self.rng.uniform(-bound, bound, size=(d_in, d_out))
+
+    def matrix(self, field: str, d_in: int, d_out: int) -> Tensor:
+        return self.tensor(field, self._uniform(d_in, d_out))
 
     def vector(self, field: str, d: int, value: float = 0.0) -> Tensor:
         return self.tensor(field, np.full(d, value))
 
     def attention(self, field: str, d_model: int, d_in_kv: int, n_heads: int
                   ) -> AttentionWeights:
-        """One attention block's weights, registered as ``field.wq`` .. ``field.wo``."""
-        w = init_attention_weights(self.rng, d_model, d_in_kv, d_model, n_heads)
-        prefix = f"{self.name}.{field}." if field else f"{self.name}."
-        self.params += [Parameter(prefix + n, getattr(w, n)) for n in ("wq", "wk", "wv", "wo")]
-        return w
+        """One attention block's weights, registered as ``field.wq`` .. ``field.wo``:
+        uniform draws as in :meth:`matrix`, head by head for wq, then wk, then
+        wv, each stacked along the columns, then wo."""
+        prefix = f"{field}." if field else ""
+        d_head = d_model // n_heads
+
+        def stacked(name: str, d_in: int) -> Tensor:
+            return self.tensor(prefix + name, np.concatenate(
+                [self._uniform(d_in, d_head) for _ in range(n_heads)], axis=1))
+
+        return AttentionWeights(wq=stacked("wq", d_model), wk=stacked("wk", d_in_kv),
+                                wv=stacked("wv", d_in_kv),
+                                wo=self.matrix(prefix + "wo", d_model, d_model),
+                                n_heads=n_heads)
 
 
 class LayerNorm:
@@ -403,7 +400,7 @@ class MMTModel:
         self.alpha_raw: Tensor | None = None
         if cfg.loss_alpha.trainable and not (ab.text_only or ab.no_similarity_loss):
             self.alpha_raw = init("loss_alpha").tensor(
-                "raw", np.asarray(softplus_inverse(cfg.loss_alpha.value)))
+                "raw", np.log(np.expm1(cfg.loss_alpha.value)))
         check_unique_names(self._params)
 
     # -- parameters ---------------------------------------------------------

@@ -1,7 +1,9 @@
 """Adam optimisation, the training loop, and split evaluation.
 
-Everything downstream of a (seed, config) pair is deterministic: parameter
-init, shuffling, gate noise, and therefore the whole loss trajectory.
+A (seed, config) pair fixes parameter init, shuffling and gate noise.  The
+loss trajectory is fixed by the seed, the config, the BLAS build and the BLAS
+thread count: a BLAS product can sum in a different order on another build or
+thread count, which moves the last bits of the losses and parameters.
 """
 
 from __future__ import annotations
@@ -269,6 +271,8 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
     the epoch index and its stats."""
     if not dataset.train:
         raise TrainingError("training split is empty")
+    if not dataset.val:
+        raise TrainingError("validation split is empty")
     check_compatible(model.cfg, dataset.train + dataset.val, dataset)
     params = model.named_parameters()
     state = AdamState()
@@ -284,8 +288,6 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
         gate_means = []
         for b in range(steps_per_epoch):
             idx = order[b * cfg.batch_size: (b + 1) * cfg.batch_size]
-            if idx.size == 0:
-                continue
             step = epoch * steps_per_epoch + b
             tau = cfg.tau_at(step, total_steps)
             ad.zero_grads(params)
@@ -298,9 +300,9 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
                 raise TrainingError(f"non-finite loss at step {step}")
             ad.backward(loss)
             ad.reset_tape()
-            mg = enc.mean_gate()
-            if mg is not None:
-                gate_means.extend(mg)
+            gates = enc.gate_stats()
+            if gates is not None:
+                gate_means.extend(gates.open[:, 0] / gates.count[:, 0])
             adam_step(params, state, cfg)
             epoch_losses.append(value)
             log.step_losses.append(value)

@@ -1,23 +1,68 @@
-"""Shared test utilities: a registry of finite-difference gradient cases for
-every differentiable primitive, and for its batched form where it has one, a
-full-recompute greedy decoder that cached decoding is checked against, the
-logistic-noise and infer-gate oracles that gates are checked against, and a
-loader for the benchmark's tracer, whose names tests check against the package.
-Each gradient case factory draws random inputs in [-2, 2] (resampled away from
-relu/hinge kinks) and returns (forward, leaves, tol)."""
+"""Shared test utilities: central finite-difference gradient checking, a
+registry of gradient cases for every differentiable primitive, and for its
+batched form where it has one, a full-recompute greedy decoder that cached
+decoding is checked against, the logistic-noise and infer-gate oracles that
+gates are checked against, readers of a noise stream's position and of an
+encoding's mean gates, and a loader for the benchmark's tracer, whose names
+tests check against the package.  Each gradient case factory draws random
+inputs in [-2, 2] (resampled away from relu/hinge kinks) and returns
+(forward, leaves, tol)."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.data import BOS_ID, EOS_ID
-from gumbel_mmt.gradcheck import gradient_error
 from gumbel_mmt.gumbel import GateMode, NoiseSource
+
+
+def numeric_gradient(forward: Callable[[], Tensor], leaf: Tensor, h: float = 1e-5) -> np.ndarray:
+    """d(forward)/d(leaf) by central differences, perturbing leaf.data in place."""
+    flat = leaf.data.reshape(-1)
+    out = np.zeros_like(flat)
+    with ad.no_grad():
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            up = forward().item()
+            flat[i] = keep - h
+            down = forward().item()
+            flat[i] = keep
+            out[i] = (up - down) / (2.0 * h)
+    return out.reshape(leaf.shape)
+
+
+def gradient_error(forward: Callable[[], Tensor], leaves: Sequence[Tensor],
+                   h: float = 1e-5) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    Every probe rebuilds the forward pass from scratch, so any stochastic
+    piece inside ``forward`` must be re-seeded by it (e.g. a fresh NoiseSource
+    with a fixed seed on each call).  Each leaf gets a fresh zero gradient
+    buffer.  The error for each leaf is ||analytic - numeric||_inf normalised
+    by the combined gradient magnitude, which keeps near-zero gradients from
+    inflating the ratio.
+    """
+    for leaf in leaves:
+        leaf.grad = np.zeros(leaf.shape)
+    ad.reset_tape()
+    ad.backward(forward())
+    analytic = [leaf.grad.copy() for leaf in leaves]
+    ad.reset_tape()
+
+    worst = 0.0
+    for leaf, a in zip(leaves, analytic):
+        n = numeric_gradient(forward, leaf, h=h)
+        scale = max(float(np.abs(a).max(initial=0.0)),
+                    float(np.abs(n).max(initial=0.0)), 1e-8)
+        worst = max(worst, float(np.abs(a - n).max(initial=0.0)) / scale)
+    return worst
 
 
 def rand_tensor(rng, shape, lo=-2.0, hi=2.0):
@@ -333,6 +378,19 @@ def logistic_noise(src: NoiseSource, shape) -> np.ndarray:
     """G' - G'' for two independent Gumbel draws of the given shape: the
     per-block noise that the attention's single noise draw must reproduce."""
     return src.gumbel(shape) - src.gumbel(shape)
+
+
+def stream_state(src: NoiseSource) -> dict:
+    """The position of a noise stream: its bit generator's state.  Two
+    sources with equal states draw the same values from here on."""
+    return src._rng.bit_generator.state
+
+
+def mean_gates(enc) -> np.ndarray | None:
+    """Each example's mean gate over heads, real text rows and regions, as a
+    (b,) array (one entry for a single sentence); None without gates."""
+    stats = enc.gate_stats()
+    return None if stats is None else stats.open[:, 0] / stats.count[:, 0]
 
 
 def full_recompute_greedy(model, src_ids, image, max_len: int):

@@ -1,17 +1,17 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from gumbel_mmt import autodiff as ad
-from gumbel_mmt.attention import (_gate_noise, causal_mask, init_attention_weights,
-                                  key_padding_mask, multi_head_attention,
-                                  multi_head_gumbel_attention)
+from gumbel_mmt.attention import (_gate_noise, causal_mask, key_padding_mask,
+                                  multi_head_attention, multi_head_gumbel_attention)
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ShapeError
-from gumbel_mmt.gradcheck import gradient_error
 from gumbel_mmt.gumbel import NoiseSource
-from helpers import infer_gate_oracle, logistic_noise
+from gumbel_mmt.model import _Init
+from helpers import gradient_error, infer_gate_oracle, logistic_noise, stream_state
 
 
 @pytest.fixture(autouse=True)
@@ -21,13 +21,14 @@ def fresh_tape():
     ad.reset_tape()
 
 
-def rand_weights(seed, d_q, d_kv, d_model, heads):
-    rng = np.random.default_rng(seed)
-    return init_attention_weights(rng, d_q, d_kv, d_model, heads)
+def rand_weights(seed, d_model, d_kv, heads):
+    """One attention block's weights as the model draws them: queries of
+    width d_model over keys and values of width d_kv."""
+    return _Init(seed, "attn", []).attention("", d_model, d_kv, heads)
 
 
 def identity_weights(d, heads):
-    w = rand_weights(0, d, d, d, heads)
+    w = rand_weights(0, d, d, heads)
     for m in (w.wq, w.wk, w.wv, w.wo):
         m.data[:] = np.eye(d)
     return w
@@ -72,7 +73,7 @@ def gumbel_oracle(w, x_text, x_image, noise=None):
 
 def test_single_key_passes_value_through():
     rng = np.random.default_rng(0)
-    w = rand_weights(1, 4, 4, 4, 2)
+    w = rand_weights(1, 4, 4, 2)
     q = Tensor(rng.normal(size=(3, 4)))
     kv = Tensor(rng.normal(size=(1, 4)))
     out = multi_head_attention(q, kv, w)
@@ -98,7 +99,7 @@ def test_scaled_dot_hand_case():
 
 def test_mask_blocks_future_positions():
     rng = np.random.default_rng(1)
-    w = rand_weights(2, 4, 4, 4, 2)
+    w = rand_weights(2, 4, 4, 2)
     x = Tensor(rng.normal(size=(4, 4)))
     masked = multi_head_attention(x, x, w, causal_mask(4))
     # row 0 may only see key 0
@@ -108,9 +109,9 @@ def test_mask_blocks_future_positions():
 
 
 def test_shape_mismatch_raises():
-    w = rand_weights(3, 3, 3, 4, 2)
-    with pytest.raises(ShapeError):
-        multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))), w)
+    w = rand_weights(3, 4, 3, 2)
+    with pytest.raises(ShapeError):   # queries of width 3, not d_model 4
+        multi_head_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), w)
 
 
 def test_mask_is_a_view_over_the_heads(monkeypatch):
@@ -124,7 +125,7 @@ def test_mask_is_a_view_over_the_heads(monkeypatch):
 
     monkeypatch.setattr(ad, "softmax_rows", spy)
     rng = np.random.default_rng(4)
-    w = rand_weights(5, 4, 4, 4, 2)
+    w = rand_weights(5, 4, 4, 2)
     x = Tensor(rng.normal(size=(2, 3, 4)))
     mask = key_padding_mask(np.array([3, 1]), 3, 3)
     multi_head_attention(x, x, w, mask)
@@ -136,7 +137,7 @@ def test_mask_is_a_view_over_the_heads(monkeypatch):
 
 def test_single_head_identity_output_projection():
     rng = np.random.default_rng(2)
-    w = rand_weights(3, 4, 4, 4, 1)
+    w = rand_weights(3, 4, 4, 1)
     w.wo = Tensor(np.eye(4), grad=True)
     q, kv = (Tensor(rng.normal(size=(3, 4))) for _ in range(2))
     got = multi_head_attention(q, kv, w)
@@ -148,8 +149,8 @@ def test_single_head_identity_output_projection():
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_softmax_attention_matches_per_head_oracle(heads):
     rng = np.random.default_rng(heads)
-    w = rand_weights(heads, 6, 5, 8, heads)
-    q = Tensor(rng.normal(size=(2, 3, 6)))
+    w = rand_weights(heads, 8, 5, heads)
+    q = Tensor(rng.normal(size=(2, 3, 8)))
     kv = Tensor(rng.normal(size=(2, 4, 5)))
     mask = key_padding_mask(np.array([4, 2]), 3, 4)
     got = multi_head_attention(q, kv, w, mask)
@@ -159,7 +160,7 @@ def test_softmax_attention_matches_per_head_oracle(heads):
 
 def test_multi_head_output_shape():
     rng = np.random.default_rng(3)
-    w = rand_weights(4, 8, 8, 8, 4)
+    w = rand_weights(4, 8, 8, 4)
     out = multi_head_attention(Tensor(rng.normal(size=(5, 8))),
                                Tensor(rng.normal(size=(7, 8))), w)
     assert out.shape == (5, 8)
@@ -168,10 +169,16 @@ def test_multi_head_output_shape():
 
 def test_stacked_weights_keep_the_per_head_draw_order():
     # Head h's columns hold the h-th per-head draw: wq heads, wk heads, wv
-    # heads, then wo, from one generator.
-    w = rand_weights(6, 4, 3, 6, 3)
-    rng = np.random.default_rng(6)
-    for m, d_in in ((w.wq, 4), (w.wk, 3), (w.wv, 3)):
+    # heads, then wo, from the component's one generator, registered in that
+    # order.
+    params = []
+    init = _Init(6, "blk", params)
+    rng = copy.deepcopy(init.rng)
+    w = init.attention("cross", 6, 3, 3)
+    assert [p.name for p in params] == ["blk.cross.wq", "blk.cross.wk", "blk.cross.wv",
+                                        "blk.cross.wo"]
+    assert all(p.tensor is t for p, t in zip(params, (w.wq, w.wk, w.wv, w.wo)))
+    for m, d_in in ((w.wq, 6), (w.wk, 3), (w.wv, 3)):
         for h in range(3):
             bound = 1.0 / math.sqrt(d_in)
             want = rng.uniform(-bound, bound, size=(d_in, 2))
@@ -180,14 +187,9 @@ def test_stacked_weights_keep_the_per_head_draw_order():
                                                          size=(6, 6)))
 
 
-def test_head_count_must_divide_d_model():
-    with pytest.raises(ShapeError):
-        init_attention_weights(np.random.default_rng(0), 8, 8, 8, 3)
-
-
 def test_multi_head_gradients():
     rng = np.random.default_rng(4)
-    w = rand_weights(5, 6, 6, 6, 2)
+    w = rand_weights(5, 6, 6, 2)
     q = Tensor(rng.uniform(-1, 1, size=(2, 3, 6)))
     kv = Tensor(rng.uniform(-1, 1, size=(2, 4, 6)))
     mask = key_padding_mask(np.array([4, 3]), 3, 4)
@@ -221,7 +223,7 @@ def test_score_divisor_is_sqrt_d_head():
 
 
 def test_empty_text_gives_empty_gates():
-    w = rand_weights(5, 4, 6, 4, 2)
+    w = rand_weights(5, 4, 6, 2)
     out, gates = multi_head_gumbel_attention(Tensor(np.zeros((0, 4))), Tensor(np.ones((3, 6))),
                                              w, 1.0, NoiseSource(0))
     assert out.shape == (0, 4)
@@ -230,7 +232,7 @@ def test_empty_text_gives_empty_gates():
 
 def test_zero_projection_gates_average_half():
     # all scores 0 => train gates are symmetric around 0.5
-    w = rand_weights(6, 2, 2, 2, 2)
+    w = rand_weights(6, 2, 2, 2)
     w.wq.data[:] = 0.0
     _, gates = multi_head_gumbel_attention(Tensor(np.ones((100, 2))), Tensor(np.ones((500, 2))),
                                            w, 1.0, NoiseSource(12))
@@ -285,7 +287,7 @@ def test_gate_rows_select_regions():
 
 def test_multi_head_gumbel_shape_and_single_head_composition():
     rng = np.random.default_rng(6)
-    w = rand_weights(7, 4, 6, 4, 1)
+    w = rand_weights(7, 4, 6, 1)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
     out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(9))
@@ -301,7 +303,7 @@ def test_gumbel_attention_matches_per_head_oracle(heads):
     # for real text rows only: each example gets the gates and values it gets
     # alone, from the same stream.
     rng = np.random.default_rng(heads)
-    w = rand_weights(heads, 8, 6, 8, heads)
+    w = rand_weights(heads, 8, 6, heads)
     x_text = Tensor(rng.normal(size=(2, 3, 8)))
     x_image = Tensor(rng.normal(size=(2, 5, 6)))
     lengths = np.array([3, 2])
@@ -318,14 +320,14 @@ def test_gumbel_attention_matches_per_head_oracle(heads):
             want, alpha = gumbel_oracle(w, x_text.data[i, :n], x_image.data[i], noise)
             np.testing.assert_allclose(out.data[i, :n], want, rtol=1e-12, atol=1e-13)
             np.testing.assert_allclose(gates.data[i, :, :n], alpha, rtol=1e-12)
-        assert src.state() == oracle_src.state()
+        assert stream_state(src) == stream_state(oracle_src)
 
 
 def test_forced_open_gates_match_loop_oracle():
     # huge positive scores => infer gates all 1 => plain unweighted sum of
     # projected regions per head
     rng = np.random.default_rng(7)
-    w = rand_weights(8, 4, 6, 4, 2)
+    w = rand_weights(8, 4, 6, 2)
     w.wq.data[:] = np.abs(w.wq.data) * 100.0
     w.wk.data[:] = np.abs(w.wk.data) * 100.0
     x_text = Tensor(np.abs(rng.normal(size=(3, 4))) + 0.1)
@@ -345,7 +347,7 @@ def test_forced_open_gates_match_loop_oracle():
 
 def test_infer_mode_is_deterministic():
     rng = np.random.default_rng(8)
-    w = rand_weights(9, 4, 6, 4, 2)
+    w = rand_weights(9, 4, 6, 2)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
     a, gates_a = multi_head_gumbel_attention(x_text, x_image, w, 1.0, None)
@@ -356,7 +358,7 @@ def test_infer_mode_is_deterministic():
 
 def test_gumbel_attention_gradients_with_frozen_noise():
     rng = np.random.default_rng(10)
-    w = rand_weights(11, 4, 6, 4, 2)
+    w = rand_weights(11, 4, 6, 2)
     x_text = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)))
     x_image = Tensor(rng.uniform(-1, 1, size=(2, 5, 6)))
     leaves = [w.wq, w.wk, w.wv, w.wo, x_text, x_image]
@@ -371,7 +373,7 @@ def test_gumbel_attention_gradients_with_frozen_noise():
 
 def test_heads_draw_independent_noise():
     rng = np.random.default_rng(12)
-    w = rand_weights(13, 4, 6, 4, 2)
+    w = rand_weights(13, 4, 6, 2)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
     _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(1))
@@ -396,7 +398,7 @@ def test_gate_noise_is_the_per_head_draws_bit_for_bit():
         for h in range(2):
             np.testing.assert_array_equal(noise[i, h, :n], logistic_noise(ref, (n, 5)))
             np.testing.assert_array_equal(noise[i, h, n:], 0.0)
-    assert src.state() == ref.state()
+    assert stream_state(src) == stream_state(ref)
     one = _gate_noise(NoiseSource(4), (2, 3, 5))
     ref = NoiseSource(4)
     np.testing.assert_array_equal(one, [logistic_noise(ref, (3, 5)) for _ in range(2)])

@@ -21,7 +21,8 @@ def small_spec(**kw):
 def test_reserved_ids():
     v = Vocabulary(["a", "b"])
     assert v.id("a") == 4 and v.id("b") == 5
-    assert v.token(PAD_ID) == "<pad>" and v.token(BOS_ID) == "<bos>"
+    assert v.id("<pad>") == PAD_ID and v.id("<bos>") == BOS_ID
+    assert v.id("<eos>") == EOS_ID and v.id("<unk>") == UNK_ID and len(v) == 6
     assert v.id("missing") == UNK_ID
 
 
@@ -30,19 +31,29 @@ def test_vocabulary_rejects_duplicates():
         Vocabulary(["a", "a"])
 
 
+WORDS = [f"w{i}" for i in range(6)]
+
+
+def decoder(v):
+    """id -> token for the reserved tokens and WORDS, built from v.id alone."""
+    return {v.id(tok): tok for tok in ["<pad>", "<bos>", "<eos>", "<unk>", *WORDS]}
+
+
 def test_encode_decode_roundtrip():
-    v = Vocabulary([f"w{i}" for i in range(6)])
+    v = Vocabulary(WORDS)
     ids = v.encode(["w0", "w3", "w5"])
     assert ids[0] == BOS_ID and ids[-1] == EOS_ID
-    assert v.decode(ids) == ["w0", "w3", "w5"]
+    assert [decoder(v)[i] for i in ids[1:-1]] == ["w0", "w3", "w5"]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 5), max_size=8))
 def test_vocabulary_bijection(idxs):
-    v = Vocabulary([f"w{i}" for i in range(6)])
+    v = Vocabulary(WORDS)
     tokens = [f"w{i}" for i in idxs]
-    assert v.decode(v.encode(tokens)) == tokens
+    inverse = decoder(v)
+    assert len(inverse) == len(v) and sorted(inverse) == list(range(len(v)))
+    assert [inverse[i] for i in v.encode(tokens)] == ["<bos>", *tokens, "<eos>"]
 
 
 # -- task construction -------------------------------------------------------------
@@ -85,9 +96,9 @@ def test_disambiguation_construction():
         assert ex.tgt_ids[0] == BOS_ID and ex.tgt_ids[-1] == EOS_ID
         assert len(ex.meta.relevant_regions) == 3
         assert ex.image.shape == (9, 16)
-        core = ds.src_vocab.decode(ex.src_ids)
-        assert core.count(AMBIGUOUS_TOKEN) == 1
-        assert core.index(AMBIGUOUS_TOKEN) == ex.meta.amb_src_pos
+        core, amb = ex.src_ids[1:-1], ds.src_vocab.id(AMBIGUOUS_TOKEN)
+        assert core.count(amb) == 1
+        assert core.index(amb) == ex.meta.amb_src_pos
         # the answer must be recoverable from the relevant rows alone
         sig_by_label.setdefault(ex.meta.label, ex.image[ex.meta.relevant_regions[0]])
     assert set(sig_by_label) == {0, 1}

@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ConfigError
-from gumbel_mmt.gradcheck import gradient_error
 from gumbel_mmt.gumbel import GateMode, NoiseSource, gumbel_sigmoid
-from helpers import infer_gate_oracle, logistic_noise
+from helpers import gradient_error, infer_gate_oracle, logistic_noise, stream_state
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -26,19 +25,32 @@ def fresh_tape():
 def test_noise_source_reproducible():
     a, b = NoiseSource(42), NoiseSource(42)
     np.testing.assert_array_equal(a.gumbel((100,)), b.gumbel((100,)))
-    assert a.n_drawn == b.n_drawn == 100
+    assert stream_state(a) == stream_state(b)
+
+
+class FixedUniforms:
+    """Stands in for a NoiseSource's generator: every draw returns these values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        return np.broadcast_to(self.values, size).copy()
 
 
 def test_uniform_draws_clamped_and_finite():
+    # The extremes a uniform draw can take, 0 and the largest double below 1,
+    # are clamped, so both logs stay finite.
     src = NoiseSource(0)
-    u = src.uniform((200_000,))
-    assert (u > 0).all() and (u < 1).all()
-    assert np.isfinite(-np.log(-np.log(u))).all()
+    src._rng = FixedUniforms([0.0, 1.0 - 2.0 ** -53])
+    g = src.gumbel((2,))
+    assert np.isfinite(g).all() and g[0] < g[1]
+    assert np.isfinite(NoiseSource(0).gumbel((200_000,))).all()
 
 
 def test_gumbel_fixed_point_at_one_over_e():
     src = NoiseSource(0)
-    src.uniform = lambda shape: np.full(shape, 1.0 / math.e)  # u = 1/e => g = 0
+    src._rng = FixedUniforms(1.0 / math.e)  # u = 1/e => g = 0
     np.testing.assert_allclose(src.gumbel((4,)), 0.0, atol=1e-15)
 
 

@@ -7,12 +7,13 @@ import pytest
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt import training
 from gumbel_mmt.autodiff import Parameter, Tensor
-from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset
+from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset, random_image_for
 from gumbel_mmt.errors import ConfigError, TrainingError
 from gumbel_mmt.gumbel import GateMode, NoiseSource
-from gumbel_mmt.model import LossWeightMode, MMTModel, ModelConfig
+from gumbel_mmt.model import AblationFlags, LossWeightMode, MMTModel, ModelConfig
 from gumbel_mmt.training import (AdamState, Metrics, TrainConfig, adam_step, evaluate,
                                  teacher_forced_loss, train)
+from helpers import stream_state
 
 
 @pytest.fixture(autouse=True)
@@ -238,8 +239,68 @@ def test_gate_stats_and_noise_stream_match_golden():
 
     noise = NoiseSource(11)
     m.encode(src, images, noise, GateMode.train(), tau=0.5)
-    assert noise.n_drawn == GOLDEN_NOISE_DRAWN
-    assert noise.uniform(1)[0] == GOLDEN_NEXT_UNIFORM
+    drawn = np.random.default_rng(11)
+    drawn.random(GOLDEN_NOISE_DRAWN)
+    assert stream_state(noise) == drawn.bit_generator.state
+    assert drawn.random() == GOLDEN_NEXT_UNIFORM
+
+
+def with_images(examples, image_of):
+    return [dataclasses.replace(ex, image=image_of(ex)) for ex in examples]
+
+
+def nan_images(ds):
+    """The dataset with every image replaced by NaN features."""
+    def nan(ex):
+        return np.full_like(ex.image, np.nan)
+    return dataclasses.replace(ds, train=with_images(ds.train, nan),
+                               val=with_images(ds.val, nan), test=with_images(ds.test, nan))
+
+
+@pytest.mark.parametrize("ablation", ["random_image", "text_only"])
+def test_image_ablations_train_and_evaluate_without_the_dataset_images(ablation):
+    # Neither ablation reads an example's image, so NaN images change nothing.
+    ds, cfg = tiny_task()
+    cfg = dataclasses.replace(cfg, ablation=AblationFlags(**{ablation: True}))
+    m = MMTModel(cfg, seed=7)
+    log = train(m, nan_images(ds), TINY_TRAIN)
+    assert len(log.step_losses) == 6 and np.isfinite(log.step_losses).all()
+    metrics = evaluate(m, nan_images(ds).test, seed=TINY_TRAIN.seed)
+    assert 0.0 <= metrics.bleu <= 1.0
+    gates = [metrics.mean_gate_open_rate] + [e.mean_train_gate for e in log.epochs]
+    if ablation == "text_only":
+        assert gates == [None] * 3 and metrics.noise_open_rate is None
+        return
+    assert all(0.0 < g < 1.0 for g in gates)
+    # random_image reads random_image_for(example, training seed): the full
+    # model given those images as data takes the same steps, bit for bit.
+    def replacement(ex):
+        return random_image_for(ex, TINY_TRAIN.seed, cfg.n_regions, cfg.d_image)
+    full = MMTModel(dataclasses.replace(cfg, ablation=AblationFlags()), seed=7)
+    swapped = dataclasses.replace(ds, train=with_images(ds.train, replacement),
+                                  val=with_images(ds.val, replacement))
+    assert train(full, swapped, TINY_TRAIN).step_losses == log.step_losses
+
+
+@pytest.mark.parametrize("split,name", [("train", "training"), ("val", "validation")])
+def test_train_rejects_an_empty_split_before_compute(split, name):
+    ds, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    before = [p.tensor.data.copy() for p in m.named_parameters()]
+    ad.reset_tape()
+    with pytest.raises(TrainingError, match=f"^{name} split is empty$"):
+        train(m, dataclasses.replace(ds, **{split: []}), TINY_TRAIN)
+    assert ad._tape == []
+    assert all((p.tensor.data == b).all() for p, b in zip(m.named_parameters(), before))
+
+
+def test_train_aborts_on_a_non_finite_loss_before_any_update():
+    ds, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    before = [p.tensor.data.copy() for p in m.named_parameters()]
+    with pytest.raises(TrainingError, match="^non-finite loss at step 0$"):
+        train(m, nan_images(ds), TINY_TRAIN)
+    assert all((p.tensor.data == b).all() for p, b in zip(m.named_parameters(), before))
 
 
 def test_teacher_forced_loss_is_mean_of_example_losses():
