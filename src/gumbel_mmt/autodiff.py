@@ -20,6 +20,10 @@ two axes and treat any axes before them as a batch, so one sentence is a
 ``(t, d)`` tensor and a padded batch of sentences a ``(b, t, d)`` tensor run
 through the same ops.  Multi-head attention adds a head axis,
 ``(..., H, t, d_head)``.
+
+The forward values of linear, attention_scores, softmax_rows and
+residual_layer_norm are the array functions affine, scaled_scores,
+masked_softmax and residual_norm, which the tape-free decoder step calls too.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ def check_unique_names(params: Sequence[Parameter]) -> None:
 class Record(NamedTuple):
     inputs: tuple[Tensor, ...]
     output: Tensor
-    backward: Callable[[Array], tuple[Array | None, ...]]
+    backward: Callable[[Array], tuple[Array, ...]]
 
 
 # Ordered log of operations; the inputs of each record were recorded before it,
@@ -117,13 +121,8 @@ def no_grad():
         _grad_enabled.pop()
 
 
-def is_recording() -> bool:
-    """True unless inside a no_grad block."""
-    return _grad_enabled[-1]
-
-
 def _emit(inputs: tuple[Tensor, ...], out_data: Array,
-          backward: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
+          backward: Callable[[Array], tuple[Array, ...]]) -> Tensor:
     out = Tensor._adopt(out_data)
     if _grad_enabled[-1]:
         _tape.append(Record(inputs, out, backward))
@@ -146,8 +145,6 @@ def backward(loss: Tensor) -> None:
         if rec.output.grad is not None:
             rec.output.grad += out_adj.reshape(rec.output.grad.shape)
         for t, g in zip(rec.inputs, rec.backward(out_adj)):
-            if g is None:
-                continue
             acc = adjoint.get(t)
             adjoint[t] = g if acc is None else acc + g
     # What is left are the adjoints of leaves.
@@ -184,6 +181,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
 
 
+def affine(x: Array, w: Array, b: Array | None = None) -> Array:
+    """``(..., n, k) @ (k, m)`` as one 2-d product, plus an optional bias."""
+    y = (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+    if b is not None:
+        y += b
+    return y
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``(..., n, k) @ (k, m)``, plus a ``(m,)`` bias if one is given: one
     matrix applied to every leading index."""
@@ -193,19 +198,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                      + ("" if b is None else f" + {b.shape}"))
     xd, wd = x.data, w.data
     k, m = wd.shape
-    # Fold the leading axes into rows: one 2-d product, and the weight and
-    # bias gradients sum over every row of the batch.
+    # The weight and bias gradients sum over every row of the batch.
     rows = xd.reshape(-1, k)
-    y = (rows @ wd).reshape(xd.shape[:-1] + (m,))
-    if b is not None:
-        y += b.data
 
     def back(g: Array):
         g2 = g.reshape(-1, m)
         grads = ((g2 @ wd.T).reshape(xd.shape), rows.T @ g2)
         return grads if b is None else grads + (g2.sum(axis=0),)
 
-    return _emit((x, w) if b is None else (x, w, b), y, back)
+    return _emit((x, w) if b is None else (x, w, b),
+                 affine(xd, wd, None if b is None else b.data), back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -261,6 +263,14 @@ def softplus(x: Tensor) -> Tensor:
     return _emit((x,), y, lambda g: (g * s,))
 
 
+def masked_softmax(x: Array, mask: Array | None = None) -> Array:
+    """Softmax over the last axis, with weight 0 where the mask is True."""
+    if mask is not None:
+        x = np.where(mask, -np.inf, x)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
     """Softmax over the last axis.  Entries where the constant mask is True
     get weight 0 and no gradient; the mask has x's full shape, and a
@@ -268,19 +278,30 @@ def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
     _require(x.data.ndim >= 2 and x.shape[-1] >= 1,
              lambda: f"softmax_rows needs non-empty rows of a 2-d or batched tensor, "
                      f"got {x.shape}")
-    xd = x.data
     if mask is not None:
         _require(mask.shape == x.shape, lambda: f"mask shape {mask.shape} != {x.shape}")
-        xd = np.where(mask, -np.inf, xd)
-    z = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = masked_softmax(x.data, mask)
 
     def back(g: Array):
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _emit((x,), y, back)
+
+
+def residual_norm(x: Array, h: Array, gain: Array, bias: Array,
+                  eps: float = 1e-5) -> tuple[Array, Array, Array]:
+    """LayerNorm(x + h) over the last axis, scaled and shifted; returns it,
+    the normalised rows and their inverse deviations."""
+    s = x + h
+    d = s.shape[-1]
+    # sum / d is what ndarray.mean computes, without its Python-level overhead.
+    mu = s.sum(axis=-1, keepdims=True) / d
+    xc = s - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
 
 
 def residual_layer_norm(x: Tensor, h: Tensor, gain: Tensor, bias: Tensor,
@@ -294,13 +315,7 @@ def residual_layer_norm(x: Tensor, h: Tensor, gain: Tensor, bias: Tensor,
     _require(d != 0, lambda: "residual_layer_norm over zero-width rows")
     _require(gain.shape == (d,) and bias.shape == (d,),
              lambda: f"residual_layer_norm affine shapes {gain.shape}/{bias.shape} != ({d},)")
-    s = x.data + h.data
-    # sum / d is what ndarray.mean computes, without its Python-level overhead.
-    mu = s.sum(axis=-1, keepdims=True) / d
-    xc = s - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    y, xhat, inv = residual_norm(x.data, h.data, gain.data, bias.data, eps)
     gd = gain.data
 
     def back(g: Array):
@@ -311,7 +326,7 @@ def residual_layer_norm(x: Tensor, h: Tensor, gain: Tensor, bias: Tensor,
         # One array for both summands: backward never writes into an adjoint.
         return dx, dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
-    return _emit((x, h, gain, bias), xhat * gd + bias.data, back)
+    return _emit((x, h, gain, bias), y, back)
 
 
 def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Tensor:
@@ -385,6 +400,13 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     return _emit((a, b), np.asarray(c), back)
 
 
+def scaled_scores(q: Array, k: Array, c: float) -> Array:
+    """``c * q @ k^T`` over the last two axes; the keys are read, not copied."""
+    s = q @ k.swapaxes(-1, -2)
+    s *= c
+    return s
+
+
 def attention_scores(q: Tensor, k: Tensor, c: float) -> Tensor:
     """``c * q @ k^T`` over the last two axes: ``(..., t, d)`` queries and
     ``(..., n, d)`` keys with the same leading axes give ``(..., t, n)``.
@@ -393,14 +415,12 @@ def attention_scores(q: Tensor, k: Tensor, c: float) -> Tensor:
              lambda: f"attention_scores shapes disagree: {q.shape} x {k.shape}")
     c = float(c)
     qd, kd = q.data, k.data
-    s = qd @ kd.swapaxes(-1, -2)
-    s *= c
 
     def back(g: Array):
         gc = g * c
         return gc @ kd, gc.swapaxes(-1, -2) @ qd
 
-    return _emit((q, k), s, back)
+    return _emit((q, k), scaled_scores(qd, kd, c), back)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:

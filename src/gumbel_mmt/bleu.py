@@ -47,8 +47,6 @@ def corpus_bleu(hypotheses, references, max_n: int = 4) -> float:
         p = m / t if m > 0 else 1.0 / (2.0 * t)
         log_sum += math.log(p)
         orders += 1
-    if orders == 0:
-        return 0.0
     geo = math.exp(log_sum / orders)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return geo * bp

@@ -34,13 +34,6 @@ class NoiseSource:
         return -np.log(-np.log(u))
 
 
-def _check_tau(tau) -> float:
-    tau = float(tau)
-    if not tau > 0:
-        raise ConfigError(f"temperature must be > 0, got {tau}")
-    return tau
-
-
 @dataclass(frozen=True)
 class GateMode:
     """Stochastic gates during training, deterministic gates [score > 0] at
@@ -66,7 +59,9 @@ def gumbel_sigmoid(e: Tensor, tau, noise: np.ndarray | None) -> Tensor:
     independent :meth:`NoiseSource.gumbel` draws.
     Without noise (None): the constant 0/1 tensor [e > 0], the infer gates.
     """
-    tau = _check_tau(tau)
+    tau = float(tau)
+    if not tau > 0:
+        raise ConfigError(f"temperature must be > 0, got {tau}")
     if noise is None:
         return Tensor((e.data > 0).astype(np.float64))
     return ad.sigmoid(ad.scale(ad.add(e, Tensor(noise)), 1.0 / tau))

@@ -16,10 +16,10 @@ or a batch: ``(b, t)`` token ids right-padded with PAD_ID and ``(b, r,
 d_image)`` images.  A batch runs through the same code with a leading axis,
 and key-padding masks keep every example's real rows from reading padding.
 
-Greedy decoding is incremental: ``decode`` takes a :class:`DecoderCache` and
-then reads only the target positions that follow the cached ones, one row per
-step.  A cache is valid only under ``autodiff.no_grad``; training never passes
-one, and ``decode`` without a cache recomputes every position.
+``decode`` is the autodiff forward over every target position.  Greedy
+decoding moves one new row per sentence per step through the tape-free
+:meth:`DecoderLayer.step`, which calls the array functions behind the
+primitives in their order, and keeps keys and values in a :class:`DecoderState`.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (AttentionWeights, KVCache, causal_mask, key_padding_mask,
-                        multi_head_attention, multi_head_gumbel_attention)
+from .attention import (AttentionWeights, attend_rows, causal_mask, key_padding_mask,
+                        multi_head_attention, multi_head_gumbel_attention, project_heads)
 from .autodiff import Parameter, Tensor, check_unique_names
 from .data import BOS_ID, EOS_ID, PAD_ID
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .gumbel import GateMode, NoiseSource
 
 
@@ -178,16 +178,20 @@ def sinusoid_position_encoding(n_positions: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def embed(token_ids, table: Tensor, position_encoding: np.ndarray, start: int = 0) -> Tensor:
-    """Word embedding plus sinusoidal position encoding, for (t,) or (b, t) ids
-    at positions start .. start + t - 1."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    end = start + ids.shape[-1]
-    if end > position_encoding.shape[0]:
-        raise ShapeError(f"sequence of length {end} exceeds the {position_encoding.shape[0]} "
+def _positions(position_encoding: np.ndarray, t: int) -> np.ndarray:
+    """The encodings of positions 0 .. t - 1."""
+    if t > position_encoding.shape[0]:
+        raise ShapeError(f"sequence of length {t} exceeds the {position_encoding.shape[0]} "
                          "precomputed positions")
+    return position_encoding[:t]
+
+
+def embed(token_ids, table: Tensor, position_encoding: np.ndarray) -> Tensor:
+    """Word embedding plus sinusoidal position encoding, for (t,) or (b, t) ids."""
+    ids = np.asarray(token_ids, dtype=np.int64)
     x = ad.embedding_lookup(table, ids)
-    return ad.add(x, Tensor(np.broadcast_to(position_encoding[start:end], x.shape)))
+    return ad.add(x, Tensor(np.broadcast_to(_positions(position_encoding, ids.shape[-1]),
+                                            x.shape)))
 
 
 def gated_fusion(h_image: Tensor, h_text: Tensor, w: Tensor, u: Tensor) -> Tensor:
@@ -292,6 +296,9 @@ class LayerNorm:
     def __call__(self, x: Tensor, h: Tensor) -> Tensor:
         return ad.residual_layer_norm(x, h, self.gain, self.bias)
 
+    def rows(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return ad.residual_norm(x, h, self.gain.data, self.bias.data)[0]
+
 
 class FeedForward:
     def __init__(self, init: _Init, d_model: int, d_ffn: int):
@@ -302,6 +309,10 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(ad.relu(ad.linear(x, self.w1, self.b1)), self.w2, self.b2)
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        hidden = np.maximum(ad.affine(x, self.w1.data, self.b1.data), 0.0)
+        return ad.affine(hidden, self.w2.data, self.b2.data)
 
 
 class EncoderLayer:
@@ -326,23 +337,24 @@ class DecoderLayer:
         self.ln3 = LayerNorm(init, "ln3", d_model)
 
     def __call__(self, x: Tensor, memory: Tensor, mask: np.ndarray | None,
-                 memory_mask: np.ndarray | None = None,
-                 cache: tuple[KVCache, KVCache] | None = None) -> Tensor:
-        self_cache, memory_cache = (None, None) if cache is None else cache
-        h = self.ln1(x, multi_head_attention(x, x, self.self_attn, mask, self_cache))
-        h = self.ln2(h, multi_head_attention(h, memory, self.cross_attn,
-                                             memory_mask, memory_cache))
+                 memory_mask: np.ndarray | None = None) -> Tensor:
+        h = self.ln1(x, multi_head_attention(x, x, self.self_attn, mask))
+        h = self.ln2(h, multi_head_attention(h, memory, self.cross_attn, memory_mask))
         return self.ln3(h, self.ffn(h))
 
-
-class DecoderCache:
-    """State of one incremental decode: for each decoder layer, a growing
-    self-attention cache over the target positions decoded so far and a
-    static cache over the memory; ``length`` counts the cached positions."""
-
-    def __init__(self, n_layers: int):
-        self.layers = [(KVCache(), KVCache(static=True)) for _ in range(n_layers)]
-        self.length = 0
+    def step(self, x: np.ndarray, n: int, keys: np.ndarray, values: np.ndarray,
+             memory_keys: np.ndarray, memory_values: np.ndarray,
+             memory_mask: np.ndarray | None) -> np.ndarray:
+        """The layer on the (..., 1, d) row of position n: puts its key and
+        value at index n of the (..., H, max_len, d_head) buffers, then
+        attends over the first n + 1 of them and over the memory's."""
+        sa = self.self_attn
+        keys[..., n:n + 1, :] = project_heads(x, sa.wk, sa.n_heads)
+        values[..., n:n + 1, :] = project_heads(x, sa.wv, sa.n_heads)
+        h = self.ln1.rows(x, attend_rows(x, keys[..., :n + 1, :], values[..., :n + 1, :], sa))
+        h = self.ln2.rows(h, attend_rows(h, memory_keys, memory_values, self.cross_attn,
+                                         memory_mask))
+        return self.ln3.rows(h, self.ffn.rows(h))
 
 
 class MMTModel:
@@ -478,35 +490,20 @@ class MMTModel:
 
     # -- decoding and losses --------------------------------------------------
 
-    def decoder_cache(self) -> DecoderCache:
-        """An empty cache for incremental decoding with :meth:`decode`."""
-        return DecoderCache(len(self.dec_layers))
-
-    def decode(self, tgt_in_ids, memory: Tensor, memory_lengths: np.ndarray | None = None,
-               cache: DecoderCache | None = None) -> Tensor:
+    def decode(self, tgt_in_ids, memory: Tensor, memory_lengths: np.ndarray | None = None
+               ) -> Tensor:
         """Next-token logits for every target input position: (t, vocab) for
         one sentence, (b, t, vocab) for a batch, whose memory_lengths are the
         source lengths of its padded memory.  Right padding of the targets
         needs no mask: it follows every real position, so the causal mask
-        already hides it from them.
-
-        With a cache (under ``autodiff.no_grad`` only), tgt_in_ids are the
-        positions that follow the cache.length already cached: position
-        encoding and causal mask are offset by that length, every layer reads
-        and extends its cached keys and values, and the cache then holds the
-        new positions too.  The memory must be the same at every call."""
+        already hides it from them."""
         ids = np.asarray(tgt_in_ids, dtype=np.int64)
         t = ids.shape[-1]
-        start = 0 if cache is None else cache.length
-        x = embed(ids, self.tgt_table, self.pos_enc, start)
-        mask = causal_mask(t, start)
-        # A row that may see every key, such as one decoding step, needs no mask.
-        mask = np.broadcast_to(mask, ids.shape + mask.shape[-1:]) if mask.any() else None
+        x = embed(ids, self.tgt_table, self.pos_enc)
+        mask = np.broadcast_to(causal_mask(t), ids.shape + (t,))
         memory_mask = key_padding_mask(memory_lengths, t, memory.shape[-2])
-        for i, layer in enumerate(self.dec_layers):
-            x = layer(x, memory, mask, memory_mask, None if cache is None else cache.layers[i])
-        if cache is not None:
-            cache.length += t
+        for layer in self.dec_layers:
+            x = layer(x, memory, mask, memory_mask)
         return ad.linear(x, self.out_w, self.out_b)
 
     def loss(self, src_ids, tgt_ids, image: np.ndarray | None,
@@ -528,27 +525,54 @@ class MMTModel:
         one sentence or a padded (b, t) batch with one image per row.
 
         One encode, then one decoder row per sentence per step through a
-        DecoderCache.  A row that has emitted EOS is frozen; the loop stops
-        once every row has, or after max_len steps.  Returns the generated
-        core token ids (no BOS/EOS), a list per row for a batch, and the
-        encoder output (whose gates feed the selection metrics).
+        :class:`DecoderState`.  A row that has emitted EOS is frozen; the loop
+        stops once every row has, or after max_len steps.  Returns the
+        generated core token ids (no BOS/EOS), a list per row for a batch, and
+        the encoder output (whose gates feed the selection metrics).
         """
         if max_len <= 0:
             raise ConfigError(f"max_len must be positive, got {max_len}")
+        if BOS_ID >= self.cfg.vocab_tgt:
+            raise DataError(f"token id {BOS_ID} out of range [0, {self.cfg.vocab_tgt})")
         with ad.no_grad():
             enc = self.encode(src_ids, image, None, GateMode.infer())
-            batch = enc.fused.shape[:-2]
-            step = np.full(batch + (1,), BOS_ID, dtype=np.int64)
-            out: list[list[int]] = [[] for _ in range(step.size)]
-            done = np.zeros(step.size, dtype=bool)
-            cache = self.decoder_cache()
-            for _ in range(max_len):
-                logits = self.decode(step, enc.fused, enc.lengths, cache)
-                nxt = logits.data[..., -1, :].argmax(axis=-1).reshape(-1)
-                done |= nxt == EOS_ID
-                if done.all():
-                    break
-                for i in np.flatnonzero(~done):
-                    out[i].append(int(nxt[i]))
-                step = nxt.reshape(step.shape)
+        state = DecoderState(self, enc.fused.data, enc.lengths, max_len)
+        batch = enc.fused.shape[:-2]
+        step = np.full(batch + (1,), BOS_ID, dtype=np.int64)
+        out: list[list[int]] = [[] for _ in range(step.size)]
+        done = np.zeros(step.size, dtype=bool)
+        for _ in range(max_len):
+            nxt = state.step(step)[..., -1, :].argmax(axis=-1).reshape(-1)
+            done |= nxt == EOS_ID
+            if done.all():
+                break
+            for i in np.flatnonzero(~done):
+                out[i].append(int(nxt[i]))
+            step = nxt.reshape(step.shape)
         return (out if batch else out[0]), enc
+
+
+class DecoderState:
+    """An incremental decode of up to max_len positions over a fixed (..., n, d)
+    memory: per decoder layer, key and value buffers for every position and the
+    memory's keys and values; ``length`` counts the positions decoded."""
+
+    def __init__(self, model: MMTModel, memory: np.ndarray,
+                 memory_lengths: np.ndarray | None, max_len: int):
+        self.model, self.length, heads = model, 0, model.cfg.n_heads
+        mask = key_padding_mask(memory_lengths, 1, memory.shape[-2])
+        self.memory_mask = None if mask is None else mask[:, None]  # over the heads
+        buffer = memory.shape[:-2] + (heads, max_len, model.cfg.d_model // heads)
+        self.layers = [(np.empty(buffer), np.empty(buffer),
+                        project_heads(memory, layer.cross_attn.wk, heads),
+                        project_heads(memory, layer.cross_attn.wv, heads))
+                       for layer in model.dec_layers]
+
+    def step(self, ids: np.ndarray) -> np.ndarray:
+        """(..., 1, vocab) next-token logits after the (..., 1) ids of position ``length``."""
+        m, n = self.model, self.length
+        x = m.tgt_table.data[ids] + _positions(m.pos_enc, n + 1)[n]
+        for layer, kv in zip(m.dec_layers, self.layers):
+            x = layer.step(x, n, *kv, self.memory_mask)
+        self.length += 1
+        return ad.affine(x, m.out_w.data, m.out_b.data)

@@ -52,8 +52,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if np.isnan(self.clip_norm):
             raise ConfigError("clip_norm must be a number (<= 0 disables clipping), got nan")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        for name, low in (("batch_size", 1), ("epochs", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def tau_at(self, step: int, total_steps: int) -> float:
         if total_steps <= 1:
@@ -152,10 +153,8 @@ class TrainLog:
     step_losses: list[float] = field(default_factory=list)
 
 
-def _image_for(model: MMTModel, ex: Example, seed: int) -> np.ndarray | None:
+def _image_for(model: MMTModel, ex: Example, seed: int) -> np.ndarray:
     cfg = model.cfg
-    if cfg.ablation.text_only:
-        return None
     if cfg.ablation.random_image:
         return random_image_for(ex, seed, cfg.n_regions, cfg.d_image)
     return ex.image
@@ -216,8 +215,7 @@ def teacher_forced_loss(model: MMTModel, split: list[Example], seed: int) -> flo
     return total / len(split)
 
 
-def evaluate(model: MMTModel, split: list[Example], seed: int = 0,
-             max_len: int | None = None) -> Metrics:
+def evaluate(model: MMTModel, split: list[Example], seed: int = 0) -> Metrics:
     """Greedy-decode the split with infer-mode gates [score > 0], one padded batch of up
     to _EVAL_BATCH examples per ``greedy_decode`` call, and aggregate BLEU,
     token accuracy, ambiguous-token accuracy, and the gate open rates over
@@ -226,8 +224,7 @@ def evaluate(model: MMTModel, split: list[Example], seed: int = 0,
     if not split:
         raise ConfigError("evaluate on empty split")
     check_compatible(model.cfg, split)
-    if max_len is None:
-        max_len = max(len(ex.tgt_ids) for ex in split) + 2
+    max_len = max(len(ex.tgt_ids) for ex in split) + 2
     hyps, refs = [], []
     amb_correct = 0
     tok_accs = []

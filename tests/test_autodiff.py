@@ -179,6 +179,21 @@ def test_cross_entropy_confident():
     assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
 
+def test_cross_entropy_of_all_padding_is_zero_with_zero_gradient():
+    logits = Tensor(np.random.default_rng(2).normal(size=(2, 3, 5)), grad=True)
+    loss = ad.cross_entropy(logits, np.zeros((2, 3), dtype=np.int64), pad_id=0)
+    assert loss.shape == () and loss.item() == 0.0
+    ad.backward(loss)
+    ad.reset_tape()
+    np.testing.assert_array_equal(logits.grad, np.zeros((2, 3, 5)))
+
+
+def test_item_of_a_non_scalar_names_its_shape():
+    with pytest.raises(ShapeError, match=r"^item\(\) on tensor of shape \(2, 3\)$"):
+        Tensor(np.zeros((2, 3))).item()
+    assert Tensor(np.full((1, 1), 4.0)).item() == 4.0
+
+
 def test_cross_entropy_skips_padding():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(4, 6))

@@ -12,9 +12,9 @@ from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.data import BOS_ID, EOS_ID
 from gumbel_mmt.errors import ConfigError, DataError, ShapeError
 from gumbel_mmt.gumbel import GateMode, NoiseSource
-from gumbel_mmt.model import (AblationFlags, LossWeightMode, MMTModel, ModelConfig,
-                              embed, gated_fusion, pad_batch, similarity_loss,
-                              sinusoid_position_encoding, total_loss)
+from gumbel_mmt.model import (AblationFlags, DecoderState, LossWeightMode, MMTModel,
+                              ModelConfig, embed, gated_fusion, pad_batch, sequence_lengths,
+                              similarity_loss, sinusoid_position_encoding, total_loss)
 
 from helpers import (full_recompute_greedy, gradient_error, load_bench_tracing, mean_gates,
                      stream_state)
@@ -376,6 +376,13 @@ def test_greedy_decode_rejects_bad_max_len():
         m.greedy_decode([BOS_ID, EOS_ID], tiny_image(cfg), max_len=0)
 
 
+def test_greedy_decode_needs_bos_in_the_target_vocabulary():
+    cfg = tiny_config(vocab_tgt=BOS_ID)
+    m = MMTModel(cfg, seed=14)
+    with pytest.raises(DataError, match=rf"^token id {BOS_ID} out of range \[0, {BOS_ID}\)$"):
+        m.greedy_decode([BOS_ID, EOS_ID], tiny_image(cfg), max_len=2)
+
+
 # -- end-to-end gradients -----------------------------------------------------
 
 def test_end_to_end_gradients_all_parameters():
@@ -664,6 +671,27 @@ def test_batched_decode_rows_match_single_decodes():
         np.testing.assert_allclose(logits.data[i, :len(t) - 1], want.data, atol=1e-12)
 
 
+def test_sequence_lengths_rejects_ids_of_three_axes():
+    with pytest.raises(ShapeError, match=r"1-d or \(batch, time\), got shape \(2, 3, 4\)"):
+        sequence_lengths(np.ones((2, 3, 4), dtype=np.int64))
+
+
+def test_encode_rejects_a_sentence_longer_than_max_positions():
+    cfg = tiny_config(max_positions=4)
+    m = MMTModel(cfg, seed=19)
+    with pytest.raises(ShapeError, match="sequence of length 5 exceeds the 4 precomputed"):
+        m.encode([BOS_ID, 4, 5, 6, EOS_ID], tiny_image(cfg), None, GateMode.infer())
+
+
+def test_multimodal_encode_needs_an_image():
+    cfg = tiny_config()
+    m = MMTModel(cfg, seed=19)
+    with pytest.raises(ConfigError, match="multi-modal encoding needs image features"):
+        m.encode([BOS_ID, 4, EOS_ID], None, None, GateMode.infer())
+    text_only = MMTModel(tiny_config(ablation=AblationFlags(text_only=True)), seed=19)
+    assert text_only.encode([BOS_ID, 4, EOS_ID], None, None, GateMode.infer()).h_image is None
+
+
 def test_padded_batch_validation():
     cfg = tiny_config()
     m = MMTModel(cfg, seed=19)
@@ -704,18 +732,18 @@ def check_lengths(seed, lengths):
 
 
 def assert_cached_decode_matches_full_recompute(m, src, image, max_len):
-    """Cached greedy decoding emits the full recompute's tokens, and feeding
-    the same tokens one row at a time through a cache gives every step's
-    logits.  Returns the tokens."""
+    """Incremental greedy decoding emits the full recompute's tokens, and
+    feeding the same tokens one row at a time through a DecoderState gives
+    every step's logits.  Returns the tokens."""
     want, want_logits = full_recompute_greedy(m, src, image, max_len)
     got, enc = m.greedy_decode(src, image, max_len)
     assert got == want
-    cache = m.decoder_cache()
-    with ad.no_grad():
-        for step, tok in enumerate([BOS_ID] + want[:len(want_logits) - 1]):
-            logits = m.decode([tok], enc.fused, cache=cache)
-            np.testing.assert_allclose(logits.data[-1], want_logits[step], rtol=0, atol=1e-12)
-    assert cache.length == len(want_logits)
+    state = DecoderState(m, enc.fused.data, enc.lengths, max_len)
+    for step, tok in enumerate([BOS_ID] + want[:len(want_logits) - 1]):
+        logits = state.step(np.array([tok]))
+        assert logits.shape == (1, m.cfg.vocab_tgt)
+        np.testing.assert_allclose(logits[-1], want_logits[step], rtol=0, atol=1e-12)
+    assert state.length == len(want_logits)
     return got
 
 
@@ -748,24 +776,35 @@ def test_batched_greedy_decode_matches_single_sentences(variant, seed):
     check_lengths(seed, [len(out) for out in singles])
 
 
-def test_cached_decode_of_several_rows_offsets_positions_and_mask():
-    cfg = tiny_config()
-    m = MMTModel(cfg, seed=11)
-    enc = m.encode([BOS_ID, 4, EOS_ID], tiny_image(cfg), None, GateMode.infer())
-    tgt = [BOS_ID, 5, 6, 7, 8]
-    with ad.no_grad():
-        full = m.decode(tgt, enc.fused).data
-        cache = m.decoder_cache()
-        head = m.decode(tgt[:2], enc.fused, cache=cache).data
-        tail = m.decode(tgt[2:], enc.fused, cache=cache).data
-    np.testing.assert_allclose(np.concatenate([head, tail]), full, rtol=0, atol=1e-12)
-    assert cache.length == len(tgt)
+def test_padded_batch_rows_that_stop_at_different_steps_keep_their_tokens():
+    # Seed 27 stops some rows early and runs others to MAX_LEN.  A stopped
+    # row goes on through the step with the rest of the batch: its tokens
+    # must not change, and each row's tokens and every step's logits must be
+    # the full recompute's for its sentence alone.
+    m, images = decode_inputs({}, 27)
+    src = pad_batch(BATCH_SRC)
+    batched, enc = m.greedy_decode(src, images, MAX_LEN)
+    lengths = [len(out) for out in batched]
+    assert len(set(lengths)) > 1 and max(lengths) == MAX_LEN
+    state = DecoderState(m, enc.fused.data, enc.lengths, MAX_LEN)
+    want = [full_recompute_greedy(m, s, images[i], MAX_LEN) for i, s in enumerate(BATCH_SRC)]
+    assert batched == [tokens for tokens, _ in want]
+    rows = np.full((len(BATCH_SRC), 1), BOS_ID)
+    for step in range(MAX_LEN):
+        logits = state.step(rows)
+        for i, (tokens, step_logits) in enumerate(want):
+            if step < len(step_logits):
+                np.testing.assert_allclose(logits[i, -1], step_logits[step], rtol=0, atol=1e-12)
+        rows = logits.argmax(axis=-1)
 
 
-def test_decode_cache_is_rejected_while_recording():
-    cfg = tiny_config()
+def test_greedy_decode_past_max_positions_raises_the_embedding_error():
+    cfg = tiny_config(max_positions=3)
     m = MMTModel(cfg, seed=12)
-    with ad.no_grad():
-        enc = m.encode([BOS_ID, 4, EOS_ID], tiny_image(cfg), None, GateMode.infer())
-    with pytest.raises(ConfigError, match="no_grad"):
-        m.decode([BOS_ID], enc.fused, cache=m.decoder_cache())
+    m.out_b.data[EOS_ID] = -100.0   # never stop early
+    with pytest.raises(ShapeError, match="sequence of length 4 exceeds the 3 precomputed"):
+        m.greedy_decode([BOS_ID, 4, EOS_ID], tiny_image(cfg), max_len=4)
+    with pytest.raises(ShapeError, match="sequence of length 4 exceeds the 3 precomputed"):
+        embed([BOS_ID, 4, 5, 6], m.tgt_table, m.pos_enc)
+    out, _ = m.greedy_decode([BOS_ID, 4, EOS_ID], tiny_image(cfg), max_len=3)
+    assert len(out) == 3

@@ -132,6 +132,8 @@ def test_tau_at_endpoints():
     ("clip_norm", math.nan, r"^clip_norm must be a number"),
     ("beta1", math.nan, r"^betas must lie in \(0,1\), got nan"),
     ("beta2", 1.0, r"^betas must lie in \(0,1\), got 0.9, 1.0"),
+    ("batch_size", 0, r"^batch_size must be >= 1, got 0$"),
+    ("epochs", -1, r"^epochs must be >= 0, got -1$"),
 ])
 def test_train_config_rejects_bad_values_naming_the_field(field, value, pattern):
     with pytest.raises(ConfigError, match=pattern):
