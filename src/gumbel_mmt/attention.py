@@ -12,8 +12,10 @@ scaled scores q k^T / sqrt(d_head) without copying the keys, the selection
 turns them into weights (the softmax applies its mask itself), a batched
 ``matmul`` sums the values, and the merged heads are projected by wo.
 
-Inputs are one sequence, ``(t, d)``, or a padded batch, ``(b, t, d)``, whose
-masks carry the key padding, broadcast over the head axis as a view.
+Inputs are one sequence, ``(t, d)``, or a padded batch, ``(b, t, d)``.  A
+mask is a boolean, True where a query may not look, that broadcasts against
+the ``(..., H, t, n)`` scores: the ``(t, t)`` causal mask, or a batch's
+``(b, 1, 1, n)`` key padding, which serves every head and query as it is.
 
 Greedy decoding calls :func:`attend_rows`, the same softmax attention on plain
 arrays with no tape, over keys and values that :func:`project_heads` made."""
@@ -56,14 +58,12 @@ def causal_mask(t: int) -> np.ndarray:
     return np.arange(t)[None, :] > np.arange(t)[:, None]
 
 
-def key_padding_mask(lengths: np.ndarray | None, n_queries: int,
-                     n_keys: int) -> np.ndarray | None:
-    """(b, n_queries, n_keys) mask, True where a key lies beyond its example's
+def key_padding_mask(lengths: np.ndarray | None, n_keys: int) -> np.ndarray | None:
+    """(b, 1, 1, n_keys) mask, True where a key lies beyond its example's
     length; None for a single sequence or a batch without padding."""
     if lengths is None or bool((lengths == n_keys).all()):
         return None
-    pad = np.arange(n_keys) >= lengths[:, None]
-    return np.broadcast_to(pad[:, None, :], (len(lengths), n_queries, n_keys))
+    return (np.arange(n_keys) >= lengths[:, None])[:, None, None, :]
 
 
 def _attend(q: Tensor, kv: Tensor, weights: AttentionWeights,
@@ -84,14 +84,9 @@ def _attend(q: Tensor, kv: Tensor, weights: AttentionWeights,
 
 def multi_head_attention(q: Tensor, kv: Tensor, weights: AttentionWeights,
                          mask: np.ndarray | None = None) -> Tensor:
-    """Softmax attention of q over the n rows of kv, (..., t, n) mask True
-    where a query may not look."""
-    def softmax(scores: Tensor) -> Tensor:
-        # One mask for every head: a broadcast view over the head axis.
-        heads = None if mask is None else np.broadcast_to(mask[..., None, :, :], scores.shape)
-        return ad.softmax_rows(scores, heads)
-
-    return _attend(q, kv, weights, softmax)[0]
+    """Softmax attention of q over the n rows of kv; the mask broadcasts
+    against the (..., H, t, n) scores."""
+    return _attend(q, kv, weights, lambda scores: ad.softmax_rows(scores, mask))[0]
 
 
 def project_heads(x: Array, w: Tensor, n_heads: int) -> Array:

@@ -264,26 +264,29 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def masked_softmax(x: Array, mask: Array | None = None) -> Array:
-    """Softmax over the last axis, with weight 0 where the mask is True."""
+    """Softmax over the last axis, weight 0 where the mask (broadcast to x) is True."""
     if mask is not None:
         x = np.where(mask, -np.inf, x)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
     """Softmax over the last axis.  Entries where the constant mask is True
-    get weight 0 and no gradient; the mask has x's full shape, and a
-    broadcast view of a smaller one will do."""
+    get weight 0 and no gradient.  The mask broadcasts against x without
+    enlarging it, as a (t, n) causal mask does against (b, H, t, n) scores."""
     _require(x.data.ndim >= 2 and x.shape[-1] >= 1,
              lambda: f"softmax_rows needs non-empty rows of a 2-d or batched tensor, "
                      f"got {x.shape}")
     if mask is not None:
-        _require(mask.shape == x.shape, lambda: f"mask shape {mask.shape} != {x.shape}")
+        _require(mask.ndim <= x.data.ndim
+                 and all(m in (1, n) for m, n in zip(mask.shape[::-1], x.shape[::-1])),
+                 lambda: f"mask shape {mask.shape} does not broadcast to the scores' "
+                         f"shape {x.shape}")
     y = masked_softmax(x.data, mask)
 
     def back(g: Array):
-        dot = (g * y).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g * y, axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _emit((x,), y, back)
@@ -295,10 +298,10 @@ def residual_norm(x: Array, h: Array, gain: Array, bias: Array,
     the normalised rows and their inverse deviations."""
     s = x + h
     d = s.shape[-1]
-    # sum / d is what ndarray.mean computes, without its Python-level overhead.
-    mu = s.sum(axis=-1, keepdims=True) / d
+    # ndarray.mean and ndarray.sum without their Python-level wrappers.
+    mu = np.add.reduce(s, axis=-1, keepdims=True) / d
     xc = s - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
@@ -321,8 +324,8 @@ def residual_layer_norm(x: Tensor, h: Tensor, gain: Tensor, bias: Tensor,
     def back(g: Array):
         dxhat = g * gd
         dx = inv * (dxhat
-                    - dxhat.sum(axis=-1, keepdims=True) / d
-                    - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
+                    - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+                    - xhat * np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         # One array for both summands: backward never writes into an adjoint.
         return dx, dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 

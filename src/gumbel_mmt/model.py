@@ -147,17 +147,17 @@ class EncoderOutput:
 
 
 def sequence_lengths(ids: np.ndarray) -> np.ndarray | None:
-    """Lengths of a right-padded (b, t) batch of token ids; None for 1-d ids."""
-    if ids.ndim == 1:
-        return None
-    if ids.ndim != 2:
+    """Lengths of a right-padded (b, t) batch of token ids; None for 1-d ids,
+    one sentence, which is held to the rule of a row that fills its batch."""
+    if ids.ndim not in (1, 2):
         raise ShapeError(f"token ids must be 1-d or (batch, time), got shape {ids.shape}")
     real = ids != PAD_ID
-    lengths = real.sum(axis=1)
-    if not (real == (np.arange(ids.shape[1]) < lengths[:, None])).all() or (lengths == 0).any():
-        raise ShapeError("a padded batch needs a non-empty sentence in every row, "
-                         "with PAD_ID only after its last token")
-    return lengths
+    lengths = real.sum(axis=-1)
+    full = np.arange(ids.shape[-1]) < (lengths[:, None] if ids.ndim == 2 else ids.shape[-1])
+    if not (real == full).all() or (lengths == 0).any():
+        raise ShapeError(f"token ids of shape {ids.shape} need a non-empty sentence in every "
+                         "row, with PAD_ID only after its last token in a padded batch")
+    return lengths if ids.ndim == 2 else None
 
 
 def pad_batch(seqs) -> np.ndarray:
@@ -447,7 +447,7 @@ class MMTModel:
         ids = np.asarray(src_ids, dtype=np.int64)
         lengths = sequence_lengths(ids)
         t = ids.shape[-1]
-        text_mask = key_padding_mask(lengths, t, t)
+        text_mask = key_padding_mask(lengths, t)
         emb = embed(ids, self.src_table, self.pos_enc)
         if cfg.ablation.text_only:
             h_text = self._text_states(emb, text_mask)[-1]
@@ -494,14 +494,15 @@ class MMTModel:
                ) -> Tensor:
         """Next-token logits for every target input position: (t, vocab) for
         one sentence, (b, t, vocab) for a batch, whose memory_lengths are the
-        source lengths of its padded memory.  Right padding of the targets
-        needs no mask: it follows every real position, so the causal mask
-        already hides it from them."""
+        source lengths of its padded memory.  The (t, t) causal mask and the
+        memory's (b, 1, 1, n) key padding broadcast against every head's
+        scores.  Right padding of the targets needs no mask: it follows every
+        real position, so the causal mask already hides it from them."""
         ids = np.asarray(tgt_in_ids, dtype=np.int64)
         t = ids.shape[-1]
         x = embed(ids, self.tgt_table, self.pos_enc)
-        mask = np.broadcast_to(causal_mask(t), ids.shape + (t,))
-        memory_mask = key_padding_mask(memory_lengths, t, memory.shape[-2])
+        mask = causal_mask(t)
+        memory_mask = key_padding_mask(memory_lengths, memory.shape[-2])
         for layer in self.dec_layers:
             x = layer(x, memory, mask, memory_mask)
         return ad.linear(x, self.out_w, self.out_b)
@@ -559,9 +560,8 @@ class DecoderState:
 
     def __init__(self, model: MMTModel, memory: np.ndarray,
                  memory_lengths: np.ndarray | None, max_len: int):
-        self.model, self.length, heads = model, 0, model.cfg.n_heads
-        mask = key_padding_mask(memory_lengths, 1, memory.shape[-2])
-        self.memory_mask = None if mask is None else mask[:, None]  # over the heads
+        self.model, self.length, self.max_len, heads = model, 0, max_len, model.cfg.n_heads
+        self.memory_mask = key_padding_mask(memory_lengths, memory.shape[-2])
         buffer = memory.shape[:-2] + (heads, max_len, model.cfg.d_model // heads)
         self.layers = [(np.empty(buffer), np.empty(buffer),
                         project_heads(memory, layer.cross_attn.wk, heads),
@@ -571,6 +571,8 @@ class DecoderState:
     def step(self, ids: np.ndarray) -> np.ndarray:
         """(..., 1, vocab) next-token logits after the (..., 1) ids of position ``length``."""
         m, n = self.model, self.length
+        if n >= self.max_len:
+            raise ShapeError(f"decoder position {n} is past the state's max_len {self.max_len}")
         x = m.tgt_table.data[ids] + _positions(m.pos_enc, n + 1)[n]
         for layer, kv in zip(m.dec_layers, self.layers):
             x = layer.step(x, n, *kv, self.memory_mask)

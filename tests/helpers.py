@@ -295,10 +295,9 @@ def _case_merge_heads_two_leading(rng):
 
 
 def _case_softmax_rows_masked_heads(rng):
-    # As attention passes it: one (b, t, n) mask viewed over the head axis.
+    # As attention passes it: one (b, 1, 1, n) mask for every head and query.
     x = rand_tensor(rng, (2, 3, 4, 5))
-    pad = np.arange(5) >= np.array([5, 2])[:, None]
-    mask = np.broadcast_to(pad[:, None, None, :], x.shape)
+    mask = (np.arange(5) >= np.array([5, 2])[:, None])[:, None, None, :]
     w = Tensor(rng.uniform(-1, 1, size=x.shape))
     return lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(x, mask), w)), [x], 1e-4
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -120,6 +121,39 @@ def test_masked_softmax_zeroes_masked_keys():
     np.testing.assert_allclose(got[0, [0, 2]], ad.softmax_rows(Tensor(x[:1, [0, 2]])).data[0])
     with pytest.raises(ShapeError, match="mask shape"):
         ad.softmax_rows(Tensor(x), mask[:, :2])
+
+
+@pytest.mark.parametrize("mask_shape", [(4, 4), (2, 1, 1, 4), (3, 1, 4), (1, 4)],
+                         ids=["causal", "key_padding", "per_head", "per_key"])
+def test_a_mask_that_broadcasts_gives_the_pre_broadcast_result_bit_for_bit(mask_shape):
+    # The (t, t) causal mask and the (b, 1, 1, n) key padding against
+    # (b, H, t, n) scores: values and gradients equal those of the mask
+    # broadcast to the scores' full shape beforehand.
+    rng = np.random.default_rng(12)
+    scores = rng.normal(size=(2, 3, 4, 4))
+    mask = rng.random(size=mask_shape) < 0.4
+    mask[..., 0] = False
+    g = rng.normal(size=scores.shape)
+    results = []
+    for m in (mask, np.broadcast_to(mask, scores.shape).copy()):
+        x = Tensor(scores, grad=True)
+        ad.reset_tape()
+        y = ad.softmax_rows(x, m)
+        ad.backward(ad.reduce_sum(ad.mul(y, Tensor(g))))
+        results.append((y.data, x.grad))
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("scores_shape,mask_shape", [
+    ((2, 3, 4, 4), (2, 1, 1, 5)), ((2, 3, 4, 4), (3, 1, 1, 4)),
+    ((3, 4, 4), (2, 1, 1, 4)), ((2, 3, 1, 4), (2, 1, 4, 4)),
+], ids=["wrong_keys", "wrong_batch", "extra_axis", "enlarged_queries"])
+def test_a_mask_that_does_not_broadcast_without_enlarging_the_scores_raises(scores_shape,
+                                                                           mask_shape):
+    with pytest.raises(ShapeError, match=rf"mask shape {re.escape(str(mask_shape))} .*"
+                                         rf"{re.escape(str(scores_shape))}"):
+        ad.softmax_rows(Tensor(np.zeros(scores_shape)), np.zeros(mask_shape, dtype=bool))
 
 
 def test_layer_norm_constant_row_is_bias():

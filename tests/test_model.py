@@ -676,6 +676,19 @@ def test_sequence_lengths_rejects_ids_of_three_axes():
         sequence_lengths(np.ones((2, 3, 4), dtype=np.int64))
 
 
+@pytest.mark.parametrize("src", [[BOS_ID, 0, 5, EOS_ID], [BOS_ID, 5, EOS_ID, 0, 0], []],
+                         ids=["inner_pad", "trailing_pad", "empty"])
+def test_one_sentence_with_padding_or_no_tokens_is_rejected_before_any_op(src):
+    # One sentence is held to a batch row's rule, and has no row length to
+    # hide padding behind: encoding it must not record an op first.
+    cfg = tiny_config()
+    m = MMTModel(cfg, seed=19)
+    with pytest.raises(ShapeError, match="PAD_ID only after"):
+        m.encode(src, tiny_image(cfg), None, GateMode.infer())
+    assert ad._tape == []
+    assert sequence_lengths(np.array([BOS_ID, 5, EOS_ID])) is None
+
+
 def test_encode_rejects_a_sentence_longer_than_max_positions():
     cfg = tiny_config(max_positions=4)
     m = MMTModel(cfg, seed=19)
@@ -796,6 +809,22 @@ def test_padded_batch_rows_that_stop_at_different_steps_keep_their_tokens():
             if step < len(step_logits):
                 np.testing.assert_allclose(logits[i, -1], step_logits[step], rtol=0, atol=1e-12)
         rows = logits.argmax(axis=-1)
+
+
+def test_decoder_state_past_its_max_len_raises_before_writing():
+    cfg = tiny_config()
+    m = MMTModel(cfg, seed=12)
+    enc = m.encode([BOS_ID, 4, EOS_ID], tiny_image(cfg), None, GateMode.infer())
+    short = DecoderState(m, enc.fused.data, enc.lengths, 2)
+    long = DecoderState(m, enc.fused.data, enc.lengths, 4)
+    for tok in (BOS_ID, 5):
+        np.testing.assert_array_equal(short.step(np.array([tok])), long.step(np.array([tok])))
+    buffers = [kv.copy() for layer in short.layers for kv in layer]
+    with pytest.raises(ShapeError, match="position 2 is past the state's max_len 2"):
+        short.step(np.array([6]))
+    assert short.length == 2
+    for before, after in zip(buffers, (kv for layer in short.layers for kv in layer)):
+        np.testing.assert_array_equal(before, after)
 
 
 def test_greedy_decode_past_max_positions_raises_the_embedding_error():
