@@ -30,6 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Tensor
+from .errors import ShapeError
 from .gumbel import NoiseSource, gumbel_sigmoid
 
 
@@ -121,6 +122,35 @@ def _gate_noise(src: NoiseSource, shape: tuple[int, ...],
     rows = np.broadcast_to(real[:, None, None, :], g.shape[:-1])
     g[rows] = src.gumbel((int(np.count_nonzero(rows)), r))
     return (g[:, :, 0] - g[:, :, 1]).reshape(shape)
+
+
+class _DrawnNoise:
+    """Gumbel draws already made, handed back by the one :meth:`gumbel`
+    call that asks for their shape: a :class:`NoiseSource` for a forward
+    pass whose noise was drawn ahead of it."""
+
+    def __init__(self, draws: np.ndarray):
+        self._draws = draws
+
+    def gumbel(self, shape) -> np.ndarray:
+        if tuple(shape) != self._draws.shape:
+            raise ShapeError(f"gate noise of shape {tuple(shape)} asked for, "
+                             f"{self._draws.shape} drawn")
+        return self._draws
+
+
+def split_gate_noise(src: NoiseSource, n_heads: int, n_regions: int, lengths: np.ndarray,
+                     cut: int) -> tuple[_DrawnNoise, _DrawnNoise]:
+    """The gate noise of one forward pass over a padded batch with text
+    lengths ``lengths``, drawn from src now, in the order :func:`_gate_noise`
+    draws it, and split between examples ``[:cut]`` and ``[cut:]``.  A
+    forward pass over either part, given its source, draws each example's
+    noise bit for bit as the whole batch's pass does, and src ends where
+    that pass leaves it."""
+    rows = 2 * n_heads * np.asarray(lengths)    # each head's G' and G'' per text row
+    draws = src.gumbel((int(rows.sum()), n_regions))
+    first = int(rows[:cut].sum())
+    return _DrawnNoise(draws[:first]), _DrawnNoise(draws[first:])
 
 
 def multi_head_gumbel_attention(x_text: Tensor, x_image: Tensor, weights: AttentionWeights,

@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation appends a record to a module-global tape, a plain list
-emptied by :func:`reset_tape` before each forward pass.  :func:`backward`
-walks the tape in reverse recording order and accumulates gradients into
-every tensor that has a gradient buffer allocated; calling it twice without
-zeroing doubles the gradients.  All data is float64 and row-major; there is
+Every operation appends a record to the calling thread's tape, a plain
+list emptied by :func:`reset_tape` before each forward pass.  The tape and
+the :func:`no_grad` switch are per thread, so two threads can each record
+and differentiate their own forward pass over shared parameters.
+:func:`backward` walks the tape in reverse recording order and accumulates
+gradients into every tensor that has a gradient buffer allocated; calling
+it twice without zeroing doubles the gradients.  All data is float64 and row-major; there is
 no broadcasting beyond the few fixed patterns the ops below implement.
 
 The primitives, each with an analytic backward: linear, matmul,
@@ -28,6 +30,7 @@ masked_softmax and residual_norm, which the tape-free decoder step calls too.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Callable, NamedTuple, Sequence
 
@@ -101,42 +104,60 @@ class Record(NamedTuple):
     backward: Callable[[Array], tuple[Array, ...]]
 
 
-# Ordered log of operations; the inputs of each record were recorded before it,
-# so reverse iteration is a valid backward order.
-_tape: list[Record] = []
-_grad_enabled = [True]
+class _ThreadState(threading.local):
+    """One thread's tape, an ordered log of operations (the inputs of each
+    record were recorded before it, so reverse iteration is a valid backward
+    order), and its stack of recording switches."""
+
+    def __init__(self):
+        self.tape: list[Record] = []
+        self.grad_enabled = [True]
+
+
+_state = _ThreadState()
 
 
 def reset_tape() -> None:
-    _tape.clear()
+    _state.tape.clear()
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (evaluation / decoding)."""
-    _grad_enabled.append(False)
+    """Disable tape recording inside the block (evaluation / decoding), on
+    the calling thread."""
+    _state.grad_enabled.append(False)
     try:
         yield
     finally:
-        _grad_enabled.pop()
+        _state.grad_enabled.pop()
 
 
 def _emit(inputs: tuple[Tensor, ...], out_data: Array,
           backward: Callable[[Array], tuple[Array, ...]]) -> Tensor:
     out = Tensor._adopt(out_data)
-    if _grad_enabled[-1]:
-        _tape.append(Record(inputs, out, backward))
+    state = _state
+    if state.grad_enabled[-1]:
+        state.tape.append(Record(inputs, out, backward))
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into t.grad for every tensor on the active
-    tape whose gradient buffer is allocated.  Adjoints are recomputed from
-    scratch on every call, so repeated calls sum exactly."""
+    """Accumulate d(loss)/d(t) into t.grad for every tensor on the calling
+    thread's tape whose gradient buffer is allocated.  Adjoints are
+    recomputed from scratch on every call, so repeated calls sum exactly."""
+    for t, g in _leaf_adjoints(loss).items():
+        t.grad += g.reshape(t.grad.shape)
+
+
+def _leaf_adjoints(loss: Tensor, seed: float = 1.0) -> dict[Tensor, Array]:
+    """d(seed * loss)/d(t) for every leaf t of the calling thread's tape
+    that has a gradient buffer, without writing those buffers: the core of
+    :func:`backward`, for callers that add the adjoints of several tapes in
+    a fixed order.  An intermediate tensor's buffer is written here."""
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    adjoint: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
-    for rec in reversed(_tape):
+    adjoint: dict[Tensor, Array] = {loss: np.full_like(loss.data, seed)}
+    for rec in reversed(_state.tape):
         # Every use of a record's output was recorded after it, so its
         # adjoint is complete here and can be freed once it is used.
         out_adj = adjoint.pop(rec.output, None)
@@ -148,9 +169,7 @@ def backward(loss: Tensor) -> None:
             acc = adjoint.get(t)
             adjoint[t] = g if acc is None else acc + g
     # What is left are the adjoints of leaves.
-    for t, g in adjoint.items():
-        if t.grad is not None:
-            t.grad += g.reshape(t.grad.shape)
+    return {t: g for t, g in adjoint.items() if t.grad is not None}
 
 
 def zero_grads(params: Sequence[Parameter]) -> None:

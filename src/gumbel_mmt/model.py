@@ -103,6 +103,12 @@ class ModelConfig:
             raise ConfigError(
                 f"gumbel_layer={self.gumbel_layer} out of range 1..{self.n_enc_layers + 1}")
 
+    @property
+    def gumbel_gates(self) -> bool:
+        """Whether the cross-modal attention selects regions by Gumbel gates,
+        so that a train-mode forward pass draws gate noise."""
+        return not (self.ablation.text_only or self.ablation.vanilla_attention)
+
 
 @dataclass
 class GateStats:
@@ -441,7 +447,7 @@ class MMTModel:
                mode: GateMode, tau: float = 1.0) -> EncoderOutput:
         """Encode one sentence, or a padded batch with one image per row."""
         cfg = self.cfg
-        gumbel = not (cfg.ablation.text_only or cfg.ablation.vanilla_attention)
+        gumbel = cfg.gumbel_gates
         if gumbel and mode.is_train and noise is None:
             raise ConfigError("train-mode Gumbel attention needs a NoiseSource")
         ids = np.asarray(src_ids, dtype=np.int64)
@@ -555,14 +561,17 @@ class MMTModel:
 
 class DecoderState:
     """An incremental decode of up to max_len positions over a fixed (..., n, d)
-    memory: per decoder layer, key and value buffers for every position and the
-    memory's keys and values; ``length`` counts the positions decoded."""
+    memory: per decoder layer, key and value buffers for every position the
+    model can encode, up to max_len, and the memory's keys and values;
+    ``length`` counts the positions decoded."""
 
     def __init__(self, model: MMTModel, memory: np.ndarray,
                  memory_lengths: np.ndarray | None, max_len: int):
-        self.model, self.length, self.max_len, heads = model, 0, max_len, model.cfg.n_heads
+        cfg = model.cfg
+        self.model, self.length, self.max_len, heads = model, 0, max_len, cfg.n_heads
         self.memory_mask = key_padding_mask(memory_lengths, memory.shape[-2])
-        buffer = memory.shape[:-2] + (heads, max_len, model.cfg.d_model // heads)
+        buffer = memory.shape[:-2] + (heads, min(max_len, cfg.max_positions),
+                                      cfg.d_model // heads)
         self.layers = [(np.empty(buffer), np.empty(buffer),
                         project_heads(memory, layer.cross_attn.wk, heads),
                         project_heads(memory, layer.cross_attn.wv, heads))
@@ -571,9 +580,12 @@ class DecoderState:
     def step(self, ids: np.ndarray) -> np.ndarray:
         """(..., 1, vocab) next-token logits after the (..., 1) ids of position ``length``."""
         m, n = self.model, self.length
+        # A position the model cannot encode fails first, so the buffers need
+        # no row past the last encodable position.
+        position = _positions(m.pos_enc, n + 1)[n]
         if n >= self.max_len:
             raise ShapeError(f"decoder position {n} is past the state's max_len {self.max_len}")
-        x = m.tgt_table.data[ids] + _positions(m.pos_enc, n + 1)[n]
+        x = m.tgt_table.data[ids] + position
         for layer, kv in zip(m.dec_layers, self.layers):
             x = layer.step(x, n, *kv, self.memory_mask)
         self.length += 1

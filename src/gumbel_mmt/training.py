@@ -1,25 +1,37 @@
 """Adam optimisation, the training loop, and split evaluation.
 
 A (seed, config) pair fixes parameter init, shuffling and gate noise.  The
-loss trajectory is fixed by the seed, the config, the BLAS build and the BLAS
-thread count: a BLAS product can sum in a different order on another build or
-thread count, which moves the last bits of the losses and parameters.
+loss trajectory is fixed by the seed, the config, the split rule, the BLAS
+build and the BLAS thread count: a BLAS product can sum in a different order
+on another build or thread count, which moves the last bits of the losses and
+parameters.
+
+The split rule: a training batch whose second half holds at least
+``_SPLIT_MIN`` source tokens x d_model runs as two halves, in example order,
+each forward and backward on its own thread's tape, and their parameter
+gradients are added first half first.  That sums the weight gradients in
+another order than one pass over the whole batch, so it is part of what fixes
+the trajectory.  The rule reads only the batch and the model's shape, never
+the number of cores or a timing, so a (seed, config) pair trains the same on
+any machine.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
+from .attention import split_gate_noise
 from .autodiff import Parameter
 from .bleu import corpus_bleu
 from .data import Dataset, Example, random_image_for
 from .errors import ConfigError, TrainingError
 from .gumbel import GateMode, NoiseSource
-from .model import MMTModel, ModelConfig, pad_batch
+from .model import EncoderOutput, GateStats, MMTModel, ModelConfig, pad_batch
 
 # stream tags for the per-purpose RNGs derived from the training seed
 _NOISE_STREAM = 1
@@ -27,6 +39,15 @@ _SHUFFLE_STREAM = 2
 
 # examples per forward pass of teacher_forced_loss, and per greedy decode of evaluate
 _EVAL_BATCH = 64
+
+# Source tokens x d_model in a batch's second half at or above which its two
+# halves train on two threads.  Below it numpy's arrays are too small to run
+# long outside the interpreter lock, and two threads are slower than one.  On
+# a 2-core x86 box, one BLAS thread, a training pass split took 1.17-1.49x the
+# serial time at ~2.6k, 0.94-1.11x at ~5.2k, 0.99x at ~7.8k and 0.68-0.78x at
+# ~10k.  Batches of 16 with 8-12 token sources hold 2.6k-3.1k at d_model 32
+# and 8.2k-12.3k at d_model 128.
+_SPLIT_MIN = 6144
 
 
 @dataclass
@@ -258,6 +279,60 @@ def evaluate(model: MMTModel, split: list[Example], seed: int = 0) -> Metrics:
     )
 
 
+def _forward(model: MMTModel, examples: list[Example], seed: int, noise, tau: float,
+             step: int) -> tuple[ad.Tensor, EncoderOutput]:
+    """Train-mode loss of a batch on a fresh tape of the calling thread."""
+    ad.reset_tape()
+    src_ids, tgt_ids, images = _batch(model, examples, seed)
+    loss, enc = model.loss(src_ids, tgt_ids, images, noise, GateMode.train(), tau)
+    if not np.isfinite(loss.item()):
+        raise TrainingError(f"non-finite loss at step {step}")
+    return loss, enc
+
+
+def _half(model: MMTModel, examples: list[Example], seed: int, noise, tau: float,
+          step: int, share: float):
+    """Forward and backward of one half of a batch on the calling thread's
+    tape: share x its loss, the leaf adjoints of that, and its gate stats."""
+    loss, enc = _forward(model, examples, seed, noise, tau, step)
+    adjoints = ad._leaf_adjoints(loss, share)
+    ad.reset_tape()
+    return share * loss.item(), adjoints, enc.gate_stats()
+
+
+def _step(model: MMTModel, examples: list[Example], seed: int, noise: NoiseSource,
+          tau: float, step: int, pool: Executor) -> tuple[float, GateStats | None]:
+    """One batch's forward and backward: adds the gradient of the batch's
+    mean loss into every parameter's zeroed .grad, and returns that loss and
+    the batch's gate stats.  Under the split rule the second half runs on
+    ``pool``, with gate noise drawn here first, as one pass over the batch
+    draws it."""
+    mc, n, cut = model.cfg, len(examples), (len(examples) + 1) // 2
+    if sum(len(ex.src_ids) for ex in examples[cut:]) * mc.d_model < _SPLIT_MIN:
+        loss, enc = _forward(model, examples, seed, noise, tau, step)
+        ad.backward(loss)
+        ad.reset_tape()
+        return loss.item(), enc.gate_stats()
+    noise_a = noise_b = None
+    if mc.gumbel_gates:
+        noise_a, noise_b = split_gate_noise(noise, mc.n_heads, mc.n_regions,
+                                            [len(ex.src_ids) for ex in examples], cut)
+    later = pool.submit(_half, model, examples[cut:], seed, noise_b, tau, step, (n - cut) / n)
+    try:
+        a = _half(model, examples[:cut], seed, noise_a, tau, step, cut / n)
+    finally:
+        b = later.result()
+    value = 0.0
+    for part, adjoints, _ in (a, b):    # first half first: the order is part of the result
+        value += part
+        for t, g in adjoints.items():
+            t.grad += g.reshape(t.grad.shape)
+    if a[2] is None:
+        return value, None
+    return value, GateStats(open=np.concatenate([a[2].open, b[2].open]),
+                            count=np.concatenate([a[2].count, b[2].count]))
+
+
 def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
           on_epoch_end: Callable[[int, EpochStats], None] | None = None) -> TrainLog:
     """Seeded epoch loop from fresh Adam moments and a fresh noise stream:
@@ -279,43 +354,36 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = steps_per_epoch * cfg.epochs
 
-    for epoch in range(cfg.epochs):
-        order = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
-        epoch_losses = []
-        gate_means = []
-        for b in range(steps_per_epoch):
-            idx = order[b * cfg.batch_size: (b + 1) * cfg.batch_size]
-            step = epoch * steps_per_epoch + b
-            tau = cfg.tau_at(step, total_steps)
-            ad.zero_grads(params)
-            ad.reset_tape()
-            src_ids, tgt_ids, images = _batch(model, [dataset.train[int(i)] for i in idx],
-                                              cfg.seed)
-            loss, enc = model.loss(src_ids, tgt_ids, images, src, GateMode.train(), tau)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite loss at step {step}")
-            ad.backward(loss)
-            ad.reset_tape()
-            gates = enc.gate_stats()
-            if gates is not None:
-                gate_means.extend(gates.open[:, 0] / gates.count[:, 0])
-            adam_step(params, state, cfg)
-            epoch_losses.append(value)
-            log.step_losses.append(value)
+    # The worker thread starts at the first split batch and is joined on return.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gumbel_mmt-train") as pool:
+        for epoch in range(cfg.epochs):
+            order = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
+            epoch_losses = []
+            gate_means = []
+            for b in range(steps_per_epoch):
+                idx = order[b * cfg.batch_size: (b + 1) * cfg.batch_size]
+                step = epoch * steps_per_epoch + b
+                ad.zero_grads(params)
+                value, gates = _step(model, [dataset.train[int(i)] for i in idx], cfg.seed,
+                                     src, cfg.tau_at(step, total_steps), step, pool)
+                if gates is not None:
+                    gate_means.extend(gates.open[:, 0] / gates.count[:, 0])
+                adam_step(params, state, cfg)
+                epoch_losses.append(value)
+                log.step_losses.append(value)
 
-        val = evaluate(model, dataset.val, seed=cfg.seed)
-        stats = EpochStats(
-            epoch=epoch,
-            train_loss=float(np.mean(epoch_losses)),
-            val_loss=teacher_forced_loss(model, dataset.val, cfg.seed),
-            val_bleu=val.bleu,
-            val_amb_acc=val.ambiguous_token_accuracy,
-            gate_open_rate=val.mean_gate_open_rate,
-            alpha_eff=model.alpha_eff(),
-            mean_train_gate=float(np.mean(gate_means)) if gate_means else None,
-        )
-        log.epochs.append(stats)
-        if on_epoch_end is not None:
-            on_epoch_end(epoch, stats)
+            val = evaluate(model, dataset.val, seed=cfg.seed)
+            stats = EpochStats(
+                epoch=epoch,
+                train_loss=float(np.mean(epoch_losses)),
+                val_loss=teacher_forced_loss(model, dataset.val, cfg.seed),
+                val_bleu=val.bleu,
+                val_amb_acc=val.ambiguous_token_accuracy,
+                gate_open_rate=val.mean_gate_open_rate,
+                alpha_eff=model.alpha_eff(),
+                mean_train_gate=float(np.mean(gate_means)) if gate_means else None,
+            )
+            log.epochs.append(stats)
+            if on_epoch_end is not None:
+                on_epoch_end(epoch, stats)
     return log

@@ -6,7 +6,8 @@ import pytest
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.attention import (_gate_noise, causal_mask, key_padding_mask,
-                                  multi_head_attention, multi_head_gumbel_attention)
+                                  multi_head_attention, multi_head_gumbel_attention,
+                                  split_gate_noise)
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ShapeError
 from gumbel_mmt.gumbel import NoiseSource
@@ -404,3 +405,22 @@ def test_gate_noise_is_the_per_head_draws_bit_for_bit():
     one = _gate_noise(NoiseSource(4), (2, 3, 5))
     ref = NoiseSource(4)
     np.testing.assert_array_equal(one, [logistic_noise(ref, (3, 5)) for _ in range(2)])
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_split_gate_noise_gives_each_part_the_whole_batch_draw(cut):
+    # Each part's forward pass, drawing from its share, gets its examples'
+    # noise bit for bit as one pass over the batch does, and the source ends
+    # where that pass leaves it.
+    lengths = np.array([4, 1, 3, 2])
+    src, ref = NoiseSource(9), NoiseSource(9)
+    whole = _gate_noise(ref, (4, 2, 4, 5), lengths)
+    first, second = split_gate_noise(src, 2, 5, lengths, cut)
+    assert src._rng.random() == ref._rng.random()
+    for part, rows in ((first, slice(0, cut)), (second, slice(cut, 4))):
+        t = int(lengths[rows].max())
+        np.testing.assert_array_equal(_gate_noise(part, (len(lengths[rows]), 2, t, 5),
+                                                  lengths[rows]),
+                                      whole[rows, :, :t])
+    with pytest.raises(ShapeError, match=r"gate noise of shape \(2, 5\) asked for"):
+        first.gumbel((2, 5))

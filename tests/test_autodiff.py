@@ -306,7 +306,7 @@ def test_no_grad_suppresses_recording():
     p = Tensor([1.0, 2.0], grad=True)
     with ad.no_grad():
         loss = ad.reduce_sum(ad.mul(p, p))
-    assert ad._tape == []
+    assert ad._state.tape == []
     ad.backward(loss)
     np.testing.assert_array_equal(p.grad, np.zeros(2))
 

@@ -82,7 +82,7 @@ def test_gumbel_sigmoid_infer_thresholds():
     # though sigmoid(2^-60) rounds to exactly 1/2, and both zeros stay closed.
     out = gumbel_sigmoid(Tensor([3.0, 2.0 ** -60, 0.0, -0.0, -3.0]), 1.0, None)
     np.testing.assert_array_equal(out.data, [1.0, 1.0, 0.0, 0.0, 0.0])
-    assert out.data.dtype == np.float64 and ad._tape == []
+    assert out.data.dtype == np.float64 and ad._state.tape == []
 
 
 # Finite scores at least 2^-52 from zero, where sigmoid(e) > 1/2 exactly when e > 0.

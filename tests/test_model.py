@@ -233,7 +233,7 @@ def test_train_mode_encode_needs_a_noise_source_for_gumbel_gates():
     ad.reset_tape()
     with pytest.raises(ConfigError, match="NoiseSource"):
         m.encode(ids, tiny_image(m.cfg), None, GateMode.train())
-    assert ad._tape == []   # raised before any op was recorded
+    assert ad._state.tape == []   # raised before any op was recorded
     for flags in (AblationFlags(text_only=True), AblationFlags(vanilla_attention=True)):
         m = MMTModel(tiny_config(ablation=flags), seed=0)
         image = None if flags.text_only else tiny_image(m.cfg)
@@ -685,7 +685,7 @@ def test_one_sentence_with_padding_or_no_tokens_is_rejected_before_any_op(src):
     m = MMTModel(cfg, seed=19)
     with pytest.raises(ShapeError, match="PAD_ID only after"):
         m.encode(src, tiny_image(cfg), None, GateMode.infer())
-    assert ad._tape == []
+    assert ad._state.tape == []
     assert sequence_lengths(np.array([BOS_ID, 5, EOS_ID])) is None
 
 
@@ -825,6 +825,18 @@ def test_decoder_state_past_its_max_len_raises_before_writing():
     assert short.length == 2
     for before, after in zip(buffers, (kv for layer in short.layers for kv in layer)):
         np.testing.assert_array_equal(before, after)
+
+
+def test_a_max_len_past_max_positions_sizes_the_buffers_by_max_positions():
+    cfg = tiny_config(max_positions=6)
+    m = MMTModel(cfg, seed=12)
+    m.out_b.data[EOS_ID] = -100.0   # never stop early
+    image = tiny_image(cfg)
+    with pytest.raises(ShapeError, match="sequence of length 7 exceeds the 6 precomputed"):
+        m.greedy_decode([BOS_ID, 5, EOS_ID], image, max_len=10**12)
+    enc = m.encode([BOS_ID, 5, EOS_ID], image, None, GateMode.infer())
+    state = DecoderState(m, enc.fused.data, enc.lengths, 10**12)
+    assert all(kv.shape[-2] == cfg.max_positions for layer in state.layers for kv in layer[:2])
 
 
 def test_greedy_decode_past_max_positions_raises_the_embedding_error():

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -247,6 +249,111 @@ def test_gate_stats_and_noise_stream_match_golden():
     assert drawn.random() == GOLDEN_NEXT_UNIFORM
 
 
+class CountingPool(ThreadPoolExecutor):
+    """A one-worker pool that counts the work submitted to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [4, 5], ids=["even", "odd"])
+@pytest.mark.parametrize("ablation", ["none", "vanilla_attention"])
+def test_split_step_matches_the_serial_step(n, ablation, monkeypatch):
+    # The split rule keeps the tiny model's batches serial; with the size
+    # constant lowered, the second half runs on the pool.  The halves'
+    # gradients sum in another order, so they agree to rounding, and the
+    # noise stream ends where the serial step leaves it.
+    ds, cfg = tiny_task()
+    flags = AblationFlags() if ablation == "none" else AblationFlags(vanilla_attention=True)
+    cfg = dataclasses.replace(cfg, ablation=flags)
+    runs = []
+    for split in (False, True):
+        if split:
+            monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+        m = MMTModel(cfg, seed=7)
+        noise = NoiseSource(11)
+        pool = CountingPool()
+        try:
+            value, gates = training._step(m, ds.train[:n], 5, noise, 0.5, 0, pool)
+        finally:
+            pool.shutdown()
+        assert pool.submitted == split
+        runs.append((value, gates, [p.tensor.grad.copy() for p in m.named_parameters()],
+                     noise._rng.random()))
+    (value, gates, grads, uniform), (split_value, split_gates, split_grads, split_uniform) = runs
+    assert split_value == pytest.approx(value, rel=1e-12, abs=0)
+    for serial_grad, split_grad in zip(grads, split_grads):
+        np.testing.assert_allclose(split_grad, serial_grad, rtol=0, atol=1e-10)
+    assert split_uniform == uniform
+    if ablation == "vanilla_attention":
+        assert gates is None and split_gates is None
+    else:
+        np.testing.assert_allclose(split_gates.open, gates.open, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(split_gates.count, gates.count)
+
+
+def test_split_training_matches_the_golden_losses(monkeypatch):
+    monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    ds, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    log = train(m, ds, TINY_TRAIN)
+    np.testing.assert_allclose(log.step_losses, GOLDEN_STEP_LOSSES, rtol=0, atol=1e-10)
+    np.testing.assert_allclose([e.mean_train_gate for e in log.epochs], GOLDEN_TRAIN_GATES,
+                               rtol=0, atol=1e-10)
+    assert teacher_forced_loss(m, ds.test, TINY_TRAIN.seed) == pytest.approx(
+        GOLDEN_TEST_LOSS, abs=1e-10)
+
+
+def test_a_non_finite_loss_on_the_worker_aborts_the_split_step(monkeypatch):
+    monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    ds, cfg = tiny_task()
+    batch = ds.train[:2] + nan_images(ds).train[2:4]
+    m = MMTModel(cfg, seed=7)
+    pool = CountingPool()
+    try:
+        with pytest.raises(TrainingError, match="^non-finite loss at step 3$"):
+            training._step(m, batch, 5, NoiseSource(11), 0.5, 3, pool)
+    finally:
+        pool.shutdown()
+    assert pool.submitted == 1
+    assert all((p.tensor.grad == 0.0).all() for p in m.named_parameters())
+
+
+def test_split_training_repeats_bit_for_bit_under_fast_thread_switching(monkeypatch):
+    # Four split runs of six steps each, from three caller threads that each
+    # start a worker: more threads than cores, switching every microsecond.
+    # A record on another thread's tape, or a gradient added out of order,
+    # would change a loss or a parameter.
+    monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    ds, cfg = tiny_task()
+
+    def run():
+        m = MMTModel(cfg, seed=7)
+        log = train(m, ds, TINY_TRAIN)
+        return log.step_losses, [p.tensor.data.copy() for p in m.named_parameters()]
+
+    losses, params = run()
+    interval = sys.getswitchinterval()
+    callers = ThreadPoolExecutor(max_workers=3)
+    sys.setswitchinterval(1e-6)
+    try:
+        futures = [callers.submit(run) for _ in range(4)]
+        results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        callers.shutdown(wait=False, cancel_futures=True)
+    assert all(f.done() for f in futures)
+    for run_losses, run_params in results:
+        assert run_losses == losses
+        for a, b in zip(run_params, params):
+            np.testing.assert_array_equal(a, b)
+
+
 def with_images(examples, image_of):
     return [dataclasses.replace(ex, image=image_of(ex)) for ex in examples]
 
@@ -292,7 +399,7 @@ def test_train_rejects_an_empty_split_before_compute(split, name):
     ad.reset_tape()
     with pytest.raises(TrainingError, match=f"^{name} split is empty$"):
         train(m, dataclasses.replace(ds, **{split: []}), TINY_TRAIN)
-    assert ad._tape == []
+    assert ad._state.tape == []
     assert all((p.tensor.data == b).all() for p, b in zip(m.named_parameters(), before))
 
 
@@ -322,7 +429,7 @@ def test_empty_split_is_rejected_before_compute():
     for run in (teacher_forced_loss, evaluate):
         with pytest.raises(ConfigError, match=f"^{run.__name__} on empty split$"):
             run(m, [], 0)
-    assert ad._tape == []
+    assert ad._state.tape == []
 
 
 def test_default_spec_fits_the_default_config():
