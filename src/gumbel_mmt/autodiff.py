@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,23 +141,22 @@ def _emit(inputs: tuple[Tensor, ...], out_data: Array,
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into t.grad for every tensor on the calling
-    thread's tape whose gradient buffer is allocated.  Adjoints are
-    recomputed from scratch on every call, so repeated calls sum exactly."""
-    for t, g in _leaf_adjoints(loss).items():
-        t.grad += g.reshape(t.grad.shape)
+def backward(loss: Tensor, seed: float = 1.0,
+             into: Mapping[Tensor, Array] | None = None) -> None:
+    """Accumulate d(seed * loss)/d(t) for every tensor t on the calling
+    thread's tape that has a gradient buffer.  Adjoints are recomputed from
+    scratch on every call, so repeated calls sum exactly.
 
-
-def _leaf_adjoints(loss: Tensor, seed: float = 1.0) -> dict[Tensor, Array]:
-    """d(seed * loss)/d(t) for every leaf t of the calling thread's tape
-    that has a gradient buffer, without writing those buffers: the core of
-    :func:`backward`, for callers that add the adjoints of several tapes in
-    a fixed order.  An intermediate tensor's buffer is written here."""
+    A leaf's contributions are added into its buffer as they arrive, and
+    each is freed once added: into ``t.grad``, or into ``into[t]`` where a
+    mapping is given, which must then name every such leaf.  A tensor that a
+    record produced gets its complete adjoint in its own ``.grad``."""
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
+    tape = _state.tape
+    produced = {rec.output for rec in tape}
     adjoint: dict[Tensor, Array] = {loss: np.full_like(loss.data, seed)}
-    for rec in reversed(_state.tape):
+    for rec in reversed(tape):
         # Every use of a record's output was recorded after it, so its
         # adjoint is complete here and can be freed once it is used.
         out_adj = adjoint.pop(rec.output, None)
@@ -166,10 +165,16 @@ def _leaf_adjoints(loss: Tensor, seed: float = 1.0) -> dict[Tensor, Array]:
         if rec.output.grad is not None:
             rec.output.grad += out_adj.reshape(rec.output.grad.shape)
         for t, g in zip(rec.inputs, rec.backward(out_adj)):
-            acc = adjoint.get(t)
-            adjoint[t] = g if acc is None else acc + g
-    # What is left are the adjoints of leaves.
-    return {t: g for t, g in adjoint.items() if t.grad is not None}
+            if t in produced:
+                acc = adjoint.get(t)
+                adjoint[t] = g if acc is None else acc + g
+            elif t.grad is not None:
+                buf = t.grad if into is None else into[t]
+                buf += g.reshape(buf.shape)
+    # A loss that no record on this tape produced is a leaf itself.
+    if loss not in produced and loss.grad is not None:
+        buf = loss.grad if into is None else into[loss]
+        buf += adjoint[loss].reshape(buf.shape)
 
 
 def zero_grads(params: Sequence[Parameter]) -> None:

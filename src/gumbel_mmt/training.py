@@ -14,10 +14,23 @@ another order than one pass over the whole batch, so it is part of what fixes
 the trajectory.  The rule reads only the batch and the model's shape, never
 the number of cores or a timing, so a (seed, config) pair trains the same on
 any machine.
+
+The split step's tail runs on both threads too.  Each half adds its weight
+gradients, as they arrive, into its own buffers, which live for the
+``train`` call.  The parameters are cut once into two contiguous groups of
+about equal element count.  Each thread sets its group's .grad to the first
+half's buffer plus the second's and takes each parameter's squared norm; the
+caller sums the squares in parameter order, as ``global_grad_norm`` does;
+then each thread runs Adam's per-parameter arithmetic on its group.  None of
+this can move a bit: every sum has the operands and order of the serial
+merge, norm and update, and the grouping only decides which thread does a
+parameter's arithmetic.  Adding a gradient into a zeroed buffer can turn a
+-0 into +0, and a zero's sign reaches no loss, moment or parameter.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -91,28 +104,51 @@ class AdamState:
     t: int = 0
 
 
-def global_grad_norm(params: list[Parameter]) -> float:
-    """Euclidean norm of all gradients together; inf or nan where one of them
-    is not finite."""
-    total = 0.0
+def _squares(params: list[Parameter]) -> list[float]:
+    """Each parameter's squared gradient norm."""
+    out = []
     for p in params:
         g = p.tensor.grad.reshape(-1)
-        total += float(np.dot(g, g))
+        out.append(float(np.dot(g, g)))
+    return out
+
+
+def _norm(squares: list[float]) -> float:
+    """The square root of the squares' sum, taken in list order."""
+    total = 0.0
+    for sq in squares:
+        total += sq
     return float(np.sqrt(total))
 
 
-def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> None:
+def global_grad_norm(params: list[Parameter]) -> float:
+    """Euclidean norm of all gradients together; inf or nan where one of them
+    is not finite."""
+    return _norm(_squares(params))
+
+
+def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig,
+              halves: _Halves | None = None) -> None:
     """Bias-corrected Adam update in place, after global-norm clipping.
 
-    Aborts on any non-finite gradient, naming the offending parameter; the
-    gradients are read once for the norm, and scanned for the culprit only
-    when the norm is not finite.  The moments are allocated on the first
-    step; each step then updates them and the parameters with in-place
-    ufuncs, in the order of the textbook expressions
-    m += (1 - beta1)(g - m), v += (1 - beta2)(g^2 - v),
+    Aborts on any non-finite gradient, naming the offending parameter, before
+    any parameter or moment changes; the gradients are read once for the
+    norm, and scanned for the culprit only when the norm is not finite.  The
+    moments are allocated on the first step; each step then updates them and
+    the parameters with in-place ufuncs, in the order of the textbook
+    expressions m += (1 - beta1)(g - m), v += (1 - beta2)(g^2 - v),
     w -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+
+    After a split step (see ``_step``), ``halves`` holds the squared norms its
+    merge computed, and the update runs by parameter groups, the second on
+    the split step's worker.  Each parameter's arithmetic is the same either
+    way.
     """
-    norm = global_grad_norm(params)
+    tail = None
+    if halves is not None:
+        tail, halves.tail = halves.tail, None
+    squares = _squares(params) if tail is None else tail[1]
+    norm = _norm(squares)
     if not np.isfinite(norm):
         for p in params:
             if not np.isfinite(p.tensor.grad).all():
@@ -121,14 +157,28 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig) -> No
     if cfg.clip_norm > 0 and norm > cfg.clip_norm:
         clip = cfg.clip_norm / norm
     state.t += 1
+    for p in params:
+        if p.name not in state.m:
+            state.m[p.name] = np.zeros_like(p.tensor.grad)
+            state.v[p.name] = np.zeros_like(p.tensor.grad)
+    if tail is None:
+        _adam_update(params, state, cfg, clip)
+        return
+    later = tail[0].submit(_adam_update, halves.groups[1], state, cfg, clip)
+    try:
+        _adam_update(halves.groups[0], state, cfg, clip)
+    finally:
+        later.result()
+
+
+def _adam_update(params: list[Parameter], state: AdamState, cfg: TrainConfig,
+                 clip: float) -> None:
+    """adam_step's per-parameter arithmetic, on allocated moments."""
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
     for p in params:
         # Explicit out= arrays keep 0-d parameters arrays, not numpy scalars.
         g = np.multiply(p.tensor.grad, clip, out=np.empty_like(p.tensor.grad))
-        if p.name not in state.m:
-            state.m[p.name] = np.zeros_like(g)
-            state.v[p.name] = np.zeros_like(g)
         m, v = state.m[p.name], state.v[p.name]
         tmp = np.subtract(g, m, out=np.empty_like(g))
         tmp *= 1.0 - cfg.beta1
@@ -290,47 +340,104 @@ def _forward(model: MMTModel, examples: list[Example], seed: int, noise, tau: fl
     return loss, enc
 
 
+class _Halves:
+    """What the split step keeps from one batch to the next in a ``train``
+    call.
+
+    ``grads`` holds each half's gradient buffers, a {tensor: array} mapping
+    per half.  They are allocated at the first split batch, so building a
+    model costs what it did, and each merge zeroes them again.  ``groups``
+    cuts the parameters into two contiguous runs of about equal element
+    count, one per thread for the merge and the Adam update.  ``tail`` is the
+    last split step's pool and per-parameter squared gradient norms, until
+    ``adam_step`` takes it.
+    """
+
+    def __init__(self, params: list[Parameter]):
+        sizes = np.cumsum([p.tensor.size for p in params])
+        cut = int(np.searchsorted(sizes, sizes[-1] / 2)) + 1
+        self.params = params
+        self.groups = (params[:cut], params[cut:])
+        self.grads: tuple[dict, dict] | None = None
+        self.tail: tuple[Executor, list[float]] | None = None
+
+    def merge(self, i: int) -> list[float]:
+        """Set each .grad of group i to the first half's gradient plus the
+        second's, zero both buffers, and return the squared norms."""
+        first, second = self.grads
+        squares = []
+        for p in self.groups[i]:
+            a, b, g = first[p.tensor], second[p.tensor], p.tensor.grad
+            np.add(a, b, out=g)
+            a.fill(0.0)
+            b.fill(0.0)
+            flat = g.reshape(-1)
+            squares.append(float(np.dot(flat, flat)))
+        return squares
+
+
 def _half(model: MMTModel, examples: list[Example], seed: int, noise, tau: float,
-          step: int, share: float):
-    """Forward and backward of one half of a batch on the calling thread's
-    tape: share x its loss, the leaf adjoints of that, and its gate stats."""
-    loss, enc = _forward(model, examples, seed, noise, tau, step)
-    adjoints = ad._leaf_adjoints(loss, share)
-    ad.reset_tape()
-    return share * loss.item(), adjoints, enc.gate_stats()
+          step: int, share: float, halves: _Halves, i: int, handoff: threading.Barrier):
+    """Half i of a split batch on the calling thread: forward and backward on
+    its own tape, adding share x its loss gradient into ``halves.grads[i]``;
+    then, once both halves are past ``handoff``, the merge of parameter group
+    i.  Returns share x its loss, its gate stats and the group's squared
+    norms.  A failure breaks the handoff, so the other half never waits for
+    this one in vain."""
+    try:
+        loss, enc = _forward(model, examples, seed, noise, tau, step)
+        ad.backward(loss, share, halves.grads[i])
+        ad.reset_tape()
+        handoff.wait()
+        return share * loss.item(), enc.gate_stats(), halves.merge(i)
+    except BaseException:
+        handoff.abort()
+        raise
 
 
 def _step(model: MMTModel, examples: list[Example], seed: int, noise: NoiseSource,
-          tau: float, step: int, pool: Executor) -> tuple[float, GateStats | None]:
-    """One batch's forward and backward: adds the gradient of the batch's
-    mean loss into every parameter's zeroed .grad, and returns that loss and
-    the batch's gate stats.  Under the split rule the second half runs on
-    ``pool``, with gate noise drawn here first, as one pass over the batch
-    draws it."""
+          tau: float, step: int, pool: Executor,
+          halves: _Halves | None = None) -> tuple[float, GateStats | None]:
+    """One batch's forward and backward: sets every parameter's .grad to the
+    gradient of the batch's mean loss, and returns that loss and the batch's
+    gate stats.  Under the split rule the second half runs on ``pool``, with
+    gate noise drawn here first, as one pass over the batch draws it.  Each
+    half adds into its own buffers in ``halves`` (made here when not given);
+    each thread then merges one parameter group into .grad, and the squared
+    norms wait in ``halves.tail`` for ``adam_step``."""
     mc, n, cut = model.cfg, len(examples), (len(examples) + 1) // 2
     if sum(len(ex.src_ids) for ex in examples[cut:]) * mc.d_model < _SPLIT_MIN:
+        ad.zero_grads(model.named_parameters())
         loss, enc = _forward(model, examples, seed, noise, tau, step)
         ad.backward(loss)
         ad.reset_tape()
         return loss.item(), enc.gate_stats()
+    if halves is None:
+        halves = _Halves(model.named_parameters())
+    if halves.grads is None:
+        halves.grads = tuple({p.tensor: np.zeros(p.tensor.shape) for p in halves.params}
+                             for _ in range(2))
     noise_a = noise_b = None
     if mc.gumbel_gates:
         noise_a, noise_b = split_gate_noise(noise, mc.n_heads, mc.n_regions,
                                             [len(ex.src_ids) for ex in examples], cut)
-    later = pool.submit(_half, model, examples[cut:], seed, noise_b, tau, step, (n - cut) / n)
+    handoff = threading.Barrier(2)
+    later = pool.submit(_half, model, examples[cut:], seed, noise_b, tau, step, (n - cut) / n,
+                        halves, 1, handoff)
     try:
-        a = _half(model, examples[:cut], seed, noise_a, tau, step, cut / n)
-    finally:
-        b = later.result()
-    value = 0.0
-    for part, adjoints, _ in (a, b):    # first half first: the order is part of the result
-        value += part
-        for t, g in adjoints.items():
-            t.grad += g.reshape(t.grad.shape)
-    if a[2] is None:
-        return value, None
-    return value, GateStats(open=np.concatenate([a[2].open, b[2].open]),
-                            count=np.concatenate([a[2].count, b[2].count]))
+        a = _half(model, examples[:cut], seed, noise_a, tau, step, cut / n, halves, 0, handoff)
+    except threading.BrokenBarrierError:
+        later.result()          # the worker's half broke the handoff: raise its error
+        raise
+    except BaseException:
+        later.exception()       # wait for the worker; this half's error is the one raised
+        raise
+    b = later.result()
+    halves.tail = (pool, a[2] + b[2])
+    if a[1] is None:
+        return a[0] + b[0], None
+    return a[0] + b[0], GateStats(open=np.concatenate([a[1].open, b[1].open]),
+                                  count=np.concatenate([a[1].count, b[1].count]))
 
 
 def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
@@ -347,6 +454,7 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
         raise TrainingError("validation split is empty")
     check_compatible(model.cfg, dataset.train + dataset.val, dataset)
     params = model.named_parameters()
+    halves = _Halves(params)
     state = AdamState()
     src = NoiseSource([cfg.seed, _NOISE_STREAM])
     log = TrainLog()
@@ -363,12 +471,11 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
             for b in range(steps_per_epoch):
                 idx = order[b * cfg.batch_size: (b + 1) * cfg.batch_size]
                 step = epoch * steps_per_epoch + b
-                ad.zero_grads(params)
                 value, gates = _step(model, [dataset.train[int(i)] for i in idx], cfg.seed,
-                                     src, cfg.tau_at(step, total_steps), step, pool)
+                                     src, cfg.tau_at(step, total_steps), step, pool, halves)
                 if gates is not None:
                     gate_means.extend(gates.open[:, 0] / gates.count[:, 0])
-                adam_step(params, state, cfg)
+                adam_step(params, state, cfg, halves)
                 epoch_losses.append(value)
                 log.step_losses.append(value)
 

@@ -2,7 +2,8 @@
 registry of gradient cases for every differentiable primitive, and for its
 batched form where it has one, a full-recompute greedy decoder that cached
 decoding is checked against, the logistic-noise and infer-gate oracles that
-gates are checked against, readers of a noise stream's position and of an
+gates are checked against, the sum-then-add backward that ``backward`` is
+checked against, readers of a noise stream's position and of an
 encoding's mean gates, and a loader for the benchmark's tracer, whose names
 tests check against the package.  Each gradient case factory draws random
 inputs in [-2, 2] (resampled away from relu/hinge kinks) and returns
@@ -63,6 +64,26 @@ def gradient_error(forward: Callable[[], Tensor], leaves: Sequence[Tensor],
                     float(np.abs(n).max(initial=0.0)), 1e-8)
         worst = max(worst, float(np.abs(a - n).max(initial=0.0)) / scale)
     return worst
+
+
+def summed_adjoints(loss: Tensor, seed: float = 1.0) -> dict[Tensor, np.ndarray]:
+    """The reference backward, without writing anything: walk the calling
+    thread's tape, summing every tensor's whole adjoint before it is used,
+    and return the complete adjoint of each tensor that has a gradient
+    buffer, leaf or op output."""
+    adjoint = {loss: np.full_like(loss.data, seed)}
+    done = {}
+    for rec in reversed(ad._state.tape):
+        out_adj = adjoint.pop(rec.output, None)
+        if out_adj is None:
+            continue
+        if rec.output.grad is not None:
+            done[rec.output] = out_adj
+        for t, g in zip(rec.inputs, rec.backward(out_adj)):
+            acc = adjoint.get(t)
+            adjoint[t] = g if acc is None else acc + g
+    done.update((t, g) for t, g in adjoint.items() if t.grad is not None)
+    return {t: g.reshape(t.shape) for t, g in done.items()}
 
 
 def rand_tensor(rng, shape, lo=-2.0, hi=2.0):

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Parameter, Tensor
 from gumbel_mmt.errors import ConfigError, DataError, ShapeError
-from helpers import PRIMITIVE_CASES, check_primitive, gradient_error, load_bench_tracing
+from helpers import (PRIMITIVE_CASES, check_primitive, gradient_error, load_bench_tracing,
+                     summed_adjoints)
 
 
 @pytest.fixture(autouse=True)
@@ -290,6 +291,55 @@ def test_backward_fills_an_intermediate_gradient_buffer():
     ad.backward(ad.reduce_sum(ad.mul(h, h)))
     np.testing.assert_array_equal(h.grad, 2.0 * h.data)
     np.testing.assert_array_equal(x.grad, 8.0 * x.data)
+
+
+def _shared_weight(rng):
+    # One weight in three products, so the order its contributions are
+    # summed in shows in the bits.
+    w = Tensor(rng.normal(size=(4, 3)), grad=True)
+    hs = [ad.linear(Tensor(rng.normal(size=(2, 5, 4))), w) for _ in range(3)]
+    return ad.reduce_sum(ad.mul(ad.add(hs[0], hs[1]), hs[2])), [w]
+
+
+def _square(rng):
+    p = Tensor(rng.normal(size=(3, 2)), grad=True)
+    return ad.reduce_mean(ad.mul(p, p)), [p]
+
+
+def _buffered_intermediate(rng):
+    x = Tensor(rng.normal(size=(3, 4)), grad=True)
+    h = ad.sigmoid(x)
+    h.grad = np.zeros(h.shape)
+    loss = ad.reduce_sum(ad.mul(ad.mul(h, h), ad.scale(h, 1.5)))
+    return loss, [x, h]
+
+
+@pytest.mark.parametrize("graph", [_shared_weight, _square, _buffered_intermediate])
+@pytest.mark.parametrize("seed", [1.0, 0.375])
+def test_backward_adds_as_they_arrive_what_the_summed_adjoints_add(graph, seed):
+    # Each contribution goes into the buffer as it arrives, where the
+    # reference sums a tensor's adjoint first and adds it once: the same
+    # additions in the same order, so .grad is bit-equal (a zero's sign
+    # aside, which array_equal ignores).
+    loss, buffered = graph(np.random.default_rng(4))
+    want = summed_adjoints(loss, seed)
+    ad.backward(loss, seed)
+    assert set(want) == set(buffered)
+    for t in buffered:
+        np.testing.assert_array_equal(t.grad, 0.0 + want[t])
+
+
+def test_backward_into_a_mapping_leaves_grad_untouched():
+    rng = np.random.default_rng(5)
+    loss, (w,) = _shared_weight(rng)
+    x = Tensor(rng.normal(size=(4, 3)), grad=True)
+    loss = ad.add(loss, ad.reduce_sum(ad.mul(x, w)))
+    want = summed_adjoints(loss, 0.5)
+    into = {w: np.zeros(w.shape), x: np.full(x.shape, 2.0)}
+    ad.backward(loss, 0.5, into)
+    np.testing.assert_array_equal(into[w], 0.0 + want[w])
+    np.testing.assert_array_equal(into[x], 2.0 + want[x])
+    assert not w.grad.any() and not x.grad.any()
 
 
 def test_zero_grads_resets():

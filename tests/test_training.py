@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt import training
+from gumbel_mmt.attention import split_gate_noise
 from gumbel_mmt.autodiff import Parameter, Tensor
 from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset, random_image_for
 from gumbel_mmt.errors import ConfigError, TrainingError
@@ -15,7 +17,7 @@ from gumbel_mmt.gumbel import GateMode, NoiseSource
 from gumbel_mmt.model import AblationFlags, LossWeightMode, MMTModel, ModelConfig
 from gumbel_mmt.training import (AdamState, Metrics, TrainConfig, adam_step, evaluate,
                                  teacher_forced_loss, train)
-from helpers import stream_state
+from helpers import stream_state, summed_adjoints
 
 
 @pytest.fixture(autouse=True)
@@ -322,6 +324,131 @@ def test_a_non_finite_loss_on_the_worker_aborts_the_split_step(monkeypatch):
         pool.shutdown()
     assert pool.submitted == 1
     assert all((p.tensor.grad == 0.0).all() for p in m.named_parameters())
+
+
+class FuturePool(CountingPool):
+    """A counting pool that keeps every future it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.futures = []
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+def test_the_split_tail_matches_the_serial_norm_and_update_bit_for_bit(monkeypatch):
+    # Two split steps on identical models: one model's Adam runs by
+    # parameter groups on both threads, from the squared norms the merge
+    # took; the other's runs serially over the merged .grad.
+    monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    ds, cfg = tiny_task()
+    tcfg = dataclasses.replace(TINY_TRAIN, clip_norm=0.05)
+    runs = []
+    for by_groups in (False, True):
+        m = MMTModel(cfg, seed=7)
+        params = m.named_parameters()
+        halves = training._Halves(params)
+        first, second = halves.groups
+        assert first and second and first + second == params
+        assert any(p.tensor.data.ndim == 0 for p in second)
+        sizes = [sum(p.tensor.size for p in group) for group in halves.groups]
+        assert abs(sizes[0] - sizes[1]) <= max(p.tensor.size for p in params)
+        state, pool, noise = AdamState(), FuturePool(), NoiseSource(11)
+        try:
+            for step, start in enumerate((0, 4, 6)):
+                training._step(m, ds.train[start:start + 4], 5, noise, 0.5, step, pool, halves)
+                squares = halves.tail[1]
+                assert training._norm(squares) == training.global_grad_norm(params) > 0.05
+                if not by_groups:
+                    halves.tail = None
+                adam_step(params, state, tcfg, halves)
+                assert halves.tail is None
+        finally:
+            pool.shutdown()
+        assert pool.submitted == 3 * (1 + by_groups)
+        assert all(f.done() and f.exception() is None for f in pool.futures)
+        runs.append((params, state))
+    (params, state), (group_params, group_state) = runs
+    assert group_state.t == state.t == 3
+    for p, q in zip(params, group_params):
+        assert q.tensor.data.tobytes() == p.tensor.data.tobytes()
+        assert group_state.m[p.name].tobytes() == state.m[p.name].tobytes()
+        assert group_state.v[p.name].tobytes() == state.v[p.name].tobytes()
+    assert list(group_state.m) == list(state.m) == [p.name for p in params]
+
+
+def test_the_split_gradient_adds_each_halfs_summed_adjoints_first_half_first(monkeypatch):
+    # The merged .grad is (0 + first half's summed adjoint) + second half's,
+    # the sum the split step made before leaf contributions were added as
+    # they arrive.
+    monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    ds, cfg = tiny_task()
+    batch = ds.train[:5]
+    m = MMTModel(cfg, seed=7)
+    params = m.named_parameters()
+    noise_a, noise_b = split_gate_noise(NoiseSource(11), cfg.n_heads, cfg.n_regions,
+                                        [len(ex.src_ids) for ex in batch], 3)
+    want = [np.zeros(p.tensor.shape) for p in params]
+    for part, noise, share in ((batch[:3], noise_a, 3 / 5), (batch[3:], noise_b, 2 / 5)):
+        loss, _ = training._forward(m, part, 5, noise, 0.5, 0)
+        adjoints = summed_adjoints(loss, share)
+        for w, p in zip(want, params):
+            w += adjoints[p.tensor]
+    pool = CountingPool()
+    try:
+        training._step(m, batch, 5, NoiseSource(11), 0.5, 0, pool)
+    finally:
+        pool.shutdown()
+    for w, p in zip(want, params):
+        np.testing.assert_array_equal(p.tensor.grad, w)
+
+
+@pytest.mark.parametrize("group", [0, 1], ids=["caller_group", "worker_group"])
+def test_a_non_finite_gradient_under_the_split_tail_aborts_before_any_update(group,
+                                                                             monkeypatch):
+    # The loss is finite; the worker's half adds a NaN into one parameter's
+    # buffer.  Adam must name that parameter and change nothing: no
+    # parameter, no moment, no step count.
+    monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    ds, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    params = m.named_parameters()
+    halves = training._Halves(params)
+    state, pool, noise = AdamState(), FuturePool(), NoiseSource(11)
+    target = halves.groups[group][-1]
+    caller = threading.get_ident()
+    backward = ad.backward
+
+    def poisoned(loss, seed=1.0, into=None):
+        backward(loss, seed, into)
+        if threading.get_ident() != caller:
+            into[target.tensor].reshape(-1)[0] = np.nan
+
+    try:
+        training._step(m, ds.train[:4], 5, noise, 0.5, 0, pool, halves)
+        adam_step(params, state, TINY_TRAIN, halves)
+        before = ([p.tensor.data.copy() for p in params],
+                  {k: v.copy() for k, v in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()})
+        monkeypatch.setattr(ad, "backward", poisoned)
+        value, _ = training._step(m, ds.train[4:8], 5, noise, 0.5, 1, pool, halves)
+        assert math.isfinite(value)
+        with pytest.raises(TrainingError,
+                           match=f"^non-finite gradient in parameter {target.name!r}$"):
+            adam_step(params, state, TINY_TRAIN, halves)
+    finally:
+        pool.shutdown()
+    assert pool.submitted == 3      # two halves and one update; the failed update submits none
+    assert all(f.done() and f.exception() is None for f in pool.futures)
+    assert state.t == 1 and halves.tail is None
+    data, moments, variances = before
+    for p, d in zip(params, data):
+        np.testing.assert_array_equal(p.tensor.data, d)
+        np.testing.assert_array_equal(state.m[p.name], moments[p.name])
+        np.testing.assert_array_equal(state.v[p.name], variances[p.name])
 
 
 def test_split_training_repeats_bit_for_bit_under_fast_thread_switching(monkeypatch):
