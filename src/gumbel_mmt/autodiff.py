@@ -26,10 +26,28 @@ through the same ops.  Multi-head attention adds a head axis,
 The forward values of linear, attention_scores, softmax_rows and
 residual_layer_norm are the array functions affine, scaled_scores,
 masked_softmax and residual_norm, which the tape-free decoder step calls too.
+Each takes an optional ``out=`` destination; the decoder step passes none.
+
+Step memory.  A training step runs inside :func:`step_buffer`, which makes
+a :class:`StepBuffer` active on the calling thread.  While it is active and
+recording is on, the arrays the step keeps come from the buffer: every op's
+output, the intermediates its backward closes over, and the constants
+wrapped in a Tensor.  The buffer hands out views of one flat array and is
+rewound, not freed, at the thread's next step, so once it has grown to the
+largest step a training step takes no fresh memory from the system.
+
+The lifetime rule: an array made in a training step lives until the same
+thread starts its next step.  Read what a step computed, such as its loss,
+before then.  With no buffer active, as under :func:`no_grad` and everywhere
+outside a training step, every array is allocated by numpy as before, and
+clearing the tape frees a step's activations.  The values never depend on
+the buffer: each op runs the same ufuncs on the same operands in the same
+order, and only the destination array changes.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -43,14 +61,18 @@ Array = np.ndarray
 
 class Tensor:
     """A dense float64 value and an optional gradient buffer of the same
-    shape.  The shape is fixed at construction.  Only the tape refers to the
-    record that produced a tensor, so clearing the tape frees a step's
-    activations without waiting for the cycle collector."""
+    shape.  The shape is fixed at construction.  Outside a training step,
+    only the tape refers to the record that produced a tensor, so clearing
+    the tape frees a step's activations without waiting for the cycle
+    collector.  Inside one, a tensor's data, like every array the step
+    keeps, lives in the thread's step buffer until the thread starts its
+    next step (the lifetime rule in the module docstring)."""
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data, *, grad: bool = False):
-        self.data: Array = np.array(data, dtype=np.float64, order="C")
+        # A parameter outlives every step, so it never lives in a step buffer.
+        self.data: Array = np.array(data, dtype=np.float64, order="C") if grad else _fresh(data)
         # np.zeros takes zeroed memory from the allocator, where zeros_like
         # writes every page: a large buffer's fresh pages stay untouched until
         # a gradient is written, so a model that only infers never faults
@@ -60,8 +82,9 @@ class Tensor:
     @classmethod
     def _adopt(cls, data: Array) -> "Tensor":
         """Wrap an array without copying it.  Only for the fresh float64
-        C-ordered arrays the ops below allocate; caller-supplied data goes
-        through the constructor, which copies."""
+        C-ordered arrays the ops below make, allocated or taken from the step
+        buffer; caller-supplied data goes through the constructor, which
+        copies."""
         t = cls.__new__(cls)
         t.data, t.grad = data, None
         return t
@@ -107,14 +130,90 @@ class Record(NamedTuple):
 class _ThreadState(threading.local):
     """One thread's tape, an ordered log of operations (the inputs of each
     record were recorded before it, so reverse iteration is a valid backward
-    order), and its stack of recording switches."""
+    order), its stack of recording switches, and its active step buffer."""
 
     def __init__(self):
         self.tape: list[Record] = []
         self.grad_enabled = [True]
+        self.buffer: StepBuffer | None = None
 
 
 _state = _ThreadState()
+
+# Element alignment of the arrays a step buffer hands out: one 64-byte line.
+_ALIGN = 8
+
+
+class StepBuffer:
+    """The memory one thread's training steps keep their arrays in: views of
+    one flat float64 array, handed out in order and rewound at the next step.
+
+    An array that does not fit is left to numpy to allocate, and the next
+    :meth:`rewind` grows the flat array once, to what the step asked for in
+    all.  So the buffer grows to the largest step seen and never shrinks;
+    its size depends only on the steps' shapes."""
+
+    __slots__ = ("flat", "used", "wanted", "__weakref__")
+
+    def __init__(self):
+        self.flat: Array = np.empty(0)
+        self.used = 0       # elements handed out since the last rewind, aligned
+        self.wanted = 0     # elements asked for since the last rewind, aligned
+
+    def take(self, shape: tuple[int, ...]) -> Array | None:
+        """An uninitialised C-ordered array of the shape, or None if it does
+        not fit."""
+        n = math.prod(shape)
+        size = -(-n // _ALIGN) * _ALIGN
+        self.wanted += size
+        start = self.used
+        if start + n > self.flat.size:
+            return None
+        self.used = start + size
+        return self.flat[start:start + n].reshape(shape)
+
+    def rewind(self) -> None:
+        """Start a step: every array handed out so far may be overwritten."""
+        if self.wanted > self.flat.size:
+            raw = np.empty(self.wanted + _ALIGN)
+            skip = -(raw.ctypes.data // raw.itemsize) % _ALIGN
+            self.flat = raw[skip:skip + self.wanted]
+        self.used = self.wanted = 0
+
+
+@contextmanager
+def step_buffer(buffer: StepBuffer):
+    """Rewind the buffer and take the arrays of the step recorded inside the
+    block from it, on the calling thread.  By the lifetime rule every array
+    the previous step on this buffer made is dead from here on."""
+    buffer.rewind()
+    state = _state
+    outer, state.buffer = state.buffer, buffer
+    try:
+        yield buffer
+    finally:
+        state.buffer = outer
+
+
+def _take(shape: tuple[int, ...]) -> Array | None:
+    """An array for a kept value from the thread's active step buffer; None
+    where no buffer is active, recording is off or the buffer is full, and
+    the caller allocates as numpy does."""
+    state = _state
+    buffer = state.buffer
+    if buffer is None or not state.grad_enabled[-1]:
+        return None
+    return buffer.take(shape)
+
+
+def _fresh(value) -> Array:
+    """A C-ordered float64 copy of value, in the step buffer where one is
+    active."""
+    out = _take(np.shape(value))
+    if out is None:
+        return np.array(value, dtype=np.float64, order="C")
+    out[...] = value
+    return out
 
 
 def reset_tape() -> None:
@@ -177,11 +276,6 @@ def backward(loss: Tensor, seed: float = 1.0,
         buf += adjoint[loss].reshape(buf.shape)
 
 
-def zero_grads(params: Sequence[Parameter]) -> None:
-    for p in params:
-        p.tensor.grad.fill(0.0)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -201,13 +295,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
              and a.shape[-1] == b.shape[-2],
              lambda: f"matmul shapes disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return _emit((a, b), ad @ bd,
+    return _emit((a, b), np.matmul(ad, bd, out=_take(a.shape[:-1] + b.shape[-1:])),
                  lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
 
 
-def affine(x: Array, w: Array, b: Array | None = None) -> Array:
-    """``(..., n, k) @ (k, m)`` as one 2-d product, plus an optional bias."""
-    y = (x.reshape(-1, w.shape[0]) @ w).reshape(x.shape[:-1] + w.shape[1:])
+def affine(x: Array, w: Array, b: Array | None = None, out: Array | None = None) -> Array:
+    """``(..., n, k) @ (k, m)`` as one 2-d product, plus an optional bias,
+    into out if given."""
+    k, m = w.shape
+    rows = x.reshape(-1, k)
+    # The operator skips np.matmul's keyword parsing, a sizeable share of a
+    # one-row product.
+    y = rows @ w if out is None else np.matmul(rows, w, out=out.reshape(-1, m))
+    y = y.reshape(x.shape[:-1] + (m,))
     if b is not None:
         y += b
     return y
@@ -228,40 +328,41 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def back(g: Array):
         g2 = g.reshape(-1, m)
         grads = ((g2 @ wd.T).reshape(xd.shape), rows.T @ g2)
-        return grads if b is None else grads + (g2.sum(axis=0),)
+        return grads if b is None else grads + (np.add.reduce(g2, axis=0),)
 
     return _emit((x, w) if b is None else (x, w, b),
-                 affine(xd, wd, None if b is None else b.data), back)
+                 affine(xd, wd, None if b is None else b.data, _take(xd.shape[:-1] + (m,))),
+                 back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require(a.shape == b.shape, lambda: f"add shapes differ: {a.shape} vs {b.shape}")
-    return _emit((a, b), a.data + b.data, lambda g: (g, g))
+    return _emit((a, b), np.add(a.data, b.data, out=_take(a.shape)), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require(a.shape == b.shape, lambda: f"mul shapes differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
-    return _emit((a, b), ad * bd, lambda g: (g * bd, g * ad))
+    return _emit((a, b), np.multiply(ad, bd, out=_take(a.shape)), lambda g: (g * bd, g * ad))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _emit((x,), x.data * c, lambda g: (g * c,))
+    return _emit((x,), np.multiply(x.data, c, out=_take(x.shape)), lambda g: (g * c,))
 
 
 def add_scalar(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _emit((x,), x.data + c, lambda g: (g,))
+    return _emit((x,), np.add(x.data, c, out=_take(x.shape)), lambda g: (g,))
 
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); a NaN passes through."""
-    y = np.maximum(x.data, 0.0)
+    y = np.maximum(x.data, 0.0, out=_take(x.shape))
     return _emit((x,), y, lambda g: (g * (y > 0),))
 
 
-def _sigmoid(x: Array) -> Array:
+def _sigmoid(x: Array, out: Array | None = None) -> Array:
     # exp(min(x, 0)) / (1 + exp(-|x|)) is 1 / (1 + exp(-x)) for x >= 0 and
     # exp(x) / (1 + exp(x)) below: stable in both tails, bit for bit the
     # two-branch form, without indexing either branch out.
@@ -270,29 +371,33 @@ def _sigmoid(x: Array) -> Array:
     np.negative(den, out=den)
     np.exp(den, out=den)
     den += 1.0
-    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    out = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
     np.exp(out, out=out)
     out /= den
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
+    y = _sigmoid(x.data, _take(x.shape))
     return _emit((x,), y, lambda g: (g * y * (1.0 - y),))
 
 
 def softplus(x: Tensor) -> Tensor:
-    y = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-    s = _sigmoid(x.data)
+    y = np.add(np.maximum(x.data, 0.0), np.log1p(np.exp(-np.abs(x.data))),
+               out=_take(x.shape))
+    s = _sigmoid(x.data, _take(x.shape))
     return _emit((x,), y, lambda g: (g * s,))
 
 
-def masked_softmax(x: Array, mask: Array | None = None) -> Array:
-    """Softmax over the last axis, weight 0 where the mask (broadcast to x) is True."""
+def masked_softmax(x: Array, mask: Array | None = None, out: Array | None = None) -> Array:
+    """Softmax over the last axis, weight 0 where the mask (broadcast to x)
+    is True, into out if given."""
     if mask is not None:
         x = np.where(mask, -np.inf, x)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
@@ -307,7 +412,7 @@ def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
                  and all(m in (1, n) for m, n in zip(mask.shape[::-1], x.shape[::-1])),
                  lambda: f"mask shape {mask.shape} does not broadcast to the scores' "
                          f"shape {x.shape}")
-    y = masked_softmax(x.data, mask)
+    y = masked_softmax(x.data, mask, _take(x.shape))
 
     def back(g: Array):
         dot = np.add.reduce(g * y, axis=-1, keepdims=True)
@@ -316,19 +421,23 @@ def softmax_rows(x: Tensor, mask: Array | None = None) -> Tensor:
     return _emit((x,), y, back)
 
 
-def residual_norm(x: Array, h: Array, gain: Array, bias: Array,
-                  eps: float = 1e-5) -> tuple[Array, Array, Array]:
+def residual_norm(x: Array, h: Array, gain: Array, bias: Array, eps: float = 1e-5,
+                  out: tuple[Array | None, Array | None, Array | None] = (None, None, None)
+                  ) -> tuple[Array, Array, Array]:
     """LayerNorm(x + h) over the last axis, scaled and shifted; returns it,
-    the normalised rows and their inverse deviations."""
-    s = x + h
-    d = s.shape[-1]
+    the normalised rows and their inverse deviations, into the three out
+    arrays where given."""
+    y, xhat, inv = out
+    xc = x + h
+    d = xc.shape[-1]
     # ndarray.mean and ndarray.sum without their Python-level wrappers.
-    mu = np.add.reduce(s, axis=-1, keepdims=True) / d
-    xc = s - mu
+    xc -= np.add.reduce(xc, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    inv = np.divide(1.0, np.sqrt(var + eps), out=inv)
+    xhat = np.multiply(xc, inv, out=xhat)
+    y = np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, xhat, inv
 
 
 def residual_layer_norm(x: Tensor, h: Tensor, gain: Tensor, bias: Tensor,
@@ -342,7 +451,8 @@ def residual_layer_norm(x: Tensor, h: Tensor, gain: Tensor, bias: Tensor,
     _require(d != 0, lambda: "residual_layer_norm over zero-width rows")
     _require(gain.shape == (d,) and bias.shape == (d,),
              lambda: f"residual_layer_norm affine shapes {gain.shape}/{bias.shape} != ({d},)")
-    y, xhat, inv = residual_norm(x.data, h.data, gain.data, bias.data, eps)
+    y, xhat, inv = residual_norm(x.data, h.data, gain.data, bias.data, eps,
+                                 (_take(x.shape), _take(x.shape), _take(x.shape[:-1] + (1,))))
     gd = gain.data
 
     def back(g: Array):
@@ -351,7 +461,8 @@ def residual_layer_norm(x: Tensor, h: Tensor, gain: Tensor, bias: Tensor,
                     - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
                     - xhat * np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         # One array for both summands: backward never writes into an adjoint.
-        return dx, dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+        return (dx, dx, np.add.reduce((g * xhat).reshape(-1, d), axis=0),
+                np.add.reduce(g.reshape(-1, d), axis=0))
 
     return _emit((x, h, gain, bias), y, back)
 
@@ -375,19 +486,22 @@ def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Ten
         raise DataError(f"target id {ids[bad][0]} out of range [0, {v})")
     n_live = int(live.sum())
     if n_live == 0:
-        return _emit((logits,), np.zeros(()), lambda g: (np.zeros(logits.shape),))
+        return _emit((logits,), _fresh(0.0), lambda g: (np.zeros(logits.shape),))
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
         _require(w.shape == logits.shape[:-1],
                  lambda: f"cross_entropy weights shape {w.shape} vs logits {logits.shape}")
         w = w.reshape(-1)[live]
     x = logits.data.reshape(t, v)
-    z = x - x.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - logsumexp
+    z = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    logsumexp = np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
+    logp = np.subtract(z, logsumexp, out=_take((t, v)))
     rows = np.arange(t)[live]
     picked = logp[rows, ids[live]]
-    loss = -picked.sum() / n_live if weights is None else -(picked * w).sum()
+    if weights is None:
+        loss = -np.add.reduce(picked, axis=None) / n_live
+    else:
+        loss = -np.add.reduce(picked * w, axis=None)
 
     def back(g: Array):
         dz = np.exp(logp)
@@ -399,7 +513,7 @@ def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Ten
             dz[live] *= float(g) * w[:, None]
         return (dz.reshape(logits.shape),)
 
-    return _emit((logits,), np.asarray(loss), back)
+    return _emit((logits,), _fresh(loss), back)
 
 
 def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
@@ -407,11 +521,12 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     _require(a.data.ndim >= 1 and a.shape == b.shape,
              lambda: f"cosine_similarity needs matching vectors, got {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
-    s = (ad * bd).sum(axis=-1)
-    na = np.sqrt((ad * ad).sum(axis=-1))
-    nb = np.sqrt((bd * bd).sum(axis=-1))
+    lead = a.shape[:-1]
+    s = np.add.reduce(ad * bd, axis=-1, out=_take(lead))
+    na = np.sqrt(np.add.reduce(ad * ad, axis=-1), out=_take(lead))
+    nb = np.sqrt(np.add.reduce(bd * bd, axis=-1), out=_take(lead))
     denom = na * nb + eps
-    c = s / denom
+    c = np.divide(s, denom, out=_take(lead))
 
     def back(g: Array):
         gc = (g / denom)[..., None]
@@ -427,9 +542,11 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     return _emit((a, b), np.asarray(c), back)
 
 
-def scaled_scores(q: Array, k: Array, c: float) -> Array:
-    """``c * q @ k^T`` over the last two axes; the keys are read, not copied."""
-    s = q @ k.swapaxes(-1, -2)
+def scaled_scores(q: Array, k: Array, c: float, out: Array | None = None) -> Array:
+    """``c * q @ k^T`` over the last two axes, into out if given; the keys
+    are read, not copied."""
+    kt = k.swapaxes(-1, -2)
+    s = q @ kt if out is None else np.matmul(q, kt, out=out)
     s *= c
     return s
 
@@ -447,7 +564,8 @@ def attention_scores(q: Tensor, k: Tensor, c: float) -> Tensor:
         gc = g * c
         return gc @ kd, gc.swapaxes(-1, -2) @ qd
 
-    return _emit((q, k), scaled_scores(qd, kd, c), back)
+    return _emit((q, k), scaled_scores(qd, kd, c, _take(qd.shape[:-1] + kd.shape[-2:-1])),
+                 back)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -457,7 +575,7 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
              lambda: f"split_heads of {x.shape} into {n_heads} heads")
     *lead, t, width = x.shape
     split = x.data.reshape(*lead, t, n_heads, width // n_heads)
-    return _emit((x,), split.swapaxes(-2, -3).copy(),
+    return _emit((x,), _fresh(split.swapaxes(-2, -3)),
                  lambda g: (g.swapaxes(-2, -3).reshape(x.shape),))
 
 
@@ -466,7 +584,7 @@ def merge_heads(x: Tensor) -> Tensor:
     :func:`split_heads`."""
     _require(x.data.ndim >= 3, lambda: f"merge_heads on shape {x.shape}")
     *lead, n_heads, t, d = x.shape
-    merged = x.data.swapaxes(-2, -3).copy().reshape(*lead, t, n_heads * d)
+    merged = _fresh(x.data.swapaxes(-2, -3)).reshape(*lead, t, n_heads * d)
     return _emit((x,), merged,
                  lambda g: (g.reshape(*lead, t, n_heads, d).swapaxes(-2, -3),))
 
@@ -484,18 +602,21 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(dt, idx, g)
         return (dt,)
 
-    # Integer-array indexing allocates a new array.
-    return _emit((table,), table.data[idx], back)
+    # The ids are checked above, so clipping moves none; mode="raise" would
+    # copy through a temporary before writing out.
+    rows = np.take(table.data, idx, axis=0, out=_take(idx.shape + table.shape[1:]),
+                   mode="clip")
+    return _emit((table,), rows, back)
 
 
 def reduce_sum(x: Tensor) -> Tensor:
-    return _emit((x,), np.asarray(x.data.sum()),
+    return _emit((x,), np.asarray(x.data.sum(out=_take(()))),
                  lambda g: (np.full_like(x.data, float(g)),))
 
 
 def reduce_mean(x: Tensor) -> Tensor:
     n = x.size
-    return _emit((x,), np.asarray(x.data.mean()),
+    return _emit((x,), np.asarray(x.data.mean(out=_take(()))),
                  lambda g: (np.full_like(x.data, float(g) / n),))
 
 
@@ -508,5 +629,6 @@ def mean_pool(x: Tensor, lengths) -> Tensor:
              and bool(((n >= 1) & (n <= x.shape[-2])).all()),
              lambda: f"mean_pool of {x.shape} over lengths {n.tolist()}")
     w = (np.arange(x.shape[-2]) < n[..., None]) / n[..., None]   # (..., t)
-    return _emit((x,), (w[..., None, :] @ x.data)[..., 0, :],
+    pooled = np.matmul(w[..., None, :], x.data, out=_take(x.shape[:-2] + (1, x.shape[-1])))
+    return _emit((x,), pooled[..., 0, :],
                  lambda g: (w[..., :, None] * g[..., None, :],))

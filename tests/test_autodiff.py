@@ -342,16 +342,6 @@ def test_backward_into_a_mapping_leaves_grad_untouched():
     assert not w.grad.any() and not x.grad.any()
 
 
-def test_zero_grads_resets():
-    p = Tensor([1.0, 4.0], grad=True)
-    ad.backward(ad.reduce_sum(ad.mul(p, p)))
-    assert np.any(p.grad != 0)
-    buffer = p.grad
-    ad.zero_grads([Parameter("p", p)])
-    np.testing.assert_array_equal(p.grad, np.zeros(2))
-    assert p.grad is buffer
-
-
 def test_no_grad_suppresses_recording():
     p = Tensor([1.0, 2.0], grad=True)
     with ad.no_grad():
@@ -447,20 +437,34 @@ def test_primitive_gradients(name):
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_op_outputs_are_fresh_float64_arrays(name, monkeypatch):
     # Op outputs are wrapped without a copy, so each op must hand over a new
-    # C-ordered float64 array that shares no memory with its inputs.
+    # C-ordered float64 array that shares no memory with its inputs.  Under
+    # a grown step buffer each must be a view of the buffer, and share no
+    # memory with any other output still on the tape either.
     emit = ad._emit
     seen = []
+    buffer = ad.StepBuffer()
+    views = False
 
     def spy(inputs, out_data, backward):
-        seen.append(name)
+        seen.append(views)
         assert out_data.dtype == np.float64 and out_data.flags["C_CONTIGUOUS"]
         assert not any(np.shares_memory(out_data, t.data) for t in inputs)
+        if views:
+            assert out_data.base is not None and np.shares_memory(out_data, buffer.flat)
+            assert not any(np.shares_memory(out_data, rec.output.data)
+                           for rec in ad._state.tape)
         return emit(inputs, out_data, backward)
 
     monkeypatch.setattr(ad, "_emit", spy)
     forward, _, _ = PRIMITIVE_CASES[name](np.random.default_rng(0))
     forward()
     assert seen
+    for views in (False, True):      # the first step sizes the buffer, the second uses it
+        ad.reset_tape()
+        with ad.step_buffer(buffer):
+            forward()
+    ad.reset_tape()
+    assert seen[-1] and buffer.wanted <= buffer.flat.size
 
 
 def test_constructor_copies_caller_data():

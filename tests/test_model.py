@@ -454,7 +454,8 @@ def batch_images(cfg):
 
 def loss_and_grads(m, src, tgt, images, noise, mode):
     params = m.named_parameters()
-    ad.zero_grads(params)
+    for p in params:
+        p.tensor.grad.fill(0.0)
     ad.reset_tape()
     loss, enc = m.loss(src, tgt, images, noise, mode, tau=0.7)
     ad.backward(loss)
@@ -550,7 +551,8 @@ def real_rows_forward(m, src, tgt, images, n_real, mode):
     """Logits, gates, and the parameter gradients of the token loss of the
     first n_real rows of a padded batch; later rows weigh nothing."""
     params = m.named_parameters()
-    ad.zero_grads(params)
+    for p in params:
+        p.tensor.grad.fill(0.0)
     ad.reset_tape()
     enc = m.encode(src, images, NoiseSource(9), mode)
     logits = m.decode(tgt[:, :-1], enc.fused, enc.lengths)

@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import gc
 import math
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -350,7 +353,7 @@ def test_the_split_tail_matches_the_serial_norm_and_update_bit_for_bit(monkeypat
     for by_groups in (False, True):
         m = MMTModel(cfg, seed=7)
         params = m.named_parameters()
-        halves = training._Halves(params)
+        halves = training._Arena(params)
         first, second = halves.groups
         assert first and second and first + second == params
         assert any(p.tensor.data.ndim == 0 for p in second)
@@ -416,7 +419,7 @@ def test_a_non_finite_gradient_under_the_split_tail_aborts_before_any_update(gro
     ds, cfg = tiny_task()
     m = MMTModel(cfg, seed=7)
     params = m.named_parameters()
-    halves = training._Halves(params)
+    halves = training._Arena(params)
     state, pool, noise = AdamState(), FuturePool(), NoiseSource(11)
     target = halves.groups[group][-1]
     caller = threading.get_ident()
@@ -479,6 +482,130 @@ def test_split_training_repeats_bit_for_bit_under_fast_thread_switching(monkeypa
         assert run_losses == losses
         for a, b in zip(run_params, params):
             np.testing.assert_array_equal(a, b)
+
+
+# -- step memory ------------------------------------------------------------------
+
+def trained_outputs(ds, cfg):
+    """Step losses, mean train gates, final parameters and Metrics on every
+    split of a tiny model after TINY_TRAIN."""
+    m = MMTModel(cfg, seed=7)
+    log = train(m, ds, TINY_TRAIN)
+    return (log.step_losses, [e.mean_train_gate for e in log.epochs],
+            [p.tensor.data.tobytes() for p in m.named_parameters()],
+            evaluate(m, ds.train + ds.val + ds.test, seed=TINY_TRAIN.seed))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_no_step_reads_an_array_of_its_buffer_outside_its_lifetime(split, monkeypatch):
+    # A step buffer is made empty and grows only when it is rewound, so
+    # filling it with NaN at every rewind poisons every array a previous
+    # step made in it, and every out= destination before an op writes it.
+    # Training must not notice.
+    if split:
+        monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    ds, cfg = tiny_task()
+    want = trained_outputs(ds, cfg)
+    rewind = ad.StepBuffer.rewind
+    rewound = []
+
+    def poisoned(buffer):
+        rewind(buffer)
+        buffer.flat.fill(np.nan)
+        rewound.append(buffer.flat.size)
+
+    monkeypatch.setattr(ad.StepBuffer, "rewind", poisoned)
+    got = trained_outputs(ds, cfg)
+    assert len(rewound) == 6 * (1 + split) and max(rewound) > 0
+    assert got == want
+    losses, gates, _, metrics = got
+    np.testing.assert_allclose(losses, GOLDEN_STEP_LOSSES, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(gates, GOLDEN_TRAIN_GATES, rtol=0, atol=1e-10)
+    assert metrics == GOLDEN_METRICS
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_a_step_buffer_grows_to_the_largest_step_and_then_serves_every_step(split,
+                                                                             monkeypatch):
+    # Per buffer and step: what the step asked for, and the flat array it
+    # had.  The buffer holds what the largest earlier step asked for; after
+    # the largest step, every request fits, so nothing falls back to numpy,
+    # and the flat array stays the same.
+    if split:
+        monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    steps = {}
+    step_buffer = ad.step_buffer
+
+    @contextlib.contextmanager
+    def recorded(buffer):
+        with step_buffer(buffer):
+            yield buffer
+        steps.setdefault(buffer, []).append((buffer.wanted, buffer.flat))
+
+    monkeypatch.setattr(ad, "step_buffer", recorded)
+    ds, cfg = tiny_task()
+    # Shuffled by seed 2, each buffer's largest step comes after its first
+    # and before its last.
+    train(MMTModel(cfg, seed=7), ds, dataclasses.replace(TINY_TRAIN, epochs=3, seed=2))
+    assert len(steps) == 1 + split
+    for record in steps.values():
+        wanted = [w for w, _ in record]
+        largest = wanted.index(max(wanted))
+        assert 0 < largest < len(record) - 1
+        for k, (w, flat) in enumerate(record):
+            assert flat.size == max(wanted[:k], default=0)
+            if k > largest:
+                assert w <= flat.size and flat is record[largest + 1][1]
+
+
+def test_no_step_buffer_is_active_once_train_returns_or_raises():
+    ds, cfg = tiny_task()
+
+    def fresh_output():
+        assert ad._state.buffer is None
+        out = ad.scale(Tensor(np.ones(3)), 2.0)
+        ad.reset_tape()
+        return out.data.base is None
+
+    train(MMTModel(cfg, seed=7), ds, TINY_TRAIN)
+    assert fresh_output()
+    with pytest.raises(TrainingError, match="^non-finite loss at step 0$"):
+        train(MMTModel(cfg, seed=7), nan_images(ds), TINY_TRAIN)
+    assert fresh_output()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_train_releases_its_step_buffers_when_it_returns(split, monkeypatch):
+    if split:
+        monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    refs = []
+    make = training._Arena.__init__
+
+    def watched(arena, params):
+        make(arena, params)
+        refs.append(weakref.ref(arena))
+        refs.extend(weakref.ref(b) for b in arena.buffers)
+
+    monkeypatch.setattr(training._Arena, "__init__", watched)
+    ds, cfg = tiny_task()
+    m = MMTModel(cfg, seed=7)
+    flats = []
+    rewind = ad.StepBuffer.rewind
+
+    def kept(buffer):
+        rewind(buffer)
+        flats.append(weakref.ref(buffer.flat.base if buffer.flat.size else buffer.flat))
+
+    monkeypatch.setattr(ad.StepBuffer, "rewind", kept)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train(m, ds, TINY_TRAIN)
+        assert len(refs) == 3 and len(flats) == 6 * (1 + split)
+        assert all(ref() is None for ref in refs + flats)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def with_images(examples, image_of):
