@@ -15,32 +15,41 @@ the trajectory.  The rule reads only the batch and the model's shape, never
 the number of cores or a timing, so a (seed, config) pair trains the same on
 any machine.
 
-The split step's tail runs on both threads too.  Each half adds its weight
-gradients, as they arrive, into its own buffers, which live for the
-``train`` call.  The parameters are cut once into two contiguous groups of
-about equal element count.  Each thread sets its group's .grad to the first
-half's buffer plus the second's and takes each parameter's squared norm; the
-caller sums the squares in parameter order, as ``global_grad_norm`` does;
+The split step's tail runs on both threads too.  The caller's half adds its
+weight gradients into .grad, as the serial step does, and the worker's half
+into one flat buffer that lives for the ``train`` call; both add each one as
+it arrives.  The parameters are cut once into two contiguous groups of about
+equal element count.  Each thread adds its group's part of the worker's
+buffer into .grad, zeroes that part and takes each parameter's squared norm;
+the caller sums the squares in parameter order, as the serial norm does;
 then each thread runs Adam's per-parameter arithmetic on its group.  None of
 this can move a bit: every sum has the operands and order of the serial
 merge, norm and update, and the grouping only decides which thread does a
 parameter's arithmetic.  Adding a gradient into a zeroed buffer can turn a
 -0 into +0, and a zero's sign reaches no loss, moment or parameter.
 
+The zeroing rule: every step zeroes .grad once, before the caller's
+backward.  A serial step zeroes it before its pass; a split step once the
+worker's half is submitted, while the worker runs a forward pass, which
+reads no gradient.  The worker's buffer is zero whenever a step starts,
+because each merge zeroes what it read.  A split step that fails waits for
+the worker, then zeroes .grad and the worker's buffer before it raises, so a
+failed step leaves no gradient behind for a later step on the same memory.
+
 The memory plan: a ``train`` call reuses its memory from step to step, so a
 steady-state step takes none from the system.  When the call starts, the
 parameters' values and gradients become views of two flat arrays
-(``_Arena``), in parameter order; the split halves' gradient buffers and
-Adam's moments, made when first needed, share that layout.  Zeroing the
-gradients is then one fill, a split merge one add and two fills per group,
-and Adam one loop over a contiguous run, or one per group, in chunks that
-fit L2, through scratch kept for the call.  Each thread's forward and
-backward take the arrays they keep from that thread's autodiff step buffer,
-which grows to the largest step and is rewound, not freed, when the thread
-starts its next step; nothing a step makes is read after that, and nothing
-from a step leaves ``train``.  None of this can move a bit: every element
-goes through the same ufuncs, with the same operands in the same order, and
-the gradient norm still sums per-parameter dot products in parameter order.
+(``_Arena``), in parameter order; the worker's gradient buffer and Adam's
+moments, made when first needed, share that layout.  Zeroing the gradients
+is then one fill, a split merge one add and one fill per group, and Adam one
+loop over the whole arena, or one per group, in chunks that fit one core's
+L2, through scratch kept for the call.  Each thread's forward and backward
+take the arrays they keep from that thread's autodiff step buffer, which
+grows to the largest step and is rewound, not freed, when the thread starts
+its next step; nothing a step makes is read after that, and nothing from a
+step leaves ``train``.  None of this can move a bit: every element goes
+through the same ufuncs, with the same operands in the same order, and the
+gradient norm still sums per-parameter dot products in parameter order.
 Only where each array lives changes.
 """
 
@@ -71,7 +80,7 @@ _SHUFFLE_STREAM = 2
 _EVAL_BATCH = 64
 
 # Elements per chunk of Adam's flat update.  A chunk's gradient, moments,
-# parameters and two scratch arrays take 768 KiB, well inside a 4 MiB L2.  On
+# parameters and two scratch arrays take 768 KiB, inside one core's 2 MiB L2.  On
 # a 2-core x86 box, one thread, a default-model update took 34.8 ms in
 # 16K-element chunks, 43.9 ms in 4K-element chunks and 39-50 ms parameter by
 # parameter.
@@ -145,36 +154,26 @@ def _norm(squares: list[float]) -> float:
     return float(np.sqrt(total))
 
 
-def global_grad_norm(params: list[Parameter]) -> float:
-    """Euclidean norm of all gradients together; inf or nan where one of them
-    is not finite."""
-    return _norm(_squares(params))
-
-
-def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig,
-              arena: _Arena | None = None) -> None:
-    """Bias-corrected Adam update in place, after global-norm clipping.
+def adam_step(state: AdamState, cfg: TrainConfig, arena: _Arena) -> None:
+    """Bias-corrected Adam update of the arena's parameters in place, after
+    global-norm clipping.
 
     Aborts on any non-finite gradient, naming the offending parameter, before
     any parameter or moment changes; the gradients are read once for the
     norm, and scanned for the culprit only when the norm is not finite.  The
-    moments are allocated on the first step; each step then updates them and
-    the parameters with in-place ufuncs, in the order of the textbook
-    expressions m += (1 - beta1)(g - m), v += (1 - beta2)(g^2 - v),
-    w -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+    moments are views of the arena's flat arrays, made on the first step;
+    each step then updates them and the parameters with in-place ufuncs, in
+    the order of the textbook expressions m += (1 - beta1)(g - m),
+    v += (1 - beta2)(g^2 - v), w -= lr (m / bc1) / (sqrt(v / bc2) + eps).
 
-    The update runs over runs of parameters that lie back to back in memory,
-    ``_ADAM_CHUNK`` elements at a time.  With the ``arena`` that holds
-    ``params``, in its order, the moments are views of its flat arrays and
-    the whole arena is one run; without one, each parameter is its own run.
+    The update runs over the whole arena, ``_ADAM_CHUNK`` elements at a time.
     After a split step (see ``_step``), the arena holds the squared norms its
     merge computed, and the update runs by parameter groups, the second on
-    the split step's worker.  Each element's arithmetic is the same in every
-    case.
+    the split step's worker.  Each element's arithmetic is the same either
+    way.
     """
-    tail = None
-    if arena is not None:
-        tail, arena.tail = arena.tail, None
+    params = arena.params
+    tail, arena.tail = arena.tail, None
     squares = _squares(params) if tail is None else tail[1]
     norm = _norm(squares)
     if not np.isfinite(norm):
@@ -185,57 +184,45 @@ def adam_step(params: list[Parameter], state: AdamState, cfg: TrainConfig,
     if cfg.clip_norm > 0 and norm > cfg.clip_norm:
         clip = cfg.clip_norm / norm
     state.t += 1
-    if arena is None:
-        for p in params:
-            if p.name not in state.m:
-                state.m[p.name] = np.zeros_like(p.tensor.grad)
-                state.v[p.name] = np.zeros_like(p.tensor.grad)
-        runs = [tuple(a.reshape(-1) for a in (p.tensor.data, p.tensor.grad,
-                                               state.m[p.name], state.v[p.name]))
-                for p in params]
-        width = min(_ADAM_CHUNK, max((p.tensor.size for p in params), default=0))
-        _adam_update(runs, state, cfg, clip, (np.empty(width), np.empty(width)))
-        return
     arena.moments(state)
     if tail is None:
-        _adam_update([arena.run(0, arena.size)], state, cfg, clip, arena.scratch[0])
+        _adam_update(arena.run(0, arena.size), state, cfg, clip, arena.scratch[0])
         return
-    later = tail[0].submit(_adam_update, [arena.run(*arena.bounds[1])], state, cfg, clip,
+    later = tail[0].submit(_adam_update, arena.run(*arena.bounds[1]), state, cfg, clip,
                            arena.scratch[1])
     try:
-        _adam_update([arena.run(*arena.bounds[0])], state, cfg, clip, arena.scratch[0])
+        _adam_update(arena.run(*arena.bounds[0]), state, cfg, clip, arena.scratch[0])
     finally:
         later.result()
 
 
-def _adam_update(runs: list[tuple[np.ndarray, ...]], state: AdamState, cfg: TrainConfig,
+def _adam_update(run: tuple[np.ndarray, ...], state: AdamState, cfg: TrainConfig,
                  clip: float, scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """adam_step's arithmetic over runs of flat (parameter, gradient, first
-    moment, second moment) views, chunk by chunk through the two scratch
-    arrays."""
+    """adam_step's arithmetic over flat (parameter, gradient, first moment,
+    second moment) views, chunk by chunk through the two scratch arrays."""
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
     keep1, keep2 = 1.0 - cfg.beta1, 1.0 - cfg.beta2
-    for w, grad, m, v in runs:
-        for lo in range(0, w.size, _ADAM_CHUNK):
-            hi = lo + _ADAM_CHUNK
-            mc, vc = m[lo:hi], v[lo:hi]
-            n = mc.size
-            g = np.multiply(grad[lo:hi], clip, out=scratch[0][:n])
-            tmp = np.subtract(g, mc, out=scratch[1][:n])
-            tmp *= keep1
-            mc += tmp
-            np.multiply(g, g, out=tmp)
-            tmp -= vc
-            tmp *= keep2
-            vc += tmp
-            np.divide(vc, bc2, out=g)
-            np.sqrt(g, out=g)
-            g += cfg.eps
-            np.divide(mc, bc1, out=tmp)
-            tmp *= cfg.lr
-            tmp /= g
-            w[lo:hi] -= tmp
+    w, grad, m, v = run
+    for lo in range(0, w.size, _ADAM_CHUNK):
+        hi = lo + _ADAM_CHUNK
+        mc, vc = m[lo:hi], v[lo:hi]
+        n = mc.size
+        g = np.multiply(grad[lo:hi], clip, out=scratch[0][:n])
+        tmp = np.subtract(g, mc, out=scratch[1][:n])
+        tmp *= keep1
+        mc += tmp
+        np.multiply(g, g, out=tmp)
+        tmp -= vc
+        tmp *= keep2
+        vc += tmp
+        np.divide(vc, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += cfg.eps
+        np.divide(mc, bc1, out=tmp)
+        tmp *= cfg.lr
+        tmp /= g
+        w[lo:hi] -= tmp
 
 
 @dataclass
@@ -388,19 +375,18 @@ class _Arena:
     ``data`` and ``grad`` are flat arrays behind the parameters: making the
     arena copies each tensor's values into ``data`` and makes its .data and
     .grad views of the two, in parameter order.  The gradients start at
-    zero, as every step sets them.  ``m`` and ``v`` hold Adam's moments in
-    the same layout, made at the first update.  ``buffers`` holds one
-    autodiff step buffer per thread, the caller's and the split worker's, and
-    ``scratch`` each thread's two arrays for the Adam update.
+    zero.  ``m`` and ``v`` hold Adam's moments in the same layout, made at
+    the first update.  ``buffers`` holds one autodiff step buffer per thread,
+    the caller's and the split worker's, and ``scratch`` each thread's two
+    arrays for the Adam update.
 
-    For the split step, ``halves`` are each half's gradient buffers, flat
-    arrays in the same layout made at the first split batch, and ``grads``
-    maps each tensor to its view of them, per half; each merge zeroes them
-    again.  ``groups`` cuts the parameters into two contiguous runs of about
-    equal element count, one per thread for the merge and the Adam update,
-    and ``bounds`` gives their element ranges.  ``tail`` is the last split
-    step's pool and per-parameter squared gradient norms, until
-    ``adam_step`` takes it.
+    For the split step, ``worker_grad`` is the flat gradient buffer the
+    worker's half adds into, in the same layout, made at the first split
+    batch, and ``into`` maps each tensor to its view of it.  ``groups`` cuts
+    the parameters into two contiguous runs of about equal element count, one
+    per thread for the merge and the Adam update, and ``bounds`` gives their
+    element ranges.  ``tail`` is the last split step's pool and per-parameter
+    squared gradient norms, until ``adam_step`` takes it.
     """
 
     def __init__(self, params: list[Parameter]):
@@ -416,29 +402,28 @@ class _Arena:
         self.bounds = ((0, ends[cut - 1]), (ends[cut - 1], self.size))
         self.buffers = (ad.StepBuffer(), ad.StepBuffer())
         self.scratch = tuple((np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)) for _ in range(2))
-        self.m = self.v = self.halves = None
-        self.grads: tuple[dict, dict] | None = None
+        self.m = self.v = self.worker_grad = None
+        self.into: dict[ad.Tensor, np.ndarray] | None = None
         self.tail: tuple[Executor, list[float]] | None = None
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Each parameter's view of a flat array in the arena's layout."""
         return [flat[a:b].reshape(p.tensor.shape) for p, (a, b) in zip(self.params, self.spans)]
 
-    def split_buffers(self) -> None:
-        """Make the halves' gradient buffers, once."""
-        if self.halves is None:
-            self.halves = (np.zeros(self.size), np.zeros(self.size))
-            self.grads = tuple({p.tensor: view for p, view in zip(self.params, self.views(flat))}
-                               for flat in self.halves)
+    def worker_buffer(self) -> None:
+        """Make the worker's gradient buffer, once."""
+        if self.worker_grad is None:
+            self.worker_grad = np.zeros(self.size)
+            self.into = {p.tensor: view
+                         for p, view in zip(self.params, self.views(self.worker_grad))}
 
     def merge(self, i: int) -> list[float]:
-        """Set the .grad of group i to the first half's gradient plus the
-        second's, zero both buffers, and return the squared norms."""
+        """Add group i's part of the worker's buffer into .grad, zero that
+        part, and return the group's squared norms."""
         lo, hi = self.bounds[i]
-        first, second = self.halves[0][lo:hi], self.halves[1][lo:hi]
-        np.add(first, second, out=self.grad[lo:hi])
-        first.fill(0.0)
-        second.fill(0.0)
+        grad, worker = self.grad[lo:hi], self.worker_grad[lo:hi]
+        np.add(grad, worker, out=grad)
+        worker.fill(0.0)
         return _squares(self.groups[i])
 
     def moments(self, state: AdamState) -> None:
@@ -453,21 +438,33 @@ class _Arena:
         return self.data[lo:hi], self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
 
 
+def _pass(model: MMTModel, examples: list[Example], seed: int, noise, tau: float,
+          step: int, share: float, buffer: ad.StepBuffer,
+          into: dict[ad.Tensor, np.ndarray] | None = None) -> tuple[float, GateStats | None]:
+    """Forward and backward of examples on the calling thread's tape, keeping
+    its arrays in ``buffer``: adds share x the loss gradient into .grad, or
+    into ``into`` where given, and returns share x the loss and the gate
+    stats."""
+    with ad.step_buffer(buffer):
+        loss, enc = _forward(model, examples, seed, noise, tau, step)
+        ad.backward(loss, share, into)
+        ad.reset_tape()
+        return share * loss.item(), enc.gate_stats()
+
+
 def _half(model: MMTModel, examples: list[Example], seed: int, noise, tau: float,
           step: int, share: float, arena: _Arena, i: int, handoff: threading.Barrier):
-    """Half i of a split batch on the calling thread: forward and backward on
-    its own tape and step buffer, adding share x its loss gradient into
-    ``arena.grads[i]``; then, once both halves are past ``handoff``, the
-    merge of parameter group i.  Returns share x its loss, its gate stats and
-    the group's squared norms.  A failure breaks the handoff, so the other
-    half never waits for this one in vain."""
+    """Half i of a split batch on the calling thread: its pass, into .grad
+    for the caller's half and into the worker's buffer for the worker's;
+    then, once both halves are past ``handoff``, the merge of parameter group
+    i.  Returns share x its loss, its gate stats and the group's squared
+    norms.  A failure breaks the handoff, so the other half never waits for
+    this one in vain."""
     try:
-        with ad.step_buffer(arena.buffers[i]):
-            loss, enc = _forward(model, examples, seed, noise, tau, step)
-            ad.backward(loss, share, arena.grads[i])
-            ad.reset_tape()
-            handoff.wait()
-            return share * loss.item(), enc.gate_stats(), arena.merge(i)
+        value, stats = _pass(model, examples, seed, noise, tau, step, share, arena.buffers[i],
+                             arena.into if i else None)
+        handoff.wait()
+        return value, stats, arena.merge(i)
     except BaseException:
         handoff.abort()
         raise
@@ -475,27 +472,19 @@ def _half(model: MMTModel, examples: list[Example], seed: int, noise, tau: float
 
 def _step(model: MMTModel, examples: list[Example], seed: int, noise: NoiseSource,
           tau: float, step: int, pool: Executor,
-          arena: _Arena | None = None) -> tuple[float, GateStats | None]:
-    """One batch's forward and backward: sets every parameter's .grad to the
-    gradient of the batch's mean loss, and returns that loss and the batch's
-    gate stats.  The arrays each thread's pass keeps come from its step
-    buffer in ``arena`` (made here, over the model's parameters, when not
-    given).  Under the split rule the second half runs on ``pool``, with gate
-    noise drawn here first, as one pass over the batch draws it.  Each half
-    adds into its own gradient buffers; each thread then merges one
-    parameter group into .grad, and the squared norms wait in
-    ``arena.tail`` for ``adam_step``."""
-    if arena is None:
-        arena = _Arena(model.named_parameters())
+          arena: _Arena) -> tuple[float, GateStats | None]:
+    """One batch's forward and backward: sets every parameter's .grad in
+    ``arena`` to the gradient of the batch's mean loss, and returns that loss
+    and the batch's gate stats.  Under the split rule the second half runs on
+    ``pool``, with gate noise drawn here first, as one pass over the batch
+    draws it; each thread then merges one parameter group, and the squared
+    norms wait in ``arena.tail`` for ``adam_step``.  The module docstring
+    gives the zeroing rule and the cleanup after a failed split step."""
     mc, n, cut = model.cfg, len(examples), (len(examples) + 1) // 2
     if sum(len(ex.src_ids) for ex in examples[cut:]) * mc.d_model < _SPLIT_MIN:
         arena.grad.fill(0.0)
-        with ad.step_buffer(arena.buffers[0]):
-            loss, enc = _forward(model, examples, seed, noise, tau, step)
-            ad.backward(loss)
-            ad.reset_tape()
-            return loss.item(), enc.gate_stats()
-    arena.split_buffers()
+        return _pass(model, examples, seed, noise, tau, step, 1.0, arena.buffers[0])
+    arena.worker_buffer()
     noise_a = noise_b = None
     if mc.gumbel_gates:
         noise_a, noise_b = split_gate_noise(noise, mc.n_heads, mc.n_regions,
@@ -504,14 +493,16 @@ def _step(model: MMTModel, examples: list[Example], seed: int, noise: NoiseSourc
     later = pool.submit(_half, model, examples[cut:], seed, noise_b, tau, step, (n - cut) / n,
                         arena, 1, handoff)
     try:
+        arena.grad.fill(0.0)
         a = _half(model, examples[:cut], seed, noise_a, tau, step, cut / n, arena, 0, handoff)
-    except threading.BrokenBarrierError:
-        later.result()          # the worker's half broke the handoff: raise its error
+        b = later.result()
+    except BaseException as error:
+        failure = later.exception()     # waits for the worker
+        arena.grad.fill(0.0)
+        arena.worker_grad.fill(0.0)
+        if failure is not None and isinstance(error, threading.BrokenBarrierError):
+            raise failure               # the worker's half broke the handoff
         raise
-    except BaseException:
-        later.exception()       # wait for the worker; this half's error is the one raised
-        raise
-    b = later.result()
     arena.tail = (pool, a[2] + b[2])
     if a[1] is None:
         return a[0] + b[0], None
@@ -532,8 +523,7 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
     if not dataset.val:
         raise TrainingError("validation split is empty")
     check_compatible(model.cfg, dataset.train + dataset.val, dataset)
-    params = model.named_parameters()
-    arena = _Arena(params)
+    arena = _Arena(model.named_parameters())
     state = AdamState()
     src = NoiseSource([cfg.seed, _NOISE_STREAM])
     log = TrainLog()
@@ -554,7 +544,7 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
                                      src, cfg.tau_at(step, total_steps), step, pool, arena)
                 if gates is not None:
                     gate_means.extend(gates.open[:, 0] / gates.count[:, 0])
-                adam_step(params, state, cfg, arena)
+                adam_step(state, cfg, arena)
                 epoch_losses.append(value)
                 log.step_losses.append(value)
 

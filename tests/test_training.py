@@ -47,13 +47,13 @@ def hand_adam(grads, lr, b1, b2, eps):
 def test_adam_step_matches_hand_computed_update(clip_norm):
     cfg = TrainConfig(lr=0.1, beta1=0.8, beta2=0.9, eps=1e-8, clip_norm=clip_norm)
     p = Parameter("w", Tensor(np.array([1.0, -2.0]), grad=True))
-    state = AdamState()
+    arena, state = training._Arena([p]), AdamState()
     steps = [np.array([0.5, -3.0]), np.array([-1.0, 0.25])]
     want = [hand_adam([g[i] for g in steps], 0.1, 0.8, 0.9, 1e-8) for i in range(2)]
     start = p.tensor.data.copy()
     for k, g in enumerate(steps):
         p.tensor.grad[:] = g
-        adam_step([p], state, cfg)
+        adam_step(state, cfg, arena)
         expected = start + [sum(want[i][:k + 1]) for i in range(2)]
         np.testing.assert_allclose(p.tensor.data, expected, rtol=1e-14)
     assert state.t == 2
@@ -63,13 +63,13 @@ def test_adam_step_clips_by_global_norm():
     cfg = TrainConfig(lr=0.1, beta1=0.8, beta2=0.9, eps=1e-8, clip_norm=1.0)
     a = Parameter("a", Tensor(np.zeros(1), grad=True))
     b = Parameter("b", Tensor(np.zeros(1), grad=True))
-    state = AdamState()
+    arena, state = training._Arena([a, b]), AdamState()
     # Step 1 has global norm 5 and is scaled by 1/5; step 2 has norm 0.5 and
     # is not.  The moments carry the clipped step into step 2.
     for ga, gb in ((3.0, 4.0), (0.3, -0.4)):
         a.tensor.grad[:] = ga
         b.tensor.grad[:] = gb
-        adam_step([a, b], state, cfg)
+        adam_step(state, cfg, arena)
     assert a.tensor.data[0] == pytest.approx(sum(hand_adam([0.6, 0.3], 0.1, 0.8, 0.9, 1e-8)),
                                              rel=1e-14)
     assert b.tensor.data[0] == pytest.approx(sum(hand_adam([0.8, -0.4], 0.1, 0.8, 0.9, 1e-8)),
@@ -87,7 +87,7 @@ def test_adam_step_is_bit_identical_to_the_textbook_expressions():
     want = {p.name: p.tensor.data.copy() for p in params}
     m = {name: np.zeros_like(w) for name, w in want.items()}
     v = {name: np.zeros_like(w) for name, w in want.items()}
-    state = AdamState()
+    arena, state = training._Arena(params), AdamState()
     for t in range(1, 4):
         for p in params:
             p.tensor.grad[...] = rng.normal(size=p.tensor.shape) * 2.0
@@ -100,7 +100,7 @@ def test_adam_step_is_bit_identical_to_the_textbook_expressions():
             want[p.name] = want[p.name] - cfg.lr * (m[p.name] / (1.0 - cfg.beta1 ** t)) / (
                 np.sqrt(v[p.name] / (1.0 - cfg.beta2 ** t)) + cfg.eps)
         moments = dict(state.m)
-        adam_step(params, state, cfg)
+        adam_step(state, cfg, arena)
         for p in params:
             np.testing.assert_array_equal(p.tensor.data, want[p.name])
             np.testing.assert_array_equal(state.m[p.name], m[p.name])
@@ -110,9 +110,10 @@ def test_adam_step_is_bit_identical_to_the_textbook_expressions():
 
 def test_adam_step_rejects_non_finite_gradient():
     p = Parameter("bad.w", Tensor(np.zeros(2), grad=True))
+    arena = training._Arena([p])
     p.tensor.grad[:] = [1.0, np.nan]
     with pytest.raises(TrainingError, match="bad.w"):
-        adam_step([p], AdamState(), TrainConfig())
+        adam_step(AdamState(), TrainConfig(), arena)
 
 
 # -- temperature schedule ---------------------------------------------------------
@@ -284,7 +285,8 @@ def test_split_step_matches_the_serial_step(n, ablation, monkeypatch):
         noise = NoiseSource(11)
         pool = CountingPool()
         try:
-            value, gates = training._step(m, ds.train[:n], 5, noise, 0.5, 0, pool)
+            value, gates = training._step(m, ds.train[:n], 5, noise, 0.5, 0, pool,
+                                          training._Arena(m.named_parameters()))
         finally:
             pool.shutdown()
         assert pool.submitted == split
@@ -322,11 +324,42 @@ def test_a_non_finite_loss_on_the_worker_aborts_the_split_step(monkeypatch):
     pool = CountingPool()
     try:
         with pytest.raises(TrainingError, match="^non-finite loss at step 3$"):
-            training._step(m, batch, 5, NoiseSource(11), 0.5, 3, pool)
+            training._step(m, batch, 5, NoiseSource(11), 0.5, 3, pool,
+                           training._Arena(m.named_parameters()))
     finally:
         pool.shutdown()
     assert pool.submitted == 1
     assert all((p.tensor.grad == 0.0).all() for p in m.named_parameters())
+
+
+@pytest.mark.parametrize("nan_half", ["worker", "caller"])
+def test_a_failed_split_step_leaves_the_arena_clean(nan_half, monkeypatch):
+    # Whichever half fails, the other half finishes its backward first: the
+    # caller's into .grad, the worker's into its buffer.  A good split step
+    # on the same arena must give what it gives on a fresh arena and model:
+    # loss, .grad and squared norms, bit for bit.
+    monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    ds, cfg = tiny_task()
+    bad = ds.train[:2] + nan_images(ds).train[2:4]
+    if nan_half == "caller":
+        bad = nan_images(ds).train[:2] + ds.train[2:4]
+    runs = []
+    for fail_first in (True, False):
+        m = MMTModel(cfg, seed=7)
+        arena = training._Arena(m.named_parameters())
+        pool = CountingPool()
+        try:
+            if fail_first:
+                with pytest.raises(TrainingError, match="^non-finite loss at step 3$"):
+                    training._step(m, bad, 5, NoiseSource(11), 0.5, 3, pool, arena)
+                assert not arena.worker_grad.any() and arena.tail is None
+            value, _ = training._step(m, ds.train[4:8], 5, NoiseSource(11), 0.5, 4, pool, arena)
+        finally:
+            pool.shutdown()
+        assert pool.submitted == 1 + fail_first
+        assert not arena.worker_grad.any()
+        runs.append((value.hex(), arena.grad.tobytes(), np.array(arena.tail[1]).tobytes()))
+    assert runs[0] == runs[1]
 
 
 class FuturePool(CountingPool):
@@ -353,22 +386,22 @@ def test_the_split_tail_matches_the_serial_norm_and_update_bit_for_bit(monkeypat
     for by_groups in (False, True):
         m = MMTModel(cfg, seed=7)
         params = m.named_parameters()
-        halves = training._Arena(params)
-        first, second = halves.groups
+        arena = training._Arena(params)
+        first, second = arena.groups
         assert first and second and first + second == params
         assert any(p.tensor.data.ndim == 0 for p in second)
-        sizes = [sum(p.tensor.size for p in group) for group in halves.groups]
+        sizes = [sum(p.tensor.size for p in group) for group in arena.groups]
         assert abs(sizes[0] - sizes[1]) <= max(p.tensor.size for p in params)
         state, pool, noise = AdamState(), FuturePool(), NoiseSource(11)
         try:
             for step, start in enumerate((0, 4, 6)):
-                training._step(m, ds.train[start:start + 4], 5, noise, 0.5, step, pool, halves)
-                squares = halves.tail[1]
-                assert training._norm(squares) == training.global_grad_norm(params) > 0.05
+                training._step(m, ds.train[start:start + 4], 5, noise, 0.5, step, pool, arena)
+                squares = arena.tail[1]
+                assert training._norm(squares) == training._norm(training._squares(params)) > 0.05
                 if not by_groups:
-                    halves.tail = None
-                adam_step(params, state, tcfg, halves)
-                assert halves.tail is None
+                    arena.tail = None
+                adam_step(state, tcfg, arena)
+                assert arena.tail is None
         finally:
             pool.shutdown()
         assert pool.submitted == 3 * (1 + by_groups)
@@ -402,7 +435,7 @@ def test_the_split_gradient_adds_each_halfs_summed_adjoints_first_half_first(mon
             w += adjoints[p.tensor]
     pool = CountingPool()
     try:
-        training._step(m, batch, 5, NoiseSource(11), 0.5, 0, pool)
+        training._step(m, batch, 5, NoiseSource(11), 0.5, 0, pool, training._Arena(params))
     finally:
         pool.shutdown()
     for w, p in zip(want, params):
@@ -419,9 +452,9 @@ def test_a_non_finite_gradient_under_the_split_tail_aborts_before_any_update(gro
     ds, cfg = tiny_task()
     m = MMTModel(cfg, seed=7)
     params = m.named_parameters()
-    halves = training._Arena(params)
+    arena = training._Arena(params)
     state, pool, noise = AdamState(), FuturePool(), NoiseSource(11)
-    target = halves.groups[group][-1]
+    target = arena.groups[group][-1]
     caller = threading.get_ident()
     backward = ad.backward
 
@@ -431,22 +464,22 @@ def test_a_non_finite_gradient_under_the_split_tail_aborts_before_any_update(gro
             into[target.tensor].reshape(-1)[0] = np.nan
 
     try:
-        training._step(m, ds.train[:4], 5, noise, 0.5, 0, pool, halves)
-        adam_step(params, state, TINY_TRAIN, halves)
+        training._step(m, ds.train[:4], 5, noise, 0.5, 0, pool, arena)
+        adam_step(state, TINY_TRAIN, arena)
         before = ([p.tensor.data.copy() for p in params],
                   {k: v.copy() for k, v in state.m.items()},
                   {k: v.copy() for k, v in state.v.items()})
         monkeypatch.setattr(ad, "backward", poisoned)
-        value, _ = training._step(m, ds.train[4:8], 5, noise, 0.5, 1, pool, halves)
+        value, _ = training._step(m, ds.train[4:8], 5, noise, 0.5, 1, pool, arena)
         assert math.isfinite(value)
         with pytest.raises(TrainingError,
                            match=f"^non-finite gradient in parameter {target.name!r}$"):
-            adam_step(params, state, TINY_TRAIN, halves)
+            adam_step(state, TINY_TRAIN, arena)
     finally:
         pool.shutdown()
     assert pool.submitted == 3      # two halves and one update; the failed update submits none
     assert all(f.done() and f.exception() is None for f in pool.futures)
-    assert state.t == 1 and halves.tail is None
+    assert state.t == 1 and arena.tail is None
     data, moments, variances = before
     for p, d in zip(params, data):
         np.testing.assert_array_equal(p.tensor.data, d)
