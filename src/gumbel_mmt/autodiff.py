@@ -47,6 +47,7 @@ order, and only the destination array changes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -73,18 +74,13 @@ class Tensor:
     def __init__(self, data, *, grad: bool = False):
         # A parameter outlives every step, so it never lives in a step buffer.
         self.data: Array = np.array(data, dtype=np.float64, order="C") if grad else _fresh(data)
-        # np.zeros takes zeroed memory from the allocator, where zeros_like
-        # writes every page: a large buffer's fresh pages stay untouched until
-        # a gradient is written, so a model that only infers never faults
-        # its gradient memory in.
         self.grad: Array | None = np.zeros(self.data.shape) if grad else None
 
     @classmethod
     def _adopt(cls, data: Array) -> "Tensor":
-        """Wrap an array without copying it.  Only for the fresh float64
-        C-ordered arrays the ops below make, allocated or taken from the step
-        buffer; caller-supplied data goes through the constructor, which
-        copies."""
+        """Wrap an array without copying it.  Only for fresh float64
+        C-ordered arrays, such as the ops' outputs and a parameter's initial
+        draw; other data goes through the constructor, which copies."""
         t = cls.__new__(cls)
         t.data, t.grad = data, None
         return t
@@ -107,18 +103,40 @@ class Tensor:
 
 
 class Parameter(NamedTuple):
-    """A named trainable tensor; the gradient buffer is always allocated."""
+    """A named trainable tensor.  Once a :class:`ParameterSet` holds it, its
+    value and gradient are views of the set's flat arrays."""
 
     name: str
     tensor: Tensor
 
 
-def check_unique_names(params: Sequence[Parameter]) -> None:
-    seen: dict[str, int] = {}
-    for p in params:
-        if p.name in seen:
-            raise ConfigError(f"duplicate parameter name: {p.name!r}")
-        seen[p.name] = 1
+class ParameterSet:
+    """Parameters in one flat layout.  Making the set copies each tensor's
+    values into the flat array ``data`` once and makes its .data and .grad
+    views of ``data`` and ``grad``, at its ``spans`` range, in list order.  A
+    repeated name is a ConfigError.  ``grad`` comes zeroed from np.zeros,
+    whose fresh pages stay untouched until a gradient is written, so a model
+    that only infers never faults its gradient memory in."""
+
+    __slots__ = ("params", "size", "spans", "data", "grad")
+
+    def __init__(self, params: Sequence[Parameter]):
+        seen: set[str] = set()
+        for p in params:
+            if p.name in seen:
+                raise ConfigError(f"duplicate parameter name: {p.name!r}")
+            seen.add(p.name)
+        ends = list(itertools.accumulate((p.tensor.size for p in params), initial=0))
+        self.params, self.size = list(params), ends[-1]
+        self.spans = list(zip(ends, ends[1:]))
+        self.data, self.grad = np.empty(self.size), np.zeros(self.size)
+        for p, data, grad in zip(params, self.views(self.data), self.views(self.grad)):
+            data[...] = p.tensor.data
+            p.tensor.data, p.tensor.grad = data, grad
+
+    def views(self, flat: Array) -> list[Array]:
+        """Each parameter's view of a flat array in the set's layout."""
+        return [flat[a:b].reshape(p.tensor.shape) for p, (a, b) in zip(self.params, self.spans)]
 
 
 class Record(NamedTuple):

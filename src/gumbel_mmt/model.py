@@ -9,7 +9,8 @@ a standard causal transformer decoder over the fused memory.
 Each layer step is one tape record: ``linear`` for a weight product and its
 bias, ``residual_layer_norm`` for a post-norm sublayer LayerNorm(x + sublayer(x)).
 Each component registers its parameters where it creates them, through a
-seeded ``_Init``, and ``MMTModel.named_parameters`` returns that one list.
+seeded ``_Init``, and the model's ``parameters`` store, made once from that
+list, holds them all in one flat layout that training updates in place.
 
 Every forward takes one sentence (1-d token ids, a ``(r, d_image)`` image)
 or a batch: ``(b, t)`` token ids right-padded with PAD_ID and ``(b, r,
@@ -33,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (AttentionWeights, attend_rows, causal_mask, key_padding_mask,
                         multi_head_attention, multi_head_gumbel_attention, project_heads)
-from .autodiff import Parameter, Tensor, check_unique_names
+from .autodiff import Parameter, Tensor
 from .data import BOS_ID, EOS_ID, PAD_ID
 from .errors import ConfigError, DataError, ShapeError
 from .gumbel import GateMode, NoiseSource
@@ -252,9 +253,10 @@ def total_loss(logits: Tensor, targets, h_image: Tensor | None, h_text: Tensor |
 class _Init:
     """Per-component seeded initialiser and registrar: the same (seed,
     component name) pair always yields the same draws, so model variants that
-    share component names share initial values.  Every tensor it makes is
-    appended to ``params`` as ``component.field``, so the list holds each
-    parameter once, in the order the model creates them."""
+    share component names share initial values.  Every tensor it makes wraps
+    its draw uncopied and is appended to ``params`` as ``component.field``,
+    so the list holds each parameter once, in the order the model creates
+    them; the model's store then copies it once and gives it a gradient."""
 
     def __init__(self, seed: int, name: str, params: list[Parameter]):
         self.rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
@@ -262,7 +264,7 @@ class _Init:
         self.params = params
 
     def tensor(self, field: str, data) -> Tensor:
-        t = Tensor(data, grad=True)
+        t = Tensor._adopt(np.asarray(data, dtype=np.float64))
         self.params.append(Parameter(f"{self.name}.{field}", t))
         return t
 
@@ -372,10 +374,10 @@ class MMTModel:
         self.seed = seed
         ab = cfg.ablation
         d, dk = cfg.d_model, cfg.d_image
-        self._params: list[Parameter] = []
+        params: list[Parameter] = []
 
         def init(name: str) -> _Init:
-            return _Init(seed, name, self._params)
+            return _Init(seed, name, params)
 
         emb_init = init("embed")
         self.src_table = emb_init.matrix("src_table", cfg.vocab_src, d)
@@ -419,14 +421,14 @@ class MMTModel:
         if cfg.loss_alpha.trainable and not (ab.text_only or ab.no_similarity_loss):
             self.alpha_raw = init("loss_alpha").tensor(
                 "raw", np.log(np.expm1(cfg.loss_alpha.value)))
-        check_unique_names(self._params)
+        self.parameters = ad.ParameterSet(params)
 
     # -- parameters ---------------------------------------------------------
 
     def named_parameters(self) -> list[Parameter]:
-        """Every trainable tensor once, in creation order, as registered by
-        :class:`_Init`; the order fixes the order gradient norms sum in."""
-        return list(self._params)
+        """The store's list: every trainable tensor once, in creation order;
+        the order fixes the layout and the order gradient norms sum in."""
+        return list(self.parameters.params)
 
     def alpha_eff(self) -> float:
         if self.alpha_raw is not None:

@@ -37,10 +37,11 @@ the worker, then zeroes .grad and the worker's buffer before it raises, so a
 failed step leaves no gradient behind for a later step on the same memory.
 
 The memory plan: a ``train`` call reuses its memory from step to step, so a
-steady-state step takes none from the system.  When the call starts, the
-parameters' values and gradients become views of two flat arrays
-(``_Arena``), in parameter order; the worker's gradient buffer and Adam's
-moments, made when first needed, share that layout.  Zeroing the gradients
+steady-state step takes none from the system.  The model owns the
+parameters' values and gradients as views of two flat arrays, in parameter
+order, from construction on; ``train`` adopts them as they are
+(``_Arena``), and the worker's gradient buffer and Adam's moments, made
+when first needed, share that layout.  Zeroing the gradients
 is then one fill, a split merge one add and one fill per group, and Adam one
 loop over the whole arena, or one per group, in chunks that fit one core's
 L2, through scratch kept for the call.  Each thread's forward and backward
@@ -55,7 +56,6 @@ Only where each array lives changes.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -130,13 +130,6 @@ class TrainConfig:
         return self.tau + (self.tau_end - self.tau) * frac
 
 
-@dataclass
-class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
-
-
 def _squares(params: list[Parameter]) -> list[float]:
     """Each parameter's squared gradient norm."""
     out = []
@@ -154,16 +147,16 @@ def _norm(squares: list[float]) -> float:
     return float(np.sqrt(total))
 
 
-def adam_step(state: AdamState, cfg: TrainConfig, arena: _Arena) -> None:
+def adam_step(cfg: TrainConfig, arena: _Arena) -> None:
     """Bias-corrected Adam update of the arena's parameters in place, after
-    global-norm clipping.
+    global-norm clipping; ``arena.t`` counts the updates.
 
     Aborts on any non-finite gradient, naming the offending parameter, before
-    any parameter or moment changes; the gradients are read once for the
-    norm, and scanned for the culprit only when the norm is not finite.  The
-    moments are views of the arena's flat arrays, made on the first step;
-    each step then updates them and the parameters with in-place ufuncs, in
-    the order of the textbook expressions m += (1 - beta1)(g - m),
+    any parameter, moment or step count changes; the gradients are read once
+    for the norm, and scanned for the culprit only when the norm is not
+    finite.  The moments are the arena's ``m`` and ``v``, made on the first
+    update; each update changes them and the parameters with in-place ufuncs,
+    in the order of the textbook expressions m += (1 - beta1)(g - m),
     v += (1 - beta2)(g^2 - v), w -= lr (m / bc1) / (sqrt(v / bc2) + eps).
 
     The update runs over the whole arena, ``_ADAM_CHUNK`` elements at a time.
@@ -183,25 +176,26 @@ def adam_step(state: AdamState, cfg: TrainConfig, arena: _Arena) -> None:
     clip = 1.0
     if cfg.clip_norm > 0 and norm > cfg.clip_norm:
         clip = cfg.clip_norm / norm
-    state.t += 1
-    arena.moments(state)
+    arena.t += 1
+    if arena.m is None:
+        arena.m, arena.v = np.zeros(arena.size), np.zeros(arena.size)
     if tail is None:
-        _adam_update(arena.run(0, arena.size), state, cfg, clip, arena.scratch[0])
+        _adam_update(arena.run(0, arena.size), arena.t, cfg, clip, arena.scratch[0])
         return
-    later = tail[0].submit(_adam_update, arena.run(*arena.bounds[1]), state, cfg, clip,
+    later = tail[0].submit(_adam_update, arena.run(*arena.bounds[1]), arena.t, cfg, clip,
                            arena.scratch[1])
     try:
-        _adam_update(arena.run(*arena.bounds[0]), state, cfg, clip, arena.scratch[0])
+        _adam_update(arena.run(*arena.bounds[0]), arena.t, cfg, clip, arena.scratch[0])
     finally:
         later.result()
 
 
-def _adam_update(run: tuple[np.ndarray, ...], state: AdamState, cfg: TrainConfig,
+def _adam_update(run: tuple[np.ndarray, ...], t: int, cfg: TrainConfig,
                  clip: float, scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """adam_step's arithmetic over flat (parameter, gradient, first moment,
-    second moment) views, chunk by chunk through the two scratch arrays."""
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    """adam_step's arithmetic for update t over flat (parameter, gradient,
+    moment, moment) views, chunk by chunk through the two scratch arrays."""
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
     keep1, keep2 = 1.0 - cfg.beta1, 1.0 - cfg.beta2
     w, grad, m, v = run
     for lo in range(0, w.size, _ADAM_CHUNK):
@@ -372,13 +366,12 @@ def _forward(model: MMTModel, examples: list[Example], seed: int, noise, tau: fl
 class _Arena:
     """The memory a ``train`` call reuses from one step to the next.
 
-    ``data`` and ``grad`` are flat arrays behind the parameters: making the
-    arena copies each tensor's values into ``data`` and makes its .data and
-    .grad views of the two, in parameter order.  The gradients start at
-    zero.  ``m`` and ``v`` hold Adam's moments in the same layout, made at
-    the first update.  ``buffers`` holds one autodiff step buffer per thread,
-    the caller's and the split worker's, and ``scratch`` each thread's two
-    arrays for the Adam update.
+    ``data`` and ``grad`` are the flat arrays of the parameter store it is
+    made from, adopted as they are: the arena copies and rebinds nothing.
+    ``m`` and ``v`` hold Adam's moments in the same layout, made at the
+    first update, and ``t`` counts the updates.  ``buffers`` holds one
+    autodiff step buffer per thread, the caller's and the split worker's,
+    and ``scratch`` each thread's two arrays for the Adam update.
 
     For the split step, ``worker_grad`` is the flat gradient buffer the
     worker's half adds into, in the same layout, made at the first split
@@ -389,33 +382,26 @@ class _Arena:
     squared gradient norms, until ``adam_step`` takes it.
     """
 
-    def __init__(self, params: list[Parameter]):
-        ends = list(itertools.accumulate(p.tensor.size for p in params))
-        self.params, self.size = params, ends[-1]
-        self.spans = list(zip([0] + ends[:-1], ends))
-        self.data, self.grad = np.empty(self.size), np.zeros(self.size)
-        for p, data, grad in zip(params, self.views(self.data), self.views(self.grad)):
-            data[...] = p.tensor.data
-            p.tensor.data, p.tensor.grad = data, grad
+    def __init__(self, store: ad.ParameterSet):
+        self.store, self.params, self.size = store, store.params, store.size
+        self.data, self.grad = store.data, store.grad
+        ends = [b for _, b in store.spans]
         cut = int(np.searchsorted(ends, self.size / 2)) + 1
-        self.groups = (params[:cut], params[cut:])
+        self.groups = (self.params[:cut], self.params[cut:])
         self.bounds = ((0, ends[cut - 1]), (ends[cut - 1], self.size))
         self.buffers = (ad.StepBuffer(), ad.StepBuffer())
         self.scratch = tuple((np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)) for _ in range(2))
+        self.t = 0
         self.m = self.v = self.worker_grad = None
         self.into: dict[ad.Tensor, np.ndarray] | None = None
         self.tail: tuple[Executor, list[float]] | None = None
-
-    def views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Each parameter's view of a flat array in the arena's layout."""
-        return [flat[a:b].reshape(p.tensor.shape) for p, (a, b) in zip(self.params, self.spans)]
 
     def worker_buffer(self) -> None:
         """Make the worker's gradient buffer, once."""
         if self.worker_grad is None:
             self.worker_grad = np.zeros(self.size)
-            self.into = {p.tensor: view
-                         for p, view in zip(self.params, self.views(self.worker_grad))}
+            self.into = {p.tensor: view for p, view in
+                         zip(self.params, self.store.views(self.worker_grad))}
 
     def merge(self, i: int) -> list[float]:
         """Add group i's part of the worker's buffer into .grad, zero that
@@ -425,13 +411,6 @@ class _Arena:
         np.add(grad, worker, out=grad)
         worker.fill(0.0)
         return _squares(self.groups[i])
-
-    def moments(self, state: AdamState) -> None:
-        """Make Adam's moments at the first update, keyed by name in state."""
-        if self.m is None:
-            self.m, self.v = np.zeros(self.size), np.zeros(self.size)
-            for p, m, v in zip(self.params, self.views(self.m), self.views(self.v)):
-                state.m[p.name], state.v[p.name] = m, v
 
     def run(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         """Elements [lo, hi) of the parameters, gradients and moments."""
@@ -523,8 +502,7 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
     if not dataset.val:
         raise TrainingError("validation split is empty")
     check_compatible(model.cfg, dataset.train + dataset.val, dataset)
-    arena = _Arena(model.named_parameters())
-    state = AdamState()
+    arena = _Arena(model.parameters)
     src = NoiseSource([cfg.seed, _NOISE_STREAM])
     log = TrainLog()
     n = len(dataset.train)
@@ -544,7 +522,7 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
                                      src, cfg.tau_at(step, total_steps), step, pool, arena)
                 if gates is not None:
                     gate_means.extend(gates.open[:, 0] / gates.count[:, 0])
-                adam_step(state, cfg, arena)
+                adam_step(cfg, arena)
                 epoch_losses.append(value)
                 log.step_losses.append(value)
 

@@ -301,8 +301,8 @@ def test_named_parameters_are_listed_in_creation_order():
 
 def _reachable_trainable_tensors(model):
     """Tensors with a gradient buffer reachable from the model's attributes,
-    its layers and their attention weights, each once, skipping the list
-    the registry itself keeps."""
+    its layers and their attention weights, each once, skipping the
+    parameter store, which lists them all."""
     found, seen = [], set()
 
     def walk(obj):
@@ -320,7 +320,7 @@ def _reachable_trainable_tensors(model):
                 walk(item)
 
     for name, value in vars(model).items():
-        if name != "_params":
+        if name != "parameters":
             walk(value)
     return found
 

@@ -18,7 +18,7 @@ from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset, random_image_fo
 from gumbel_mmt.errors import ConfigError, TrainingError
 from gumbel_mmt.gumbel import GateMode, NoiseSource
 from gumbel_mmt.model import AblationFlags, LossWeightMode, MMTModel, ModelConfig
-from gumbel_mmt.training import (AdamState, Metrics, TrainConfig, adam_step, evaluate,
+from gumbel_mmt.training import (Metrics, TrainConfig, adam_step, evaluate,
                                  teacher_forced_loss, train)
 from helpers import stream_state, summed_adjoints
 
@@ -31,6 +31,11 @@ def fresh_tape():
 
 
 # -- Adam ------------------------------------------------------------------------
+
+def arena_of(params):
+    """An arena over a parameter store made of params."""
+    return training._Arena(ad.ParameterSet(params))
+
 
 def hand_adam(grads, lr, b1, b2, eps):
     """Reference bias-corrected Adam on one scalar: the parameter deltas."""
@@ -46,30 +51,30 @@ def hand_adam(grads, lr, b1, b2, eps):
 @pytest.mark.parametrize("clip_norm", [0.0, 100.0], ids=["off", "not_reached"])
 def test_adam_step_matches_hand_computed_update(clip_norm):
     cfg = TrainConfig(lr=0.1, beta1=0.8, beta2=0.9, eps=1e-8, clip_norm=clip_norm)
-    p = Parameter("w", Tensor(np.array([1.0, -2.0]), grad=True))
-    arena, state = training._Arena([p]), AdamState()
+    p = Parameter("w", Tensor(np.array([1.0, -2.0])))
+    arena = arena_of([p])
     steps = [np.array([0.5, -3.0]), np.array([-1.0, 0.25])]
     want = [hand_adam([g[i] for g in steps], 0.1, 0.8, 0.9, 1e-8) for i in range(2)]
     start = p.tensor.data.copy()
     for k, g in enumerate(steps):
         p.tensor.grad[:] = g
-        adam_step(state, cfg, arena)
+        adam_step(cfg, arena)
         expected = start + [sum(want[i][:k + 1]) for i in range(2)]
         np.testing.assert_allclose(p.tensor.data, expected, rtol=1e-14)
-    assert state.t == 2
+    assert arena.t == 2
 
 
 def test_adam_step_clips_by_global_norm():
     cfg = TrainConfig(lr=0.1, beta1=0.8, beta2=0.9, eps=1e-8, clip_norm=1.0)
-    a = Parameter("a", Tensor(np.zeros(1), grad=True))
-    b = Parameter("b", Tensor(np.zeros(1), grad=True))
-    arena, state = training._Arena([a, b]), AdamState()
+    a = Parameter("a", Tensor(np.zeros(1)))
+    b = Parameter("b", Tensor(np.zeros(1)))
+    arena = arena_of([a, b])
     # Step 1 has global norm 5 and is scaled by 1/5; step 2 has norm 0.5 and
     # is not.  The moments carry the clipped step into step 2.
     for ga, gb in ((3.0, 4.0), (0.3, -0.4)):
         a.tensor.grad[:] = ga
         b.tensor.grad[:] = gb
-        adam_step(state, cfg, arena)
+        adam_step(cfg, arena)
     assert a.tensor.data[0] == pytest.approx(sum(hand_adam([0.6, 0.3], 0.1, 0.8, 0.9, 1e-8)),
                                              rel=1e-14)
     assert b.tensor.data[0] == pytest.approx(sum(hand_adam([0.8, -0.4], 0.1, 0.8, 0.9, 1e-8)),
@@ -82,12 +87,13 @@ def test_adam_step_is_bit_identical_to_the_textbook_expressions():
     cfg = TrainConfig(lr=0.01, clip_norm=1.0)
     rng = np.random.default_rng(0)
     # Zero start: the parameters are the summed updates, with every bit of them.
-    params = [Parameter("w", Tensor(np.zeros((3, 4)), grad=True)),
-              Parameter("raw", Tensor(np.asarray(0.0), grad=True))]
+    params = [Parameter("w", Tensor(np.zeros((3, 4)))),
+              Parameter("raw", Tensor(np.asarray(0.0)))]
     want = {p.name: p.tensor.data.copy() for p in params}
     m = {name: np.zeros_like(w) for name, w in want.items()}
     v = {name: np.zeros_like(w) for name, w in want.items()}
-    arena, state = training._Arena(params), AdamState()
+    store = ad.ParameterSet(params)
+    arena = training._Arena(store)
     for t in range(1, 4):
         for p in params:
             p.tensor.grad[...] = rng.normal(size=p.tensor.shape) * 2.0
@@ -99,21 +105,23 @@ def test_adam_step_is_bit_identical_to_the_textbook_expressions():
             v[p.name] = v[p.name] + (1.0 - cfg.beta2) * (g * g - v[p.name])
             want[p.name] = want[p.name] - cfg.lr * (m[p.name] / (1.0 - cfg.beta1 ** t)) / (
                 np.sqrt(v[p.name] / (1.0 - cfg.beta2 ** t)) + cfg.eps)
-        moments = dict(state.m)
-        adam_step(state, cfg, arena)
-        for p in params:
+        moments = arena.m, arena.v
+        adam_step(cfg, arena)
+        assert arena.t == t
+        assert t == 1 or (arena.m is moments[0] and arena.v is moments[1])
+        for p, m_view, v_view in zip(params, store.views(arena.m), store.views(arena.v)):
             np.testing.assert_array_equal(p.tensor.data, want[p.name])
-            np.testing.assert_array_equal(state.m[p.name], m[p.name])
-            np.testing.assert_array_equal(state.v[p.name], v[p.name])
-            assert t == 1 or state.m[p.name] is moments[p.name]
+            np.testing.assert_array_equal(m_view, m[p.name])
+            np.testing.assert_array_equal(v_view, v[p.name])
 
 
 def test_adam_step_rejects_non_finite_gradient():
-    p = Parameter("bad.w", Tensor(np.zeros(2), grad=True))
-    arena = training._Arena([p])
+    p = Parameter("bad.w", Tensor(np.zeros(2)))
+    arena = arena_of([p])
     p.tensor.grad[:] = [1.0, np.nan]
     with pytest.raises(TrainingError, match="bad.w"):
-        adam_step(AdamState(), TrainConfig(), arena)
+        adam_step(TrainConfig(), arena)
+    assert arena.t == 0 and arena.m is None
 
 
 # -- temperature schedule ---------------------------------------------------------
@@ -286,7 +294,7 @@ def test_split_step_matches_the_serial_step(n, ablation, monkeypatch):
         pool = CountingPool()
         try:
             value, gates = training._step(m, ds.train[:n], 5, noise, 0.5, 0, pool,
-                                          training._Arena(m.named_parameters()))
+                                          training._Arena(m.parameters))
         finally:
             pool.shutdown()
         assert pool.submitted == split
@@ -325,7 +333,7 @@ def test_a_non_finite_loss_on_the_worker_aborts_the_split_step(monkeypatch):
     try:
         with pytest.raises(TrainingError, match="^non-finite loss at step 3$"):
             training._step(m, batch, 5, NoiseSource(11), 0.5, 3, pool,
-                           training._Arena(m.named_parameters()))
+                           training._Arena(m.parameters))
     finally:
         pool.shutdown()
     assert pool.submitted == 1
@@ -346,7 +354,7 @@ def test_a_failed_split_step_leaves_the_arena_clean(nan_half, monkeypatch):
     runs = []
     for fail_first in (True, False):
         m = MMTModel(cfg, seed=7)
-        arena = training._Arena(m.named_parameters())
+        arena = training._Arena(m.parameters)
         pool = CountingPool()
         try:
             if fail_first:
@@ -386,13 +394,13 @@ def test_the_split_tail_matches_the_serial_norm_and_update_bit_for_bit(monkeypat
     for by_groups in (False, True):
         m = MMTModel(cfg, seed=7)
         params = m.named_parameters()
-        arena = training._Arena(params)
+        arena = training._Arena(m.parameters)
         first, second = arena.groups
         assert first and second and first + second == params
         assert any(p.tensor.data.ndim == 0 for p in second)
         sizes = [sum(p.tensor.size for p in group) for group in arena.groups]
         assert abs(sizes[0] - sizes[1]) <= max(p.tensor.size for p in params)
-        state, pool, noise = AdamState(), FuturePool(), NoiseSource(11)
+        pool, noise = FuturePool(), NoiseSource(11)
         try:
             for step, start in enumerate((0, 4, 6)):
                 training._step(m, ds.train[start:start + 4], 5, noise, 0.5, step, pool, arena)
@@ -400,20 +408,21 @@ def test_the_split_tail_matches_the_serial_norm_and_update_bit_for_bit(monkeypat
                 assert training._norm(squares) == training._norm(training._squares(params)) > 0.05
                 if not by_groups:
                     arena.tail = None
-                adam_step(state, tcfg, arena)
+                adam_step(tcfg, arena)
                 assert arena.tail is None
         finally:
             pool.shutdown()
         assert pool.submitted == 3 * (1 + by_groups)
         assert all(f.done() and f.exception() is None for f in pool.futures)
-        runs.append((params, state))
-    (params, state), (group_params, group_state) = runs
-    assert group_state.t == state.t == 3
-    for p, q in zip(params, group_params):
+        runs.append((params, arena, m.parameters))
+    (params, arena, store), (group_params, group_arena, group_store) = runs
+    assert group_arena.t == arena.t == 3
+    for p, q, m_view, group_m, v_view, group_v in zip(
+            params, group_params, store.views(arena.m), group_store.views(group_arena.m),
+            store.views(arena.v), group_store.views(group_arena.v)):
         assert q.tensor.data.tobytes() == p.tensor.data.tobytes()
-        assert group_state.m[p.name].tobytes() == state.m[p.name].tobytes()
-        assert group_state.v[p.name].tobytes() == state.v[p.name].tobytes()
-    assert list(group_state.m) == list(state.m) == [p.name for p in params]
+        assert group_m.tobytes() == m_view.tobytes()
+        assert group_v.tobytes() == v_view.tobytes()
 
 
 def test_the_split_gradient_adds_each_halfs_summed_adjoints_first_half_first(monkeypatch):
@@ -435,7 +444,7 @@ def test_the_split_gradient_adds_each_halfs_summed_adjoints_first_half_first(mon
             w += adjoints[p.tensor]
     pool = CountingPool()
     try:
-        training._step(m, batch, 5, NoiseSource(11), 0.5, 0, pool, training._Arena(params))
+        training._step(m, batch, 5, NoiseSource(11), 0.5, 0, pool, training._Arena(m.parameters))
     finally:
         pool.shutdown()
     for w, p in zip(want, params):
@@ -452,8 +461,8 @@ def test_a_non_finite_gradient_under_the_split_tail_aborts_before_any_update(gro
     ds, cfg = tiny_task()
     m = MMTModel(cfg, seed=7)
     params = m.named_parameters()
-    arena = training._Arena(params)
-    state, pool, noise = AdamState(), FuturePool(), NoiseSource(11)
+    arena = training._Arena(m.parameters)
+    pool, noise = FuturePool(), NoiseSource(11)
     target = arena.groups[group][-1]
     caller = threading.get_ident()
     backward = ad.backward
@@ -465,26 +474,28 @@ def test_a_non_finite_gradient_under_the_split_tail_aborts_before_any_update(gro
 
     try:
         training._step(m, ds.train[:4], 5, noise, 0.5, 0, pool, arena)
-        adam_step(state, TINY_TRAIN, arena)
+        adam_step(TINY_TRAIN, arena)
         before = ([p.tensor.data.copy() for p in params],
-                  {k: v.copy() for k, v in state.m.items()},
-                  {k: v.copy() for k, v in state.v.items()})
+                  [x.copy() for x in m.parameters.views(arena.m)],
+                  [x.copy() for x in m.parameters.views(arena.v)])
         monkeypatch.setattr(ad, "backward", poisoned)
         value, _ = training._step(m, ds.train[4:8], 5, noise, 0.5, 1, pool, arena)
         assert math.isfinite(value)
         with pytest.raises(TrainingError,
                            match=f"^non-finite gradient in parameter {target.name!r}$"):
-            adam_step(state, TINY_TRAIN, arena)
+            adam_step(TINY_TRAIN, arena)
     finally:
         pool.shutdown()
     assert pool.submitted == 3      # two halves and one update; the failed update submits none
     assert all(f.done() and f.exception() is None for f in pool.futures)
-    assert state.t == 1 and arena.tail is None
+    assert arena.t == 1 and arena.tail is None
     data, moments, variances = before
-    for p, d in zip(params, data):
+    for p, d, m_view, m_before, v_view, v_before in zip(
+            params, data, m.parameters.views(arena.m), moments,
+            m.parameters.views(arena.v), variances):
         np.testing.assert_array_equal(p.tensor.data, d)
-        np.testing.assert_array_equal(state.m[p.name], moments[p.name])
-        np.testing.assert_array_equal(state.v[p.name], variances[p.name])
+        np.testing.assert_array_equal(m_view, m_before)
+        np.testing.assert_array_equal(v_view, v_before)
 
 
 def test_split_training_repeats_bit_for_bit_under_fast_thread_switching(monkeypatch):
@@ -518,6 +529,43 @@ def test_split_training_repeats_bit_for_bit_under_fast_thread_switching(monkeypa
 
 
 # -- step memory ------------------------------------------------------------------
+
+def assert_views_the_store(m):
+    """Each parameter's value and gradient are views of the model's flat
+    arrays, at consecutive offsets in named_parameters() order, covering them
+    exactly."""
+    store, offset = m.parameters, 0
+    for p in m.named_parameters():
+        for view, flat in ((p.tensor.data, store.data), (p.tensor.grad, store.grad)):
+            assert view.base is flat and view.flags["C_CONTIGUOUS"]
+            assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+        offset += p.tensor.size
+    assert offset == store.size == store.data.size == store.grad.size
+
+
+@pytest.mark.parametrize("ablation", ["none", "shared_encoders"])
+def test_the_model_owns_its_parameter_memory_and_train_adopts_it(ablation, monkeypatch):
+    ds, cfg = tiny_task()
+    flags = AblationFlags(**({} if ablation == "none" else {ablation: True}))
+    m = MMTModel(dataclasses.replace(cfg, ablation=flags), seed=7)
+    if ablation == "shared_encoders":
+        assert m.img_layers[0].attn.wq is m.text_layers[0].attn.wq
+    assert_views_the_store(m)
+    data, grad = m.parameters.data, m.parameters.grad
+    arenas = []
+    make = training._Arena.__init__
+
+    def watched(arena, store):
+        make(arena, store)
+        arenas.append(arena)
+
+    monkeypatch.setattr(training._Arena, "__init__", watched)
+    for _ in range(2):
+        train(m, ds, TINY_TRAIN)
+    assert m.parameters.data is data and m.parameters.grad is grad
+    assert_views_the_store(m)
+    assert len(arenas) == 2
+    assert all(a.data is data and a.grad is grad for a in arenas)
 
 def trained_outputs(ds, cfg):
     """Step losses, mean train gates, final parameters and Metrics on every
