@@ -4,7 +4,8 @@ The text branch is a plain post-norm transformer encoder.  The image branch
 inserts gated cross-modal attention before encoder layer L (configurable;
 L = n_enc_layers + 1 means both modalities are fully encoded first), then the
 two branch outputs are merged by an elementwise learned gate.  The decoder is
-a standard causal transformer decoder over the fused memory.
+a standard causal transformer decoder over the fused memory.  The loss adds a
+cosine hinge between the two branches, weighted by ``similarity_weight``.
 
 Each layer step is one tape record: ``linear`` for a weight product and its
 bias, ``residual_layer_norm`` for a post-norm sublayer LayerNorm(x + sublayer(x)).
@@ -51,27 +52,6 @@ class AblationFlags:
 
 
 @dataclass
-class LossWeightMode:
-    """Weight on the similarity term: a fixed constant, or a trainable raw
-    scalar passed through softplus so the effective weight stays >= 0."""
-
-    kind: str = "fixed"             # "fixed" | "trainable"
-    value: float = 0.5              # fixed value, or softplus target at init
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "trainable"):
-            raise ConfigError(f"loss weight mode must be fixed|trainable, got {self.kind!r}")
-        if not 0.0 <= self.value < np.inf:
-            raise ConfigError(f"loss weight must be finite and >= 0, got {self.value}")
-        if self.trainable and self.value <= 0.0:
-            raise ConfigError(f"a trainable loss weight must be > 0, got {self.value}")
-
-    @property
-    def trainable(self) -> bool:
-        return self.kind == "trainable"
-
-
-@dataclass
 class ModelConfig:
     n_enc_layers: int = 4
     n_dec_layers: int = 4
@@ -87,7 +67,7 @@ class ModelConfig:
     gumbel_layer: int = 1           # attention before layer L; n_enc_layers+1 = after the stack
     ablation: AblationFlags = field(default_factory=AblationFlags)
     margin: float = 0.3
-    loss_alpha: LossWeightMode = field(default_factory=LossWeightMode)
+    similarity_weight: float = 0.5  # the similarity hinge's weight in the loss
     max_positions: int = 512
 
     def __post_init__(self):
@@ -100,6 +80,10 @@ class ModelConfig:
             raise ConfigError(f"n_heads={self.n_heads} must divide d_model={self.d_model}")
         if not -1.0 <= self.margin <= 1.0:
             raise ConfigError(f"margin must lie in [-1, 1], got {self.margin}")
+        # Written so that NaN fails the check too.
+        if not 0.0 <= self.similarity_weight < np.inf:
+            raise ConfigError(
+                f"similarity_weight must be finite and >= 0, got {self.similarity_weight}")
         if not 1 <= self.gumbel_layer <= self.n_enc_layers + 1:
             raise ConfigError(
                 f"gumbel_layer={self.gumbel_layer} out of range 1..{self.n_enc_layers + 1}")
@@ -223,8 +207,8 @@ def similarity_loss(h_image: Tensor, h_text: Tensor, margin: float,
 
 
 def total_loss(logits: Tensor, targets, h_image: Tensor | None, h_text: Tensor | None,
-               mode: LossWeightMode, *, margin: float = 0.3, alpha_raw: Tensor | None = None,
-               pad_id: int = PAD_ID, src_lengths: np.ndarray | None = None) -> Tensor:
+               weight: float, *, margin: float = 0.3, pad_id: int = PAD_ID,
+               src_lengths: np.ndarray | None = None) -> Tensor:
     """Cross entropy plus the weighted similarity hinge.  The similarity term
     is dropped when either branch representation is absent.
 
@@ -239,11 +223,7 @@ def total_loss(logits: Tensor, targets, h_image: Tensor | None, h_text: Tensor |
     if h_image is None or h_text is None:
         return ce
     sim = similarity_loss(h_image, h_text, margin, src_lengths)
-    if mode.trainable:
-        if alpha_raw is None:
-            raise ConfigError("trainable loss weight requires the raw alpha parameter")
-        return ad.add(ce, ad.mul(ad.softplus(alpha_raw), sim))
-    return ad.add(ce, ad.scale(sim, mode.value))
+    return ad.add(ce, ad.scale(sim, weight))
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +396,6 @@ class MMTModel:
         out_init = init("out_proj")
         self.out_w = out_init.matrix("w", d, cfg.vocab_tgt)
         self.out_b = out_init.vector("b", cfg.vocab_tgt)
-
-        self.alpha_raw: Tensor | None = None
-        if cfg.loss_alpha.trainable and not (ab.text_only or ab.no_similarity_loss):
-            self.alpha_raw = init("loss_alpha").tensor(
-                "raw", np.log(np.expm1(cfg.loss_alpha.value)))
         self.parameters = ad.ParameterSet(params)
 
     # -- parameters ---------------------------------------------------------
@@ -429,12 +404,6 @@ class MMTModel:
         """The store's list: every trainable tensor once, in creation order;
         the order fixes the layout and the order gradient norms sum in."""
         return list(self.parameters.params)
-
-    def alpha_eff(self) -> float:
-        if self.alpha_raw is not None:
-            with ad.no_grad():
-                return ad.softplus(self.alpha_raw).item()
-        return self.cfg.loss_alpha.value
 
     # -- encoding -----------------------------------------------------------
 
@@ -523,8 +492,8 @@ class MMTModel:
         tgt = np.asarray(tgt_ids, dtype=np.int64)
         logits = self.decode(tgt[..., :-1], enc.fused, enc.lengths)
         h_image = None if self.cfg.ablation.no_similarity_loss else enc.h_image
-        loss = total_loss(logits, tgt[..., 1:], h_image, enc.h_text, self.cfg.loss_alpha,
-                          margin=self.cfg.margin, alpha_raw=self.alpha_raw,
+        loss = total_loss(logits, tgt[..., 1:], h_image, enc.h_text,
+                          self.cfg.similarity_weight, margin=self.cfg.margin,
                           src_lengths=enc.lengths)
         return loss, enc
 

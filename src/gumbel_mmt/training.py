@@ -237,7 +237,6 @@ class EpochStats:
     val_bleu: float
     val_amb_acc: float
     gate_open_rate: float | None
-    alpha_eff: float
     mean_train_gate: float | None
 
 
@@ -311,14 +310,15 @@ def teacher_forced_loss(model: MMTModel, split: list[Example], seed: int) -> flo
 
 def evaluate(model: MMTModel, split: list[Example], seed: int = 0) -> Metrics:
     """Greedy-decode the split with infer-mode gates [score > 0], one padded batch of up
-    to _EVAL_BATCH examples per ``greedy_decode`` call, and aggregate BLEU,
+    to _EVAL_BATCH examples per ``greedy_decode`` call, for at most two steps
+    past the longest target and never past max_positions, and aggregate BLEU,
     token accuracy, ambiguous-token accuracy, and the gate open rates over
     all regions, relevant regions and noise regions.  Gates are counted on
     each example's real text rows only, never on padding."""
     if not split:
         raise ConfigError("evaluate on empty split")
     check_compatible(model.cfg, split)
-    max_len = max(len(ex.tgt_ids) for ex in split) + 2
+    max_len = min(max(len(ex.tgt_ids) for ex in split) + 2, model.cfg.max_positions)
     hyps, refs = [], []
     amb_correct = 0
     tok_accs = []
@@ -534,7 +534,6 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
                 val_bleu=val.bleu,
                 val_amb_acc=val.ambiguous_token_accuracy,
                 gate_open_rate=val.mean_gate_open_rate,
-                alpha_eff=model.alpha_eff(),
                 mean_train_gate=float(np.mean(gate_means)) if gate_means else None,
             )
             log.epochs.append(stats)

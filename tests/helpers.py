@@ -3,11 +3,11 @@ registry of gradient cases for every differentiable primitive, and for its
 batched form where it has one, a full-recompute greedy decoder that cached
 decoding is checked against, the logistic-noise and infer-gate oracles that
 gates are checked against, the sum-then-add backward that ``backward`` is
-checked against, readers of a noise stream's position and of an
-encoding's mean gates, and a loader for the benchmark's tracer, whose names
-tests check against the package.  Each gradient case factory draws random
-inputs in [-2, 2] (resampled away from relu/hinge kinks) and returns
-(forward, leaves, tol)."""
+checked against, leaf tensors with a gradient buffer, readers of a noise
+stream's position and of an encoding's mean gates, and a loader for the
+benchmark's tracer, whose names tests check against the package.  Each
+gradient case factory draws random inputs in [-2, 2] (resampled away from
+relu/hinge kinks) and returns (forward, leaves, tol)."""
 
 from __future__ import annotations
 
@@ -84,6 +84,14 @@ def summed_adjoints(loss: Tensor, seed: float = 1.0) -> dict[Tensor, np.ndarray]
             adjoint[t] = g if acc is None else acc + g
     done.update((t, g) for t, g in adjoint.items() if t.grad is not None)
     return {t: g.reshape(t.shape) for t, g in done.items()}
+
+
+def grad_leaf(value) -> Tensor:
+    """A tensor with a zeroed gradient buffer, made the way the model makes
+    its parameters: as the one parameter of an ``ad.ParameterSet``."""
+    t = Tensor(value)
+    ad.ParameterSet([ad.Parameter("leaf", t)])
+    return t
 
 
 def rand_tensor(rng, shape, lo=-2.0, hi=2.0):

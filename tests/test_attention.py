@@ -12,7 +12,8 @@ from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.errors import ShapeError
 from gumbel_mmt.gumbel import NoiseSource
 from gumbel_mmt.model import _Init
-from helpers import gradient_error, infer_gate_oracle, logistic_noise, stream_state
+from helpers import (grad_leaf, gradient_error, infer_gate_oracle, logistic_noise,
+                     stream_state)
 
 
 @pytest.fixture(autouse=True)
@@ -141,7 +142,7 @@ def test_mask_is_a_view_over_the_heads(monkeypatch):
 def test_single_head_identity_output_projection():
     rng = np.random.default_rng(2)
     w = rand_weights(3, 4, 4, 1)
-    w.wo = Tensor(np.eye(4), grad=True)
+    w.wo = grad_leaf(np.eye(4))
     q, kv = (Tensor(rng.normal(size=(3, 4))) for _ in range(2))
     got = multi_head_attention(q, kv, w)
     s = (q.data @ w.wq.data) @ (kv.data @ w.wk.data).T / 2.0

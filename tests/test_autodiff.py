@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Parameter, Tensor
 from gumbel_mmt.errors import ConfigError, DataError, ShapeError
-from helpers import (PRIMITIVE_CASES, check_primitive, gradient_error, load_bench_tracing,
-                     summed_adjoints)
+from helpers import (PRIMITIVE_CASES, check_primitive, grad_leaf, gradient_error,
+                     load_bench_tracing, summed_adjoints)
 
 
 @pytest.fixture(autouse=True)
@@ -137,7 +137,7 @@ def test_a_mask_that_broadcasts_gives_the_pre_broadcast_result_bit_for_bit(mask_
     g = rng.normal(size=scores.shape)
     results = []
     for m in (mask, np.broadcast_to(mask, scores.shape).copy()):
-        x = Tensor(scores, grad=True)
+        x = grad_leaf(scores)
         ad.reset_tape()
         y = ad.softmax_rows(x, m)
         ad.backward(ad.reduce_sum(ad.mul(y, Tensor(g))))
@@ -215,7 +215,7 @@ def test_cross_entropy_confident():
 
 
 def test_cross_entropy_of_all_padding_is_zero_with_zero_gradient():
-    logits = Tensor(np.random.default_rng(2).normal(size=(2, 3, 5)), grad=True)
+    logits = grad_leaf(np.random.default_rng(2).normal(size=(2, 3, 5)))
     loss = ad.cross_entropy(logits, np.zeros((2, 3), dtype=np.int64), pad_id=0)
     assert loss.shape == () and loss.item() == 0.0
     ad.backward(loss)
@@ -253,27 +253,27 @@ def test_cosine_similarity_values():
 # -- backward semantics -------------------------------------------------------
 
 def test_backward_linear():
-    p = Tensor([1.0, 2.0, 3.0], grad=True)
+    p = grad_leaf([1.0, 2.0, 3.0])
     ad.backward(ad.reduce_sum(p))
     np.testing.assert_array_equal(p.grad, np.ones(3))
 
 
 def test_backward_quadratic():
-    p = Tensor([1.0, 2.0, 3.0], grad=True)
+    p = grad_leaf([1.0, 2.0, 3.0])
     ad.backward(ad.reduce_sum(ad.mul(p, p)))
     np.testing.assert_array_equal(p.grad, [2.0, 4.0, 6.0])
 
 
 def test_backward_requires_scalar():
-    p = Tensor([1.0, 2.0], grad=True)
+    p = grad_leaf([1.0, 2.0])
     with pytest.raises(ShapeError, match="scalar"):
         ad.backward(ad.mul(p, p))
 
 
 def test_backward_twice_doubles_exactly():
     rng = np.random.default_rng(2)
-    a = Tensor(rng.normal(size=(3, 3)), grad=True)
-    b = Tensor(rng.normal(size=(3, 3)), grad=True)
+    a = grad_leaf(rng.normal(size=(3, 3)))
+    b = grad_leaf(rng.normal(size=(3, 3)))
     loss = ad.cross_entropy(ad.softmax_rows(ad.matmul(a, b)), [0, 1, 2])
     ad.backward(loss)
     once_a, once_b = a.grad.copy(), b.grad.copy()
@@ -285,7 +285,7 @@ def test_backward_twice_doubles_exactly():
 def test_backward_fills_an_intermediate_gradient_buffer():
     # Adjoints are freed during the walk; an op output with a buffer still
     # receives its gradient, like a leaf.
-    x = Tensor([1.0, -2.0, 3.0], grad=True)
+    x = grad_leaf([1.0, -2.0, 3.0])
     h = ad.scale(x, 2.0)
     h.grad = np.zeros(h.shape)
     ad.backward(ad.reduce_sum(ad.mul(h, h)))
@@ -296,18 +296,18 @@ def test_backward_fills_an_intermediate_gradient_buffer():
 def _shared_weight(rng):
     # One weight in three products, so the order its contributions are
     # summed in shows in the bits.
-    w = Tensor(rng.normal(size=(4, 3)), grad=True)
+    w = grad_leaf(rng.normal(size=(4, 3)))
     hs = [ad.linear(Tensor(rng.normal(size=(2, 5, 4))), w) for _ in range(3)]
     return ad.reduce_sum(ad.mul(ad.add(hs[0], hs[1]), hs[2])), [w]
 
 
 def _square(rng):
-    p = Tensor(rng.normal(size=(3, 2)), grad=True)
+    p = grad_leaf(rng.normal(size=(3, 2)))
     return ad.reduce_mean(ad.mul(p, p)), [p]
 
 
 def _buffered_intermediate(rng):
-    x = Tensor(rng.normal(size=(3, 4)), grad=True)
+    x = grad_leaf(rng.normal(size=(3, 4)))
     h = ad.sigmoid(x)
     h.grad = np.zeros(h.shape)
     loss = ad.reduce_sum(ad.mul(ad.mul(h, h), ad.scale(h, 1.5)))
@@ -332,7 +332,7 @@ def test_backward_adds_as_they_arrive_what_the_summed_adjoints_add(graph, seed):
 def test_backward_into_a_mapping_leaves_grad_untouched():
     rng = np.random.default_rng(5)
     loss, (w,) = _shared_weight(rng)
-    x = Tensor(rng.normal(size=(4, 3)), grad=True)
+    x = grad_leaf(rng.normal(size=(4, 3)))
     loss = ad.add(loss, ad.reduce_sum(ad.mul(x, w)))
     want = summed_adjoints(loss, 0.5)
     into = {w: np.zeros(w.shape), x: np.full(x.shape, 2.0)}
@@ -343,7 +343,7 @@ def test_backward_into_a_mapping_leaves_grad_untouched():
 
 
 def test_no_grad_suppresses_recording():
-    p = Tensor([1.0, 2.0], grad=True)
+    p = grad_leaf([1.0, 2.0])
     with ad.no_grad():
         loss = ad.reduce_sum(ad.mul(p, p))
     assert ad._state.tape == []
@@ -354,7 +354,7 @@ def test_no_grad_suppresses_recording():
 def test_reset_tape_frees_activations_without_the_cycle_collector():
     # Only the tape refers to a record, so dropping the tape and the loss
     # frees every intermediate output at once, with the collector off.
-    w = Tensor(np.ones((3, 4)), grad=True)
+    w = grad_leaf(np.ones((3, 4)))
     hidden = ad.relu(ad.linear(Tensor(np.ones((2, 3))), w))
     loss = ad.reduce_sum(ad.mul(hidden, hidden))
     ref = weakref.ref(hidden.data)
@@ -394,7 +394,7 @@ def test_reshape_transpose_roundtrip_bit_exact(x):
 
 
 def test_tensor_invariants():
-    t = Tensor(np.arange(12.0).reshape(3, 4), grad=True)
+    t = grad_leaf(np.arange(12.0).reshape(3, 4))
     assert int(np.prod(t.shape)) == t.size
     assert t.grad.shape == t.shape
     assert t.data.flags["C_CONTIGUOUS"]

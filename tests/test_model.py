@@ -12,9 +12,9 @@ from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.data import BOS_ID, EOS_ID
 from gumbel_mmt.errors import ConfigError, DataError, ShapeError
 from gumbel_mmt.gumbel import GateMode, NoiseSource
-from gumbel_mmt.model import (AblationFlags, DecoderState, LossWeightMode, MMTModel,
-                              ModelConfig, embed, gated_fusion, pad_batch, sequence_lengths,
-                              similarity_loss, sinusoid_position_encoding, total_loss)
+from gumbel_mmt.model import (AblationFlags, DecoderState, MMTModel, ModelConfig, embed,
+                              gated_fusion, pad_batch, sequence_lengths, similarity_loss,
+                              sinusoid_position_encoding, total_loss)
 
 from helpers import (full_recompute_greedy, gradient_error, load_bench_tracing, mean_gates,
                      stream_state)
@@ -122,32 +122,10 @@ def test_total_loss_composition():
     h_txt = Tensor(rng.normal(size=(4, 5)))
     ce = ad.cross_entropy(logits, targets).item()
     sim = similarity_loss(h_img, h_txt, 0.3).item()
-    total = total_loss(logits, targets, h_img, h_txt, LossWeightMode("fixed", 0.5),
-                       margin=0.3)
+    total = total_loss(logits, targets, h_img, h_txt, 0.5, margin=0.3)
     assert total.item() == pytest.approx(ce + 0.5 * sim, abs=1e-12)
-    only_ce = total_loss(logits, targets, None, h_txt, LossWeightMode("fixed", 0.5))
+    only_ce = total_loss(logits, targets, None, h_txt, 0.5)
     assert only_ce.item() == pytest.approx(ce, abs=1e-12)
-
-
-def test_trainable_alpha_gradient_is_softplus_prime_times_sim():
-    rng = np.random.default_rng(7)
-    logits = Tensor(rng.normal(size=(3, 5)))
-    targets = [1, 2, 3]
-    h_img = Tensor(rng.normal(size=(3, 4)))
-    h_txt = Tensor(rng.normal(size=(3, 4)))
-    raw = Tensor(np.asarray(0.37), grad=True)
-    mode = LossWeightMode("trainable", 0.5)
-
-    def forward():
-        return total_loss(logits, targets, h_img, h_txt, mode, margin=0.3, alpha_raw=raw)
-
-    assert gradient_error(forward, [raw]) < 1e-4
-    ad.reset_tape()
-    raw.grad.fill(0.0)
-    ad.backward(forward())
-    sim = similarity_loss(h_img, h_txt, 0.3).item()
-    sp_prime = 1.0 / (1.0 + math.exp(-0.37))
-    assert float(raw.grad) == pytest.approx(sp_prime * sim, abs=1e-10)
 
 
 # -- encoder paths ----------------------------------------------------------------
@@ -284,8 +262,7 @@ DEC_LAYER = ["self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
 
 def test_named_parameters_are_listed_in_creation_order():
     # The order is the one the global gradient norm sums in before clipping.
-    m = MMTModel(tiny_config(gumbel_layer=2, loss_alpha=LossWeightMode("trainable", 0.5)),
-                 seed=9)
+    m = MMTModel(tiny_config(gumbel_layer=2), seed=9)
     want = (["embed.src_table", "embed.tgt_table"]
             + [f"text_enc.layer0.{n}" for n in ENC_LAYER]
             + [f"img_enc.layer0.{n}" for n in ENC_LAYER]
@@ -293,10 +270,9 @@ def test_named_parameters_are_listed_in_creation_order():
                "cross_attn.wq", "cross_attn.wk", "cross_attn.wv", "cross_attn.wo",
                "fusion.w", "fusion.u"]
             + [f"dec.layer0.{n}" for n in DEC_LAYER]
-            + ["out_proj.w", "out_proj.b", "loss_alpha.raw"])
+            + ["out_proj.w", "out_proj.b"])
     assert [p.name for p in m.named_parameters()] == want
     assert m.named_parameters()[0].tensor is m.src_table
-    assert m.named_parameters()[-1].tensor is m.alpha_raw
 
 
 def _reachable_trainable_tensors(model):
@@ -329,8 +305,8 @@ def _reachable_trainable_tensors(model):
 @pytest.mark.parametrize("gumbel_layer", [1, 2, 3])
 def test_every_trainable_tensor_is_registered_exactly_once(flag, gumbel_layer):
     ablation = AblationFlags(**({flag: True} if flag else {}))
-    m = MMTModel(tiny_config(n_enc_layers=2, gumbel_layer=gumbel_layer, ablation=ablation,
-                             loss_alpha=LossWeightMode("trainable", 0.5)), seed=5)
+    m = MMTModel(tiny_config(n_enc_layers=2, gumbel_layer=gumbel_layer, ablation=ablation),
+                 seed=5)
     registered = [id(p.tensor) for p in m.named_parameters()]
     assert len(set(registered)) == len(registered)
     reachable = _reachable_trainable_tensors(m)
@@ -386,7 +362,7 @@ def test_greedy_decode_needs_bos_in_the_target_vocabulary():
 # -- end-to-end gradients -----------------------------------------------------
 
 def test_end_to_end_gradients_all_parameters():
-    cfg = tiny_config(loss_alpha=LossWeightMode("trainable", 0.5))
+    cfg = tiny_config()
     m = MMTModel(cfg, seed=15)
     src = [BOS_ID, 4, 5, EOS_ID]
     tgt = [BOS_ID, 6, 7, EOS_ID]
@@ -408,12 +384,7 @@ def test_config_validation():
         tiny_config(margin=1.5)
     with pytest.raises(ConfigError):
         tiny_config(gumbel_layer=5)  # n_enc_layers=1 allows 1..2
-    with pytest.raises(ConfigError):
-        LossWeightMode("adaptive")
-    # softplus never reaches 0, so a trainable weight cannot start there
-    with pytest.raises(ConfigError, match=r"^a trainable loss weight must be > 0, got 0\.0$"):
-        LossWeightMode("trainable", 0.0)
-    assert LossWeightMode("fixed", 0.0).value == 0.0
+    assert tiny_config(similarity_weight=0.0).similarity_weight == 0.0
 
 
 @pytest.mark.parametrize("field,value", [
@@ -426,20 +397,11 @@ def test_config_rejects_bad_sizes_naming_the_field(field, value):
         tiny_config(**{field: value})
 
 
-@pytest.mark.parametrize("kind", ["fixed", "trainable"])
 @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
-def test_loss_weight_must_be_finite_and_nonnegative(kind, value):
-    with pytest.raises(ConfigError, match=r"^loss weight must be finite and >= 0, got"):
-        LossWeightMode(kind, value)
-
-
-def test_alpha_eff_nonnegative():
-    m = MMTModel(tiny_config(loss_alpha=LossWeightMode("trainable", 0.5)), seed=16)
-    assert m.alpha_eff() == pytest.approx(0.5, abs=1e-12)
-    m.alpha_raw.data -= 100.0  # drive raw strongly negative
-    assert m.alpha_eff() >= 0.0
-    fixed = MMTModel(tiny_config(), seed=16)
-    assert fixed.alpha_eff() == 0.5
+def test_similarity_weight_must_be_finite_and_nonnegative(value):
+    with pytest.raises(ConfigError,
+                       match=rf"^similarity_weight must be finite and >= 0, got {value}$"):
+        tiny_config(similarity_weight=value)
 
 
 # -- padded batches ---------------------------------------------------------------
@@ -504,7 +466,7 @@ def assert_batch_matches_loop(m, srcs, tgts, images, mode):
     {"ablation": AblationFlags(no_gated_fusion=True)},
 ], ids=["default", "layer2", "after_stack", "vanilla", "text_only", "no_fusion"])
 def test_batched_loss_matches_per_example_loop(variant, mode):
-    cfg = tiny_config(loss_alpha=LossWeightMode("trainable", 0.5), **variant)
+    cfg = tiny_config(**variant)
     m = MMTModel(cfg, seed=17)
     images = None if cfg.ablation.text_only else batch_images(cfg)
     assert_batch_matches_loop(m, BATCH_SRC, BATCH_TGT, images, mode)
@@ -519,8 +481,7 @@ def small_models(draw):
     cfg = tiny_config(n_heads=draw(st.sampled_from([1, 2, 4])), n_enc_layers=n_enc,
                       n_dec_layers=draw(st.integers(1, 2)),
                       gumbel_layer=draw(st.integers(1, n_enc + 1)),
-                      ablation=AblationFlags(**({flag: True} if flag else {})),
-                      loss_alpha=LossWeightMode("trainable", 0.5))
+                      ablation=AblationFlags(**({flag: True} if flag else {})))
     return MMTModel(cfg, seed=draw(st.integers(0, 2 ** 16)))
 
 
@@ -603,7 +564,7 @@ def test_one_sentence_equals_a_batch_of_one():
     one = similarity_loss(Tensor(h_img), Tensor(h_txt), 0.3).item()
     batch = similarity_loss(Tensor(h_img[None]), Tensor(h_txt[None]), 0.3, np.array([5]))
     assert one > 0 and one == pytest.approx(batch.item(), rel=0, abs=1e-12)
-    cfg = tiny_config(loss_alpha=LossWeightMode("trainable", 0.5))
+    cfg = tiny_config()
     m = MMTModel(cfg, seed=20)
     image = tiny_image(cfg)
     for mode in (GateMode.train(), GateMode.infer()):
@@ -613,8 +574,9 @@ def test_one_sentence_equals_a_batch_of_one():
         assert single.item() == pytest.approx(batched.item(), rel=0, abs=1e-12)
 
 
-# Primitives no model path calls: gradient checks sum their outputs with it.
-TEST_ONLY_PRIMITIVES = {"reduce_sum"}
+# Primitives no model path calls: gradient checks sum their outputs with
+# reduce_sum, and softplus has only its own gradient check.
+TEST_ONLY_PRIMITIVES = {"reduce_sum", "softplus"}
 
 
 def test_model_calls_every_primitive(monkeypatch):
@@ -639,7 +601,7 @@ def test_model_calls_every_primitive(monkeypatch):
                     monkeypatch.setattr(mod, attr, spy)
     src, tgt = pad_batch(BATCH_SRC), pad_batch(BATCH_TGT)
     for flags in (AblationFlags(), AblationFlags(vanilla_attention=True)):
-        cfg = tiny_config(ablation=flags, loss_alpha=LossWeightMode("trainable", 0.5))
+        cfg = tiny_config(ablation=flags)
         m = MMTModel(cfg, seed=22)
         loss_and_grads(m, src, tgt, batch_images(cfg), NoiseSource(0), GateMode.train())
     m.greedy_decode(src, batch_images(cfg), max_len=4)
@@ -647,7 +609,7 @@ def test_model_calls_every_primitive(monkeypatch):
 
 
 def test_end_to_end_gradients_padded_batch():
-    cfg = tiny_config(loss_alpha=LossWeightMode("trainable", 0.5))
+    cfg = tiny_config()
     m = MMTModel(cfg, seed=15)
     src, tgt, images = pad_batch(BATCH_SRC), pad_batch(BATCH_TGT), batch_images(cfg)
 
