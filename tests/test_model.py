@@ -397,11 +397,18 @@ def test_config_rejects_bad_sizes_naming_the_field(field, value):
         tiny_config(**{field: value})
 
 
+# The loss weight was once either fixed or trainable; only the fixed float is left.  Both
+# kinds now set ``ModelConfig.similarity_weight``: "fixed" at construction, "trainable" by
+# ``dataclasses.replace`` of a valid config, the way a config is changed before training.
+@pytest.mark.parametrize("kind", ["fixed", "trainable"])
 @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
-def test_similarity_weight_must_be_finite_and_nonnegative(value):
+def test_loss_weight_must_be_finite_and_nonnegative(kind, value):
     with pytest.raises(ConfigError,
                        match=rf"^similarity_weight must be finite and >= 0, got {value}$"):
-        tiny_config(similarity_weight=value)
+        if kind == "fixed":
+            tiny_config(similarity_weight=value)
+        else:
+            dataclasses.replace(tiny_config(), similarity_weight=value)
 
 
 # -- padded batches ---------------------------------------------------------------
