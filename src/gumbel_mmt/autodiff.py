@@ -5,9 +5,10 @@ list emptied by :func:`reset_tape` before each forward pass.  The tape and
 the :func:`no_grad` switch are per thread, so two threads can each record
 and differentiate their own forward pass over shared parameters.
 :func:`backward` walks the tape in reverse recording order and accumulates
-gradients into every tensor that has a gradient buffer allocated; calling
-it twice without zeroing doubles the gradients.  All data is float64 and row-major; there is
-no broadcasting beyond the few fixed patterns the ops below implement.
+gradients into every leaf that has a gradient buffer; calling it twice
+without zeroing doubles the gradients.  All data is float64 and row-major;
+there is no broadcasting beyond the few fixed patterns the ops below
+implement.
 
 The primitives, each with an analytic backward: linear, matmul,
 attention_scores, add, mul, scale, add_scalar, relu, sigmoid, softplus,
@@ -114,10 +115,12 @@ class Parameter(NamedTuple):
 class ParameterSet:
     """Parameters in one flat layout.  Making the set copies each tensor's
     values into the flat array ``data`` once and makes its .data and .grad
-    views of ``data`` and ``grad``, at its ``spans`` range, in list order.  A
-    repeated name is a ConfigError.  ``grad`` comes zeroed from np.zeros,
-    whose fresh pages stay untouched until a gradient is written, so a model
-    that only infers never faults its gradient memory in."""
+    views of ``data`` and ``grad``, at its ``spans`` range, in list order:
+    the order fixes the layout and the order in which training sums the
+    gradient norms.  A repeated name is a ConfigError.  ``grad`` comes zeroed
+    from np.zeros, whose fresh pages stay untouched until a gradient is
+    written, so a model that only infers never faults its gradient memory
+    in."""
 
     __slots__ = ("params", "size", "spans", "data", "grad")
 
@@ -261,14 +264,14 @@ def _emit(inputs: tuple[Tensor, ...], out_data: Array,
 
 def backward(loss: Tensor, seed: float = 1.0,
              into: Mapping[Tensor, Array] | None = None) -> None:
-    """Accumulate d(seed * loss)/d(t) for every tensor t on the calling
-    thread's tape that has a gradient buffer.  Adjoints are recomputed from
+    """Accumulate d(seed * loss)/d(t) for every leaf t of the calling
+    thread's tape that has a gradient buffer: an input of a record that no
+    record produced, such as a parameter.  Adjoints are recomputed from
     scratch on every call, so repeated calls sum exactly.
 
     A leaf's contributions are added into its buffer as they arrive, and
     each is freed once added: into ``t.grad``, or into ``into[t]`` where a
-    mapping is given, which must then name every such leaf.  A tensor that a
-    record produced gets its complete adjoint in its own ``.grad``."""
+    mapping is given, which must then name every such leaf."""
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
     tape = _state.tape
@@ -280,8 +283,6 @@ def backward(loss: Tensor, seed: float = 1.0,
         out_adj = adjoint.pop(rec.output, None)
         if out_adj is None:
             continue
-        if rec.output.grad is not None:
-            rec.output.grad += out_adj.reshape(rec.output.grad.shape)
         for t, g in zip(rec.inputs, rec.backward(out_adj)):
             if t in produced:
                 acc = adjoint.get(t)
@@ -289,10 +290,6 @@ def backward(loss: Tensor, seed: float = 1.0,
             elif t.grad is not None:
                 buf = t.grad if into is None else into[t]
                 buf += g.reshape(buf.shape)
-    # A loss that no record on this tape produced is a leaf itself.
-    if loss not in produced and loss.grad is not None:
-        buf = loss.grad if into is None else into[loss]
-        buf += adjoint[loss].reshape(buf.shape)
 
 
 # ---------------------------------------------------------------------------

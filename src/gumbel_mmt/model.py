@@ -351,7 +351,6 @@ class MMTModel:
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
-        self.seed = seed
         ab = cfg.ablation
         d, dk = cfg.d_model, cfg.d_image
         params: list[Parameter] = []
@@ -397,13 +396,6 @@ class MMTModel:
         self.out_w = out_init.matrix("w", d, cfg.vocab_tgt)
         self.out_b = out_init.vector("b", cfg.vocab_tgt)
         self.parameters = ad.ParameterSet(params)
-
-    # -- parameters ---------------------------------------------------------
-
-    def named_parameters(self) -> list[Parameter]:
-        """The store's list: every trainable tensor once, in creation order;
-        the order fixes the layout and the order gradient norms sum in."""
-        return list(self.parameters.params)
 
     # -- encoding -----------------------------------------------------------
 

@@ -19,14 +19,16 @@ The split step's tail runs on both threads too.  The caller's half adds its
 weight gradients into .grad, as the serial step does, and the worker's half
 into one flat buffer that lives for the ``train`` call; both add each one as
 it arrives.  The parameters are cut once into two contiguous groups of about
-equal element count.  Each thread adds its group's part of the worker's
-buffer into .grad, zeroes that part and takes each parameter's squared norm;
-the caller sums the squares in parameter order, as the serial norm does;
-then each thread runs Adam's per-parameter arithmetic on its group.  None of
-this can move a bit: every sum has the operands and order of the serial
-merge, norm and update, and the grouping only decides which thread does a
-parameter's arithmetic.  Adding a gradient into a zeroed buffer can turn a
--0 into +0, and a zero's sign reaches no loss, moment or parameter.
+equal element count.  Once both halves are done, each thread adds its group's
+part of the worker's buffer into .grad, zeroes that part and takes each
+parameter's squared norm; the caller sums the squares in parameter order, as
+the serial norm does; then each thread runs Adam's per-parameter arithmetic on
+its group.  The worker's half, merge and update are three tasks, and no thread
+waits on another inside a task.  None of this can move a bit: every sum has
+the operands and order of the serial merge, norm and update, and the grouping
+only decides which thread does a parameter's arithmetic.  Adding a gradient
+into a zeroed buffer can turn a -0 into +0, and a zero's sign reaches no loss,
+moment or parameter.
 
 The zeroing rule: every step zeroes .grad once, before the caller's
 backward.  A serial step zeroes it before its pass; a split step once the
@@ -37,26 +39,26 @@ the worker, then zeroes .grad and the worker's buffer before it raises, so a
 failed step leaves no gradient behind for a later step on the same memory.
 
 The memory plan: a ``train`` call reuses its memory from step to step, so a
-steady-state step takes none from the system.  The model owns the
-parameters' values and gradients as views of two flat arrays, in parameter
-order, from construction on; ``train`` adopts them as they are
-(``_Arena``), and the worker's gradient buffer and Adam's moments, made
-when first needed, share that layout.  Zeroing the gradients
-is then one fill, a split merge one add and one fill per group, and Adam one
-loop over the whole arena, or one per group, in chunks that fit one core's
-L2, through scratch kept for the call.  Each thread's forward and backward
-take the arrays they keep from that thread's autodiff step buffer, which
-grows to the largest step and is rewound, not freed, when the thread starts
-its next step; nothing a step makes is read after that, and nothing from a
-step leaves ``train``.  None of this can move a bit: every element goes
-through the same ufuncs, with the same operands in the same order, and the
-gradient norm still sums per-parameter dot products in parameter order.
-Only where each array lives changes.
+steady-state step takes none from the system.  The model owns the parameters'
+values and gradients as views of two flat arrays, in parameter order, from
+construction on; ``train`` adopts them as they are (``_Arena``), and the
+worker's gradient buffer and Adam's moments, made zeroed with the arena, share
+that layout; a model that never splits never writes the worker's buffer, so
+its pages are never faulted in.  Zeroing the gradients is then one fill, a
+split merge one add and one fill per group, and Adam one loop over the whole
+arena, or one per group, in chunks that fit one core's L2, through scratch
+kept for the call.  Each thread's forward and backward take the arrays they
+keep from that thread's autodiff step buffer, which grows to the largest step
+and is rewound, not freed, when the thread starts its next step; nothing a
+step makes is read after that, and nothing from a step leaves ``train``.  None
+of this can move a bit: every element goes through the same ufuncs, with the
+same operands in the same order, and the gradient norm still sums
+per-parameter dot products in parameter order.  Only where each array lives
+changes.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -70,7 +72,7 @@ from .bleu import corpus_bleu
 from .data import Dataset, Example, random_image_for
 from .errors import ConfigError, TrainingError
 from .gumbel import GateMode, NoiseSource
-from .model import EncoderOutput, GateStats, MMTModel, ModelConfig, pad_batch
+from .model import GateStats, MMTModel, ModelConfig, pad_batch
 
 # stream tags for the per-purpose RNGs derived from the training seed
 _NOISE_STREAM = 1
@@ -154,10 +156,10 @@ def adam_step(cfg: TrainConfig, arena: _Arena) -> None:
     Aborts on any non-finite gradient, naming the offending parameter, before
     any parameter, moment or step count changes; the gradients are read once
     for the norm, and scanned for the culprit only when the norm is not
-    finite.  The moments are the arena's ``m`` and ``v``, made on the first
-    update; each update changes them and the parameters with in-place ufuncs,
-    in the order of the textbook expressions m += (1 - beta1)(g - m),
-    v += (1 - beta2)(g^2 - v), w -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+    finite.  Each update changes the arena's moments ``m`` and ``v`` and its
+    parameters with in-place ufuncs, in the order of the textbook expressions
+    m += (1 - beta1)(g - m), v += (1 - beta2)(g^2 - v),
+    w -= lr (m / bc1) / (sqrt(v / bc2) + eps).
 
     The update runs over the whole arena, ``_ADAM_CHUNK`` elements at a time.
     After a split step (see ``_step``), the arena holds the squared norms its
@@ -177,8 +179,6 @@ def adam_step(cfg: TrainConfig, arena: _Arena) -> None:
     if cfg.clip_norm > 0 and norm > cfg.clip_norm:
         clip = cfg.clip_norm / norm
     arena.t += 1
-    if arena.m is None:
-        arena.m, arena.v = np.zeros(arena.size), np.zeros(arena.size)
     if tail is None:
         _adam_update(arena.run(0, arena.size), arena.t, cfg, clip, arena.scratch[0])
         return
@@ -340,7 +340,7 @@ def evaluate(model: MMTModel, split: list[Example], seed: int = 0) -> Metrics:
             pos = ex.meta.amb_tgt_pos
             if pos < len(hyp) and hyp[pos] == ref[pos]:
                 amb_correct += 1
-    gate_rate, rel_rate, noise_rate = (o / c if c else None
+    gate_rate, rel_rate, noise_rate = (float(o / c) if c else None
                                        for o, c in zip(gate_open, gate_count))
     return Metrics(
         bleu=corpus_bleu(hyps, refs),
@@ -352,38 +352,27 @@ def evaluate(model: MMTModel, split: list[Example], seed: int = 0) -> Metrics:
     )
 
 
-def _forward(model: MMTModel, examples: list[Example], seed: int, noise, tau: float,
-             step: int) -> tuple[ad.Tensor, EncoderOutput]:
-    """Train-mode loss of a batch on a fresh tape of the calling thread."""
-    ad.reset_tape()
-    src_ids, tgt_ids, images = _batch(model, examples, seed)
-    loss, enc = model.loss(src_ids, tgt_ids, images, noise, GateMode.train(), tau)
-    if not np.isfinite(loss.item()):
-        raise TrainingError(f"non-finite loss at step {step}")
-    return loss, enc
-
-
 class _Arena:
     """The memory a ``train`` call reuses from one step to the next.
 
     ``data`` and ``grad`` are the flat arrays of the parameter store it is
     made from, adopted as they are: the arena copies and rebinds nothing.
-    ``m`` and ``v`` hold Adam's moments in the same layout, made at the
-    first update, and ``t`` counts the updates.  ``buffers`` holds one
-    autodiff step buffer per thread, the caller's and the split worker's,
-    and ``scratch`` each thread's two arrays for the Adam update.
+    ``m`` and ``v`` hold Adam's moments in the same layout, made zeroed
+    here, and ``t`` counts the updates.  ``buffers`` holds one autodiff step
+    buffer per thread, the caller's and the split worker's, and ``scratch``
+    each thread's two arrays for the Adam update.
 
     For the split step, ``worker_grad`` is the flat gradient buffer the
-    worker's half adds into, in the same layout, made at the first split
-    batch, and ``into`` maps each tensor to its view of it.  ``groups`` cuts
-    the parameters into two contiguous runs of about equal element count, one
+    worker's half adds into, in the same layout, made zeroed here, and
+    ``into`` maps each tensor to its view of it.  ``groups`` cuts the
+    parameters into two contiguous runs of about equal element count, one
     per thread for the merge and the Adam update, and ``bounds`` gives their
-    element ranges.  ``tail`` is the last split step's pool and per-parameter
-    squared gradient norms, until ``adam_step`` takes it.
+    element ranges.  ``tail`` is the last split step's pool and
+    per-parameter squared gradient norms, until ``adam_step`` takes it.
     """
 
     def __init__(self, store: ad.ParameterSet):
-        self.store, self.params, self.size = store, store.params, store.size
+        self.params, self.size = store.params, store.size
         self.data, self.grad = store.data, store.grad
         ends = [b for _, b in store.spans]
         cut = int(np.searchsorted(ends, self.size / 2)) + 1
@@ -392,16 +381,10 @@ class _Arena:
         self.buffers = (ad.StepBuffer(), ad.StepBuffer())
         self.scratch = tuple((np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)) for _ in range(2))
         self.t = 0
-        self.m = self.v = self.worker_grad = None
-        self.into: dict[ad.Tensor, np.ndarray] | None = None
+        self.m, self.v, self.worker_grad = (np.zeros(self.size) for _ in range(3))
+        self.into = {p.tensor: view for p, view in
+                     zip(self.params, store.views(self.worker_grad))}
         self.tail: tuple[Executor, list[float]] | None = None
-
-    def worker_buffer(self) -> None:
-        """Make the worker's gradient buffer, once."""
-        if self.worker_grad is None:
-            self.worker_grad = np.zeros(self.size)
-            self.into = {p.tensor: view for p, view in
-                         zip(self.params, self.store.views(self.worker_grad))}
 
     def merge(self, i: int) -> list[float]:
         """Add group i's part of the worker's buffer into .grad, zero that
@@ -425,28 +408,14 @@ def _pass(model: MMTModel, examples: list[Example], seed: int, noise, tau: float
     into ``into`` where given, and returns share x the loss and the gate
     stats."""
     with ad.step_buffer(buffer):
-        loss, enc = _forward(model, examples, seed, noise, tau, step)
+        ad.reset_tape()
+        src_ids, tgt_ids, images = _batch(model, examples, seed)
+        loss, enc = model.loss(src_ids, tgt_ids, images, noise, GateMode.train(), tau)
+        if not np.isfinite(loss.item()):
+            raise TrainingError(f"non-finite loss at step {step}")
         ad.backward(loss, share, into)
         ad.reset_tape()
         return share * loss.item(), enc.gate_stats()
-
-
-def _half(model: MMTModel, examples: list[Example], seed: int, noise, tau: float,
-          step: int, share: float, arena: _Arena, i: int, handoff: threading.Barrier):
-    """Half i of a split batch on the calling thread: its pass, into .grad
-    for the caller's half and into the worker's buffer for the worker's;
-    then, once both halves are past ``handoff``, the merge of parameter group
-    i.  Returns share x its loss, its gate stats and the group's squared
-    norms.  A failure breaks the handoff, so the other half never waits for
-    this one in vain."""
-    try:
-        value, stats = _pass(model, examples, seed, noise, tau, step, share, arena.buffers[i],
-                             arena.into if i else None)
-        handoff.wait()
-        return value, stats, arena.merge(i)
-    except BaseException:
-        handoff.abort()
-        raise
 
 
 def _step(model: MMTModel, examples: list[Example], seed: int, noise: NoiseSource,
@@ -456,33 +425,31 @@ def _step(model: MMTModel, examples: list[Example], seed: int, noise: NoiseSourc
     ``arena`` to the gradient of the batch's mean loss, and returns that loss
     and the batch's gate stats.  Under the split rule the second half runs on
     ``pool``, with gate noise drawn here first, as one pass over the batch
-    draws it; each thread then merges one parameter group, and the squared
-    norms wait in ``arena.tail`` for ``adam_step``.  The module docstring
-    gives the zeroing rule and the cleanup after a failed split step."""
+    draws it; then each thread merges one parameter group, the worker's as a
+    second task, and the squared norms wait in ``arena.tail`` for
+    ``adam_step``.  The module docstring gives the zeroing rule and the
+    cleanup after a failed split step."""
     mc, n, cut = model.cfg, len(examples), (len(examples) + 1) // 2
     if sum(len(ex.src_ids) for ex in examples[cut:]) * mc.d_model < _SPLIT_MIN:
         arena.grad.fill(0.0)
         return _pass(model, examples, seed, noise, tau, step, 1.0, arena.buffers[0])
-    arena.worker_buffer()
     noise_a = noise_b = None
     if mc.gumbel_gates:
         noise_a, noise_b = split_gate_noise(noise, mc.n_heads, mc.n_regions,
                                             [len(ex.src_ids) for ex in examples], cut)
-    handoff = threading.Barrier(2)
-    later = pool.submit(_half, model, examples[cut:], seed, noise_b, tau, step, (n - cut) / n,
-                        arena, 1, handoff)
+    later = pool.submit(_pass, model, examples[cut:], seed, noise_b, tau, step, (n - cut) / n,
+                        arena.buffers[1], arena.into)
     try:
         arena.grad.fill(0.0)
-        a = _half(model, examples[:cut], seed, noise_a, tau, step, cut / n, arena, 0, handoff)
+        a = _pass(model, examples[:cut], seed, noise_a, tau, step, cut / n, arena.buffers[0])
         b = later.result()
-    except BaseException as error:
-        failure = later.exception()     # waits for the worker
+    except BaseException:
+        later.exception()               # waits for the worker
         arena.grad.fill(0.0)
         arena.worker_grad.fill(0.0)
-        if failure is not None and isinstance(error, threading.BrokenBarrierError):
-            raise failure               # the worker's half broke the handoff
         raise
-    arena.tail = (pool, a[2] + b[2])
+    later = pool.submit(arena.merge, 1)
+    arena.tail = (pool, arena.merge(0) + later.result())
     if a[1] is None:
         return a[0] + b[0], None
     return a[0] + b[0], GateStats(open=np.concatenate([a[1].open, b[1].open]),

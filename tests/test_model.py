@@ -240,8 +240,8 @@ def test_shared_encoders_halve_encoder_params():
     full = MMTModel(tiny_config(n_enc_layers=2), seed=10)
     shared = MMTModel(tiny_config(n_enc_layers=2,
                                   ablation=AblationFlags(shared_encoders=True)), seed=10)
-    full_names = {p.name for p in full.named_parameters()}
-    shared_names = {p.name for p in shared.named_parameters()}
+    full_names = {p.name for p in full.parameters.params}
+    shared_names = {p.name for p in shared.parameters.params}
     assert any(n.startswith("img_enc.") for n in full_names)
     assert not any(n.startswith("img_enc.") for n in shared_names)
     n_text = sum(1 for n in full_names if n.startswith("text_enc."))
@@ -261,7 +261,8 @@ DEC_LAYER = ["self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
 
 
 def test_named_parameters_are_listed_in_creation_order():
-    # The order is the one the global gradient norm sums in before clipping.
+    # The store's order is its layout and the one the global gradient norm
+    # sums in before clipping.
     m = MMTModel(tiny_config(gumbel_layer=2), seed=9)
     want = (["embed.src_table", "embed.tgt_table"]
             + [f"text_enc.layer0.{n}" for n in ENC_LAYER]
@@ -271,8 +272,8 @@ def test_named_parameters_are_listed_in_creation_order():
                "fusion.w", "fusion.u"]
             + [f"dec.layer0.{n}" for n in DEC_LAYER]
             + ["out_proj.w", "out_proj.b"])
-    assert [p.name for p in m.named_parameters()] == want
-    assert m.named_parameters()[0].tensor is m.src_table
+    assert [p.name for p in m.parameters.params] == want
+    assert m.parameters.params[0].tensor is m.src_table
 
 
 def _reachable_trainable_tensors(model):
@@ -307,7 +308,7 @@ def test_every_trainable_tensor_is_registered_exactly_once(flag, gumbel_layer):
     ablation = AblationFlags(**({flag: True} if flag else {}))
     m = MMTModel(tiny_config(n_enc_layers=2, gumbel_layer=gumbel_layer, ablation=ablation),
                  seed=5)
-    registered = [id(p.tensor) for p in m.named_parameters()]
+    registered = [id(p.tensor) for p in m.parameters.params]
     assert len(set(registered)) == len(registered)
     reachable = _reachable_trainable_tensors(m)
     assert reachable
@@ -372,7 +373,7 @@ def test_end_to_end_gradients_all_parameters():
         loss, _ = m.loss(src, tgt, img, NoiseSource(42), GateMode.train())
         return loss
 
-    params = m.named_parameters()
+    params = m.parameters.params
     err = gradient_error(forward, [p.tensor for p in params])
     assert err < 1e-3, f"worst end-to-end gradient error {err:.3g}"
 
@@ -422,7 +423,7 @@ def batch_images(cfg):
 
 
 def loss_and_grads(m, src, tgt, images, noise, mode):
-    params = m.named_parameters()
+    params = m.parameters.params
     for p in params:
         p.tensor.grad.fill(0.0)
     ad.reset_tape()
@@ -438,7 +439,7 @@ def assert_batch_matches_loop(m, srcs, tgts, images, mode):
     the noise stream left behind."""
     single_noise = NoiseSource(42)
     losses, gates = [], []
-    grads = {p.name: np.zeros_like(p.tensor.data) for p in m.named_parameters()}
+    grads = {p.name: np.zeros_like(p.tensor.data) for p in m.parameters.params}
     for i, (s, t) in enumerate(zip(srcs, tgts)):
         value, enc, g = loss_and_grads(m, s, t, None if images is None else images[i],
                                        single_noise, mode)
@@ -518,7 +519,7 @@ def test_padded_batch_matches_single_sentences_for_random_lengths(m, pairs, trai
 def real_rows_forward(m, src, tgt, images, n_real, mode):
     """Logits, gates, and the parameter gradients of the token loss of the
     first n_real rows of a padded batch; later rows weigh nothing."""
-    params = m.named_parameters()
+    params = m.parameters.params
     for p in params:
         p.tensor.grad.fill(0.0)
     ad.reset_tape()
@@ -624,7 +625,7 @@ def test_end_to_end_gradients_padded_batch():
         loss, _ = m.loss(src, tgt, images, NoiseSource(42), GateMode.train())
         return loss
 
-    err = gradient_error(forward, [p.tensor for p in m.named_parameters()])
+    err = gradient_error(forward, [p.tensor for p in m.parameters.params])
     assert err < 1e-3, f"worst end-to-end gradient error {err:.3g}"
 
 

@@ -83,7 +83,7 @@ def test_adam_step_clips_by_global_norm():
 
 def test_adam_step_is_bit_identical_to_the_textbook_expressions():
     # The in-place update must give exactly what the plain expressions give,
-    # and keep the moment arrays it allocated on the first step.
+    # and keep the arena's moment arrays.
     cfg = TrainConfig(lr=0.01, clip_norm=1.0)
     rng = np.random.default_rng(0)
     # Zero start: the parameters are the summed updates, with every bit of them.
@@ -108,7 +108,7 @@ def test_adam_step_is_bit_identical_to_the_textbook_expressions():
         moments = arena.m, arena.v
         adam_step(cfg, arena)
         assert arena.t == t
-        assert t == 1 or (arena.m is moments[0] and arena.v is moments[1])
+        assert arena.m is moments[0] and arena.v is moments[1]
         for p, m_view, v_view in zip(params, store.views(arena.m), store.views(arena.v)):
             np.testing.assert_array_equal(p.tensor.data, want[p.name])
             np.testing.assert_array_equal(m_view, m[p.name])
@@ -121,7 +121,7 @@ def test_adam_step_rejects_non_finite_gradient():
     p.tensor.grad[:] = [1.0, np.nan]
     with pytest.raises(TrainingError, match="bad.w"):
         adam_step(TrainConfig(), arena)
-    assert arena.t == 0 and arena.m is None
+    assert arena.t == 0 and not arena.m.any() and not arena.v.any()
 
 
 # -- temperature schedule ---------------------------------------------------------
@@ -228,6 +228,16 @@ def test_evaluate_matches_golden_metrics(eval_batch, monkeypatch):
     assert evaluate(m, ds.train + ds.val + ds.test, seed=TINY_TRAIN.seed) == GOLDEN_METRICS
 
 
+def test_evaluate_returns_python_floats():
+    # A numpy scalar compares equal to its float, but its repr differs, and
+    # a caller that prints or serialises the metrics sees np.float64(...).
+    ds, cfg = tiny_task()
+    metrics = evaluate(MMTModel(cfg, seed=7), ds.train + ds.val + ds.test)
+    assert metrics.noise_open_rate is not None
+    values = [getattr(metrics, f.name) for f in dataclasses.fields(metrics)]
+    assert all(type(x) is float for x in values if x is not None)
+
+
 def test_evaluate_decodes_no_further_than_max_positions():
     # check_compatible accepts a sentence as long as max_positions; evaluate
     # stops decoding there, even for a model that never emits EOS.
@@ -308,8 +318,8 @@ def test_split_step_matches_the_serial_step(n, ablation, monkeypatch):
                                           training._Arena(m.parameters))
         finally:
             pool.shutdown()
-        assert pool.submitted == split
-        runs.append((value, gates, [p.tensor.grad.copy() for p in m.named_parameters()],
+        assert pool.submitted == 2 * split   # the worker's half, then its merge
+        runs.append((value, gates, [p.tensor.grad.copy() for p in m.parameters.params],
                      noise._rng.random()))
     (value, gates, grads, uniform), (split_value, split_gates, split_grads, split_uniform) = runs
     assert split_value == pytest.approx(value, rel=1e-12, abs=0)
@@ -348,7 +358,7 @@ def test_a_non_finite_loss_on_the_worker_aborts_the_split_step(monkeypatch):
     finally:
         pool.shutdown()
     assert pool.submitted == 1
-    assert all((p.tensor.grad == 0.0).all() for p in m.named_parameters())
+    assert all((p.tensor.grad == 0.0).all() for p in m.parameters.params)
 
 
 @pytest.mark.parametrize("nan_half", ["worker", "caller"])
@@ -375,7 +385,7 @@ def test_a_failed_split_step_leaves_the_arena_clean(nan_half, monkeypatch):
             value, _ = training._step(m, ds.train[4:8], 5, NoiseSource(11), 0.5, 4, pool, arena)
         finally:
             pool.shutdown()
-        assert pool.submitted == 1 + fail_first
+        assert pool.submitted == 2 + fail_first
         assert not arena.worker_grad.any()
         runs.append((value.hex(), arena.grad.tobytes(), np.array(arena.tail[1]).tobytes()))
     assert runs[0] == runs[1]
@@ -404,7 +414,7 @@ def test_the_split_tail_matches_the_serial_norm_and_update_bit_for_bit(monkeypat
     runs = []
     for by_groups in (False, True):
         m = MMTModel(cfg, seed=7)
-        params = m.named_parameters()
+        params = m.parameters.params
         arena = training._Arena(m.parameters)
         first, second = arena.groups
         assert first and second and first + second == params
@@ -422,7 +432,7 @@ def test_the_split_tail_matches_the_serial_norm_and_update_bit_for_bit(monkeypat
                 assert arena.tail is None
         finally:
             pool.shutdown()
-        assert pool.submitted == 3 * (1 + by_groups)
+        assert pool.submitted == 3 * (2 + by_groups)
         assert all(f.done() and f.exception() is None for f in pool.futures)
         runs.append((params, arena, m.parameters))
     (params, arena, store), (group_params, group_arena, group_store) = runs
@@ -443,12 +453,13 @@ def test_the_split_gradient_adds_each_halfs_summed_adjoints_first_half_first(mon
     ds, cfg = tiny_task()
     batch = ds.train[:5]
     m = MMTModel(cfg, seed=7)
-    params = m.named_parameters()
+    params = m.parameters.params
     noise_a, noise_b = split_gate_noise(NoiseSource(11), cfg.n_heads, cfg.n_regions,
                                         [len(ex.src_ids) for ex in batch], 3)
     want = [np.zeros(p.tensor.shape) for p in params]
     for part, noise, share in ((batch[:3], noise_a, 3 / 5), (batch[3:], noise_b, 2 / 5)):
-        loss, _ = training._forward(m, part, 5, noise, 0.5, 0)
+        ad.reset_tape()
+        loss, _ = m.loss(*training._batch(m, part, 5), noise, GateMode.train(), 0.5)
         adjoints = summed_adjoints(loss, share)
         for w, p in zip(want, params):
             w += adjoints[p.tensor]
@@ -470,7 +481,7 @@ def test_a_non_finite_gradient_under_the_split_tail_aborts_before_any_update(gro
     monkeypatch.setattr(training, "_SPLIT_MIN", 0)
     ds, cfg = tiny_task()
     m = MMTModel(cfg, seed=7)
-    params = m.named_parameters()
+    params = m.parameters.params
     arena = training._Arena(m.parameters)
     pool, noise = FuturePool(), NoiseSource(11)
     target = arena.groups[group][-1]
@@ -496,7 +507,8 @@ def test_a_non_finite_gradient_under_the_split_tail_aborts_before_any_update(gro
             adam_step(TINY_TRAIN, arena)
     finally:
         pool.shutdown()
-    assert pool.submitted == 3      # two halves and one update; the failed update submits none
+    # Two halves, two merges and one update; the failed update submits none.
+    assert pool.submitted == 5
     assert all(f.done() and f.exception() is None for f in pool.futures)
     assert arena.t == 1 and arena.tail is None
     data, moments, variances = before
@@ -519,7 +531,7 @@ def test_split_training_repeats_bit_for_bit_under_fast_thread_switching(monkeypa
     def run():
         m = MMTModel(cfg, seed=7)
         log = train(m, ds, TINY_TRAIN)
-        return log.step_losses, [p.tensor.data.copy() for p in m.named_parameters()]
+        return log.step_losses, [p.tensor.data.copy() for p in m.parameters.params]
 
     losses, params = run()
     interval = sys.getswitchinterval()
@@ -542,10 +554,10 @@ def test_split_training_repeats_bit_for_bit_under_fast_thread_switching(monkeypa
 
 def assert_views_the_store(m):
     """Each parameter's value and gradient are views of the model's flat
-    arrays, at consecutive offsets in named_parameters() order, covering them
+    arrays, at consecutive offsets in the store's order, covering them
     exactly."""
     store, offset = m.parameters, 0
-    for p in m.named_parameters():
+    for p in m.parameters.params:
         for view, flat in ((p.tensor.data, store.data), (p.tensor.grad, store.grad)):
             assert view.base is flat and view.flags["C_CONTIGUOUS"]
             assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
@@ -583,7 +595,7 @@ def trained_outputs(ds, cfg):
     m = MMTModel(cfg, seed=7)
     log = train(m, ds, TINY_TRAIN)
     return (log.step_losses, [e.mean_train_gate for e in log.epochs],
-            [p.tensor.data.tobytes() for p in m.named_parameters()],
+            [p.tensor.data.tobytes() for p in m.parameters.params],
             evaluate(m, ds.train + ds.val + ds.test, seed=TINY_TRAIN.seed))
 
 
@@ -740,21 +752,21 @@ def test_image_ablations_train_and_evaluate_without_the_dataset_images(ablation)
 def test_train_rejects_an_empty_split_before_compute(split, name):
     ds, cfg = tiny_task()
     m = MMTModel(cfg, seed=7)
-    before = [p.tensor.data.copy() for p in m.named_parameters()]
+    before = [p.tensor.data.copy() for p in m.parameters.params]
     ad.reset_tape()
     with pytest.raises(TrainingError, match=f"^{name} split is empty$"):
         train(m, dataclasses.replace(ds, **{split: []}), TINY_TRAIN)
     assert ad._state.tape == []
-    assert all((p.tensor.data == b).all() for p, b in zip(m.named_parameters(), before))
+    assert all((p.tensor.data == b).all() for p, b in zip(m.parameters.params, before))
 
 
 def test_train_aborts_on_a_non_finite_loss_before_any_update():
     ds, cfg = tiny_task()
     m = MMTModel(cfg, seed=7)
-    before = [p.tensor.data.copy() for p in m.named_parameters()]
+    before = [p.tensor.data.copy() for p in m.parameters.params]
     with pytest.raises(TrainingError, match="^non-finite loss at step 0$"):
         train(m, nan_images(ds), TINY_TRAIN)
-    assert all((p.tensor.data == b).all() for p, b in zip(m.named_parameters(), before))
+    assert all((p.tensor.data == b).all() for p, b in zip(m.parameters.params, before))
 
 
 def test_teacher_forced_loss_is_mean_of_example_losses():
@@ -791,14 +803,14 @@ def test_default_spec_fits_the_default_config():
 def test_too_small_target_vocabulary_is_rejected_before_compute():
     ds = generate_dataset(SyntheticTaskSpec(n_train=2, n_val=1, n_test=1))
     m = MMTModel(ModelConfig(vocab_tgt=50))
-    before = [p.tensor.data.copy() for p in m.named_parameters()]
+    before = [p.tensor.data.copy() for p in m.parameters.params]
     # ds.train holds both labels, so the last target id, 50, is in use
     for run in (lambda: train(m, ds, TrainConfig()),
                 lambda: evaluate(m, ds.train),
                 lambda: teacher_forced_loss(m, ds.train, 0)):
         with pytest.raises(ConfigError, match=r"vocab_tgt\D+51\D+vocab_tgt=50"):
             run()
-    assert all((p.tensor.data == b).all() for p, b in zip(m.named_parameters(), before))
+    assert all((p.tensor.data == b).all() for p, b in zip(m.parameters.params, before))
 
 
 @pytest.mark.parametrize("field,value,pattern", [
