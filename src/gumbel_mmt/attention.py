@@ -17,6 +17,9 @@ mask is a boolean, True where a query may not look, that broadcasts against
 the ``(..., H, t, n)`` scores: the ``(t, t)`` causal mask, or a batch's
 ``(b, 1, 1, n)`` key padding, which serves every head and query as it is.
 
+The Gumbel selection draws nothing: its caller hands it the gate noise that
+:func:`gumbel.gate_noise` drew, or None for the infer gates.
+
 Greedy decoding calls :func:`attend_rows`, the same softmax attention on plain
 arrays with no tape, over keys and values that :func:`project_heads` made."""
 
@@ -30,8 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Tensor
-from .errors import ShapeError
-from .gumbel import NoiseSource, gumbel_sigmoid
+from .gumbel import gumbel_sigmoid
 
 
 @dataclass
@@ -106,68 +108,16 @@ def attend_rows(x: Array, k: Array, v: Array, weights: AttentionWeights,
     return ad.affine(heads.swapaxes(-2, -3).reshape(x.shape[:-1] + (-1,)), weights.wo.data)
 
 
-def _gate_noise(src: NoiseSource, shape: tuple[int, ...],
-                lengths: np.ndarray | None = None) -> np.ndarray:
-    """Logistic noise for (..., H, t, r) gates.
-
-    Ordered example by example, then head by head, for each example's first
-    lengths[i] text rows only (padded rows get zeros), with each head's G'
-    block before its G'' block, so a batch consumes the stream exactly as
-    encoding its examples one at a time does.  All of it is one draw, written
-    in C order into the real rows of one (b, H, 2, t, r) array.
-    """
-    n_heads, t, r = shape[-3:]
-    real = np.arange(t) < (np.full(1, t) if lengths is None else lengths)[:, None]
-    g = np.zeros((len(real), n_heads, 2, t, r))
-    rows = np.broadcast_to(real[:, None, None, :], g.shape[:-1])
-    g[rows] = src.gumbel((int(np.count_nonzero(rows)), r))
-    return (g[:, :, 0] - g[:, :, 1]).reshape(shape)
-
-
-class _DrawnNoise:
-    """Gumbel draws already made, handed back by the one :meth:`gumbel`
-    call that asks for their shape: a :class:`NoiseSource` for a forward
-    pass whose noise was drawn ahead of it."""
-
-    def __init__(self, draws: np.ndarray):
-        self._draws = draws
-
-    def gumbel(self, shape) -> np.ndarray:
-        if tuple(shape) != self._draws.shape:
-            raise ShapeError(f"gate noise of shape {tuple(shape)} asked for, "
-                             f"{self._draws.shape} drawn")
-        return self._draws
-
-
-def split_gate_noise(src: NoiseSource, n_heads: int, n_regions: int, lengths: np.ndarray,
-                     cut: int) -> tuple[_DrawnNoise, _DrawnNoise]:
-    """The gate noise of one forward pass over a padded batch with text
-    lengths ``lengths``, drawn from src now, in the order :func:`_gate_noise`
-    draws it, and split between examples ``[:cut]`` and ``[cut:]``.  A
-    forward pass over either part, given its source, draws each example's
-    noise bit for bit as the whole batch's pass does, and src ends where
-    that pass leaves it."""
-    rows = 2 * n_heads * np.asarray(lengths)    # each head's G' and G'' per text row
-    draws = src.gumbel((int(rows.sum()), n_regions))
-    first = int(rows[:cut].sum())
-    return _DrawnNoise(draws[:first]), _DrawnNoise(draws[first:])
-
-
 def multi_head_gumbel_attention(x_text: Tensor, x_image: Tensor, weights: AttentionWeights,
-                                tau, src: NoiseSource | None,
-                                lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                                tau, noise: np.ndarray | None) -> tuple[Tensor, Tensor]:
     """Gated attention of text queries over image regions: each head's
     value is v_i = sum_j alpha_ij (x_j wv), with per-element Gumbel-Sigmoid
     gates alpha in place of the softmax.  Rows are not renormalised, so a
     fully closed row yields a zero vector (total rejection of the image).
 
-    Returns the values and the ``(..., H, t, r)`` gates.  With a NoiseSource
-    they are stochastic train-mode gates in (0,1), and each head draws its own
-    noise; without one (None) they are the infer gates [score > 0], exactly
-    {0,1}.  In a batch, ``lengths`` holds the text lengths, and the gates of
+    Returns the values and the ``(..., H, t, r)`` gates.  With noise, the
+    ``(..., H, t, r)`` logistic noise of :func:`gumbel.gate_noise`, they are
+    stochastic train-mode gates in (0,1); without it (None) they are the
+    infer gates [score > 0], exactly {0,1}.  In a padded batch, the gates of
     padded text rows are computed and left unused."""
-    def gates(scores: Tensor) -> Tensor:
-        noise = None if src is None else _gate_noise(src, scores.shape, lengths)
-        return gumbel_sigmoid(scores, tau, noise)
-
-    return _attend(x_text, x_image, weights, gates)
+    return _attend(x_text, x_image, weights, lambda scores: gumbel_sigmoid(scores, tau, noise))

@@ -4,8 +4,11 @@ A gate over a score e is sigmoid((e + G' - G'') / tau) in train mode, with
 G' and G'' independent Gumbel(0,1) draws, and in infer mode the constant
 [e > 0], the gate's noise-free zero-temperature limit.  The noise is a tape
 constant, so gradients flow through the scores only (the reparameterisation
-reading).  :class:`NoiseSource` draws it; the attention routine draws fresh
-noise on every forward pass and hands it to :func:`gumbel_sigmoid`.
+reading).  :class:`NoiseSource` draws it, and :func:`gate_noise` alone knows
+the order a forward pass's gates draw it in.  A train-mode encode calls it
+once per pass, or the split training step calls it once for the whole batch
+and hands each half its rows; the attention routine passes the array to
+:func:`gumbel_sigmoid`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,27 @@ class NoiseSource:
         return -np.log(-np.log(u))
 
 
+def gate_noise(src: NoiseSource, n_heads: int, n_regions: int,
+               lengths: np.ndarray | None, t: int) -> np.ndarray:
+    """Logistic noise G' - G'' for the gates of one forward pass: (b, H, t, r)
+    for a padded batch of t text rows whose text lengths are ``lengths``, or
+    (H, t, r) for one sentence of t rows (None).
+
+    Ordered example by example, then head by head, for each example's first
+    lengths[i] rows only (padded rows get zeros), with each head's G' block
+    before its G'' block, so a batch consumes the stream exactly as encoding
+    its examples one at a time does, and a cut of the batch's draw by
+    examples gives each part its examples' noise.  All of it is one draw,
+    written in C order into the real rows of one (b, H, 2, t, r) array.
+    """
+    real = np.arange(t) < (np.full(1, t) if lengths is None else lengths)[:, None]
+    g = np.zeros((len(real), n_heads, 2, t, n_regions))
+    rows = np.broadcast_to(real[:, None, None, :], g.shape[:-1])
+    g[rows] = src.gumbel((int(np.count_nonzero(rows)), n_regions))
+    noise = g[:, :, 0] - g[:, :, 1]
+    return noise if lengths is not None else noise[0]
+
+
 @dataclass(frozen=True)
 class GateMode:
     """Stochastic gates during training, deterministic gates [score > 0] at
@@ -55,8 +79,7 @@ def gumbel_sigmoid(e: Tensor, tau, noise: np.ndarray | None) -> Tensor:
     """Per-element binary gates over arbitrary-shape inputs.
 
     With noise: sigmoid((e + noise) / tau), differentiable in e, where noise
-    is the logistic noise G' - G'' of e's shape: the difference of two
-    independent :meth:`NoiseSource.gumbel` draws.
+    is the logistic noise G' - G'' of e's shape that :func:`gate_noise` draws.
     Without noise (None): the constant 0/1 tensor [e > 0], the infer gates.
     """
     tau = float(tau)

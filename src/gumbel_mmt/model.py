@@ -38,7 +38,7 @@ from .attention import (AttentionWeights, attend_rows, causal_mask, key_padding_
 from .autodiff import Parameter, Tensor
 from .data import BOS_ID, EOS_ID, PAD_ID
 from .errors import ConfigError, DataError, ShapeError
-from .gumbel import GateMode, NoiseSource
+from .gumbel import GateMode, NoiseSource, gate_noise
 
 
 @dataclass
@@ -406,28 +406,39 @@ class MMTModel:
             states.append(layer(states[-1], mask))
         return states
 
-    def encode(self, src_ids, image: np.ndarray | None, noise: NoiseSource | None,
+    def encode(self, src_ids, image: np.ndarray | None, noise: NoiseSource | np.ndarray | None,
                mode: GateMode, tau: float = 1.0) -> EncoderOutput:
-        """Encode one sentence, or a padded batch with one image per row."""
+        """Encode one sentence, or a padded batch with one image per row.
+        Train-mode Gumbel gates read ``noise``: a NoiseSource that
+        :func:`gate_noise` draws from once, or its draw, (b, H, t, r) or
+        (H, t, r) for one sentence, made ahead."""
         cfg = self.cfg
-        gumbel = cfg.gumbel_gates
-        if gumbel and mode.is_train and noise is None:
-            raise ConfigError("train-mode Gumbel attention needs a NoiseSource")
+        train_gates = cfg.gumbel_gates and mode.is_train
+        if train_gates and noise is None:
+            raise ConfigError("train-mode Gumbel attention needs a NoiseSource or drawn noise")
         ids = np.asarray(src_ids, dtype=np.int64)
         lengths = sequence_lengths(ids)
         t = ids.shape[-1]
+        if not cfg.ablation.text_only:
+            if image is None:
+                raise ConfigError("multi-modal encoding needs image features")
+            want = ids.shape[:-1] + (cfg.n_regions, cfg.d_image)
+            if image.shape != want:
+                raise ShapeError(f"image shape {image.shape} does not match {want} "
+                                 "(token batch, n_regions, d_image)")
+        drawn = noise if train_gates else None
+        if train_gates and not isinstance(noise, np.ndarray):
+            drawn = gate_noise(noise, cfg.n_heads, cfg.n_regions, lengths, t)
+        want = ids.shape[:-1] + (cfg.n_heads, t, cfg.n_regions)
+        if drawn is not None and drawn.shape != want:
+            raise ShapeError(f"drawn gate noise of shape {drawn.shape} does not match {want} "
+                             "(token batch, n_heads, t, n_regions)")
         text_mask = key_padding_mask(lengths, t)
         emb = embed(ids, self.src_table, self.pos_enc)
         if cfg.ablation.text_only:
             h_text = self._text_states(emb, text_mask)[-1]
             return EncoderOutput(h_text=h_text, h_image=None, fused=h_text, lengths=lengths)
 
-        if image is None:
-            raise ConfigError("multi-modal encoding needs image features")
-        want = ids.shape[:-1] + (cfg.n_regions, cfg.d_image)
-        if image.shape != want:
-            raise ShapeError(f"image shape {image.shape} does not match {want} "
-                             "(token batch, n_regions, d_image)")
         states = self._text_states(emb, text_mask)
         h_text = states[-1]
 
@@ -440,9 +451,8 @@ class MMTModel:
         query = states[L - 1]
 
         gates = None
-        if gumbel:
-            v, gates = multi_head_gumbel_attention(query, x_img, self.cross_weights, tau,
-                                                   noise if mode.is_train else None, lengths)
+        if cfg.gumbel_gates:
+            v, gates = multi_head_gumbel_attention(query, x_img, self.cross_weights, tau, drawn)
         else:
             v = multi_head_attention(query, x_img, self.cross_weights)
         # From here the image branch has one row per text position.
@@ -477,7 +487,7 @@ class MMTModel:
         return ad.linear(x, self.out_w, self.out_b)
 
     def loss(self, src_ids, tgt_ids, image: np.ndarray | None,
-             noise: NoiseSource | None, mode: GateMode, tau: float = 1.0
+             noise: NoiseSource | np.ndarray | None, mode: GateMode, tau: float = 1.0
              ) -> tuple[Tensor, EncoderOutput]:
         """Loss of one sentence pair, or the mean loss of a padded batch."""
         enc = self.encode(src_ids, image, noise, mode, tau)

@@ -13,7 +13,9 @@ gradients are added first half first.  That sums the weight gradients in
 another order than one pass over the whole batch, so it is part of what fixes
 the trajectory.  The rule reads only the batch and the model's shape, never
 the number of cores or a timing, so a (seed, config) pair trains the same on
-any machine.
+any machine.  The caller draws the whole batch's gate noise once, by
+``gumbel.gate_noise``, and hands each half its examples' rows, so each
+example's gate noise is the serial step's bit for bit.
 
 The split step's tail runs on both threads too.  The caller's half adds its
 weight gradients into .grad, as the serial step does, and the worker's half
@@ -21,10 +23,11 @@ into one flat buffer that lives for the ``train`` call; both add each one as
 it arrives.  The parameters are cut once into two contiguous groups of about
 equal element count.  Once both halves are done, each thread adds its group's
 part of the worker's buffer into .grad, zeroes that part and takes each
-parameter's squared norm; the caller sums the squares in parameter order, as
-the serial norm does; then each thread runs Adam's per-parameter arithmetic on
-its group.  The worker's half, merge and update are three tasks, and no thread
-waits on another inside a task.  None of this can move a bit: every sum has
+parameter's squared norm; the step returns the squares with its loss, and
+``adam_step`` sums them in parameter order, as the serial norm does; then
+each thread runs Adam's per-parameter arithmetic on its group.  The worker's
+half, merge and update are three tasks, and no thread waits on another
+inside a task.  None of this can move a bit: every sum has
 the operands and order of the serial merge, norm and update, and the grouping
 only decides which thread does a parameter's arithmetic.  Adding a gradient
 into a zeroed buffer can turn a -0 into +0, and a zero's sign reaches no loss,
@@ -66,13 +69,12 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .attention import split_gate_noise
 from .autodiff import Parameter
 from .bleu import corpus_bleu
 from .data import Dataset, Example, random_image_for
 from .errors import ConfigError, TrainingError
-from .gumbel import GateMode, NoiseSource
-from .model import GateStats, MMTModel, ModelConfig, pad_batch
+from .gumbel import GateMode, NoiseSource, gate_noise
+from .model import MMTModel, ModelConfig, pad_batch
 
 # stream tags for the per-purpose RNGs derived from the training seed
 _NOISE_STREAM = 1
@@ -149,7 +151,8 @@ def _norm(squares: list[float]) -> float:
     return float(np.sqrt(total))
 
 
-def adam_step(cfg: TrainConfig, arena: _Arena) -> None:
+def adam_step(cfg: TrainConfig, arena: _Arena,
+              tail: tuple[Executor, list[float]] | None = None) -> None:
     """Bias-corrected Adam update of the arena's parameters in place, after
     global-norm clipping; ``arena.t`` counts the updates.
 
@@ -162,13 +165,11 @@ def adam_step(cfg: TrainConfig, arena: _Arena) -> None:
     w -= lr (m / bc1) / (sqrt(v / bc2) + eps).
 
     The update runs over the whole arena, ``_ADAM_CHUNK`` elements at a time.
-    After a split step (see ``_step``), the arena holds the squared norms its
-    merge computed, and the update runs by parameter groups, the second on
-    the split step's worker.  Each element's arithmetic is the same either
-    way.
+    Given a split step's tail (see ``_step``), its pool and the squared norms
+    its merge computed, the update runs by parameter groups, the second on
+    that pool.  Each element's arithmetic is the same either way.
     """
     params = arena.params
-    tail, arena.tail = arena.tail, None
     squares = _squares(params) if tail is None else tail[1]
     norm = _norm(squares)
     if not np.isfinite(norm):
@@ -221,6 +222,11 @@ def _adam_update(run: tuple[np.ndarray, ...], t: int, cfg: TrainConfig,
 
 @dataclass
 class Metrics:
+    """What ``evaluate`` measures on a split.  Each open rate pools the
+    split's infer gates [score > 0] over every head and real text row: their
+    sum over their count, on all regions, the relevant regions and the other
+    (noise) regions.  A rate is None where it counts no gate."""
+
     bleu: float
     token_accuracy: float
     ambiguous_token_accuracy: float
@@ -231,6 +237,12 @@ class Metrics:
 
 @dataclass
 class EpochStats:
+    """One epoch of ``train``.  ``gate_open_rate`` is the validation split's
+    ``Metrics.mean_gate_open_rate``, a sum of 0/1 infer gates over their
+    count.  ``mean_train_gate`` is the mean over the epoch's training examples
+    of each example's mean soft gate, so every example weighs the same
+    whatever its length.  Both are None without Gumbel gates."""
+
     epoch: int
     train_loss: float
     val_loss: float
@@ -367,8 +379,8 @@ class _Arena:
     ``into`` maps each tensor to its view of it.  ``groups`` cuts the
     parameters into two contiguous runs of about equal element count, one
     per thread for the merge and the Adam update, and ``bounds`` gives their
-    element ranges.  ``tail`` is the last split step's pool and
-    per-parameter squared gradient norms, until ``adam_step`` takes it.
+    element ranges.  The arena holds no state of a step: a split step hands
+    its squared norms to ``adam_step`` as a value.
     """
 
     def __init__(self, store: ad.ParameterSet):
@@ -384,7 +396,6 @@ class _Arena:
         self.m, self.v, self.worker_grad = (np.zeros(self.size) for _ in range(3))
         self.into = {p.tensor: view for p, view in
                      zip(self.params, store.views(self.worker_grad))}
-        self.tail: tuple[Executor, list[float]] | None = None
 
     def merge(self, i: int) -> list[float]:
         """Add group i's part of the worker's buffer into .grad, zero that
@@ -402,11 +413,11 @@ class _Arena:
 
 def _pass(model: MMTModel, examples: list[Example], seed: int, noise, tau: float,
           step: int, share: float, buffer: ad.StepBuffer,
-          into: dict[ad.Tensor, np.ndarray] | None = None) -> tuple[float, GateStats | None]:
+          into: dict[ad.Tensor, np.ndarray] | None = None) -> tuple[float, np.ndarray | None]:
     """Forward and backward of examples on the calling thread's tape, keeping
     its arrays in ``buffer``: adds share x the loss gradient into .grad, or
-    into ``into`` where given, and returns share x the loss and the gate
-    stats."""
+    into ``into`` where given, and returns share x the loss and each
+    example's mean train gate (None without gates)."""
     with ad.step_buffer(buffer):
         ad.reset_tape()
         src_ids, tgt_ids, images = _batch(model, examples, seed)
@@ -415,28 +426,33 @@ def _pass(model: MMTModel, examples: list[Example], seed: int, noise, tau: float
             raise TrainingError(f"non-finite loss at step {step}")
         ad.backward(loss, share, into)
         ad.reset_tape()
-        return share * loss.item(), enc.gate_stats()
+        stats = enc.gate_stats()
+        return share * loss.item(), None if stats is None else stats.open[:, 0] / stats.count[:, 0]
 
 
 def _step(model: MMTModel, examples: list[Example], seed: int, noise: NoiseSource,
-          tau: float, step: int, pool: Executor,
-          arena: _Arena) -> tuple[float, GateStats | None]:
+          tau: float, step: int, pool: Executor, arena: _Arena
+          ) -> tuple[float, np.ndarray | None, tuple[Executor, list[float]] | None]:
     """One batch's forward and backward: sets every parameter's .grad in
-    ``arena`` to the gradient of the batch's mean loss, and returns that loss
-    and the batch's gate stats.  Under the split rule the second half runs on
-    ``pool``, with gate noise drawn here first, as one pass over the batch
-    draws it; then each thread merges one parameter group, the worker's as a
-    second task, and the squared norms wait in ``arena.tail`` for
-    ``adam_step``.  The module docstring gives the zeroing rule and the
-    cleanup after a failed split step."""
+    ``arena`` to the gradient of the batch's mean loss, and returns that
+    loss, each example's mean train gate (None without gates) and the tail
+    for ``adam_step``.  Under the split rule the second half runs on
+    ``pool``: the batch's gate noise is drawn here, once, as one pass over
+    the batch draws it, and each half gets its examples' rows.  Then each
+    thread merges one parameter group, the worker's as a second task, and
+    the tail is the pool and the squared norms; a serial step's tail is
+    None.  The module docstring gives the zeroing rule and the cleanup after
+    a failed split step."""
     mc, n, cut = model.cfg, len(examples), (len(examples) + 1) // 2
     if sum(len(ex.src_ids) for ex in examples[cut:]) * mc.d_model < _SPLIT_MIN:
         arena.grad.fill(0.0)
-        return _pass(model, examples, seed, noise, tau, step, 1.0, arena.buffers[0])
+        return *_pass(model, examples, seed, noise, tau, step, 1.0, arena.buffers[0]), None
     noise_a = noise_b = None
     if mc.gumbel_gates:
-        noise_a, noise_b = split_gate_noise(noise, mc.n_heads, mc.n_regions,
-                                            [len(ex.src_ids) for ex in examples], cut)
+        lengths = np.array([len(ex.src_ids) for ex in examples])
+        whole = gate_noise(noise, mc.n_heads, mc.n_regions, lengths, int(lengths.max()))
+        noise_a = whole[:cut, :, :lengths[:cut].max()]
+        noise_b = whole[cut:, :, :lengths[cut:].max()]
     later = pool.submit(_pass, model, examples[cut:], seed, noise_b, tau, step, (n - cut) / n,
                         arena.buffers[1], arena.into)
     try:
@@ -449,11 +465,8 @@ def _step(model: MMTModel, examples: list[Example], seed: int, noise: NoiseSourc
         arena.worker_grad.fill(0.0)
         raise
     later = pool.submit(arena.merge, 1)
-    arena.tail = (pool, arena.merge(0) + later.result())
-    if a[1] is None:
-        return a[0] + b[0], None
-    return a[0] + b[0], GateStats(open=np.concatenate([a[1].open, b[1].open]),
-                                  count=np.concatenate([a[1].count, b[1].count]))
+    tail = (pool, arena.merge(0) + later.result())
+    return a[0] + b[0], None if a[1] is None else np.concatenate([a[1], b[1]]), tail
 
 
 def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
@@ -485,11 +498,12 @@ def train(model: MMTModel, dataset: Dataset, cfg: TrainConfig, *,
             for b in range(steps_per_epoch):
                 idx = order[b * cfg.batch_size: (b + 1) * cfg.batch_size]
                 step = epoch * steps_per_epoch + b
-                value, gates = _step(model, [dataset.train[int(i)] for i in idx], cfg.seed,
-                                     src, cfg.tau_at(step, total_steps), step, pool, arena)
-                if gates is not None:
-                    gate_means.extend(gates.open[:, 0] / gates.count[:, 0])
-                adam_step(cfg, arena)
+                value, means, tail = _step(model, [dataset.train[int(i)] for i in idx],
+                                           cfg.seed, src, cfg.tau_at(step, total_steps), step,
+                                           pool, arena)
+                if means is not None:
+                    gate_means.extend(means)
+                adam_step(cfg, arena, tail)
                 epoch_losses.append(value)
                 log.step_losses.append(value)
 

@@ -1,17 +1,20 @@
 import copy
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from gumbel_mmt import autodiff as ad
-from gumbel_mmt.attention import (_gate_noise, causal_mask, key_padding_mask,
-                                  multi_head_attention, multi_head_gumbel_attention,
-                                  split_gate_noise)
+from gumbel_mmt import model, training
+from gumbel_mmt.attention import (causal_mask, key_padding_mask, multi_head_attention,
+                                  multi_head_gumbel_attention)
 from gumbel_mmt.autodiff import Tensor
+from gumbel_mmt.data import SyntheticTaskSpec, generate_dataset
 from gumbel_mmt.errors import ShapeError
-from gumbel_mmt.gumbel import NoiseSource
-from gumbel_mmt.model import _Init
+from gumbel_mmt.gumbel import NoiseSource, gate_noise
+from gumbel_mmt.model import MMTModel, ModelConfig, _Init
 from helpers import (grad_leaf, gradient_error, infer_gate_oracle, logistic_noise,
                      stream_state)
 
@@ -55,6 +58,13 @@ def softmax_oracle(w, q, k, v, mask=None):
         p = np.exp(s - s.max(axis=-1, keepdims=True))
         heads.append(p / p.sum(axis=-1, keepdims=True) @ vh)
     return np.concatenate(heads, axis=-1) @ w.wo.data
+
+
+def drawn(seed, w, x_text, x_image, lengths=None):
+    """The gate noise a train-mode encode draws for these inputs, from a
+    fresh source seeded with seed."""
+    return gate_noise(NoiseSource(seed), w.n_heads, x_image.shape[-2], lengths,
+                      x_text.shape[-2])
 
 
 def gumbel_oracle(w, x_text, x_image, noise=None):
@@ -217,8 +227,8 @@ def test_score_divisor_is_sqrt_d_head():
     assert soft.data[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), abs=1e-12)
     # The train-mode gate of region 0 in head 0 is sigmoid(1/2 + noise); a
     # divisor of sqrt(8) would give sigmoid(0.354 + noise) instead.
-    src, oracle_src = NoiseSource(4), NoiseSource(4)
-    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, src)
+    oracle_src = NoiseSource(4)
+    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, drawn(4, w, x_text, x_image))
     noise = np.stack([logistic_noise(oracle_src, (1, 2)) for _ in range(2)])
     _, want = gumbel_oracle(w, x_text.data, x_image.data, noise)
     np.testing.assert_allclose(gates.data, want, rtol=1e-12)
@@ -228,8 +238,9 @@ def test_score_divisor_is_sqrt_d_head():
 
 def test_empty_text_gives_empty_gates():
     w = rand_weights(5, 4, 6, 2)
-    out, gates = multi_head_gumbel_attention(Tensor(np.zeros((0, 4))), Tensor(np.ones((3, 6))),
-                                             w, 1.0, NoiseSource(0))
+    x_text, x_image = Tensor(np.zeros((0, 4))), Tensor(np.ones((3, 6)))
+    out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0,
+                                             drawn(0, w, x_text, x_image))
     assert out.shape == (0, 4)
     assert gates.shape == (2, 0, 3)
 
@@ -238,8 +249,9 @@ def test_zero_projection_gates_average_half():
     # all scores 0 => train gates are symmetric around 0.5
     w = rand_weights(6, 2, 2, 2)
     w.wq.data[:] = 0.0
-    _, gates = multi_head_gumbel_attention(Tensor(np.ones((100, 2))), Tensor(np.ones((500, 2))),
-                                           w, 1.0, NoiseSource(12))
+    x_text, x_image = Tensor(np.ones((100, 2))), Tensor(np.ones((500, 2)))
+    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0,
+                                           drawn(12, w, x_text, x_image))
     assert gates.shape == (2, 100, 500)
     assert gates.data.mean() == pytest.approx(0.5, abs=5e-3)
 
@@ -257,7 +269,8 @@ def test_score_shift_opens_gates():
     for s in (0.0, 5.0):
         w = identity_weights(1, 1)
         w.wk.data[:] = s
-        _, gates = multi_head_gumbel_attention(ones_t, ones_r, w, 1.0, NoiseSource(21))
+        _, gates = multi_head_gumbel_attention(ones_t, ones_r, w, 1.0,
+                                               drawn(21, w, ones_t, ones_r))
         means.append(gates.data.mean())
     assert means[1] > means[0]
 
@@ -294,7 +307,8 @@ def test_multi_head_gumbel_shape_and_single_head_composition():
     w = rand_weights(7, 4, 6, 1)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
-    out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(9))
+    out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0,
+                                             drawn(9, w, x_text, x_image))
     assert out.shape == (3, 4) and gates.shape == (1, 3, 5)
     noise = logistic_noise(NoiseSource(9), (3, 5))[None]
     want, _ = gumbel_oracle(w, x_text.data, x_image.data, noise)
@@ -313,8 +327,8 @@ def test_gumbel_attention_matches_per_head_oracle(heads):
     lengths = np.array([3, 2])
     for train in (True, False):
         src = NoiseSource(3)
-        out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0,
-                                                 src if train else None, lengths)
+        noise = gate_noise(src, heads, 5, lengths, 3) if train else None
+        out, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, noise)
         assert gates.shape == (2, heads, 3, 5)
         oracle_src = NoiseSource(3)
         for i, n in enumerate(lengths):
@@ -366,10 +380,10 @@ def test_gumbel_attention_gradients_with_frozen_noise():
     x_text = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)))
     x_image = Tensor(rng.uniform(-1, 1, size=(2, 5, 6)))
     leaves = [w.wq, w.wk, w.wv, w.wo, x_text, x_image]
+    noise = drawn(31, w, x_text, x_image, np.array([3, 2]))
 
     def forward():
-        values, _ = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(31),
-                                                np.array([3, 2]))
+        values, _ = multi_head_gumbel_attention(x_text, x_image, w, 1.0, noise)
         return ad.reduce_sum(ad.mul(values, x_text))
 
     assert gradient_error(forward, leaves) < 1e-4
@@ -380,15 +394,16 @@ def test_heads_draw_independent_noise():
     w = rand_weights(13, 4, 6, 2)
     x_text = Tensor(rng.normal(size=(3, 4)))
     x_image = Tensor(rng.normal(size=(5, 6)))
-    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0, NoiseSource(1))
+    _, gates = multi_head_gumbel_attention(x_text, x_image, w, 1.0,
+                                           drawn(1, w, x_text, x_image))
     assert not np.array_equal(gates.data[0], gates.data[1])
 
     # distinct seeds on identical inputs differ somewhere across 100 draws
     one = identity_weights(1, 1)
     draws = []
+    ones = Tensor(np.ones((2, 1)))
     for s in range(100):
-        _, gates = multi_head_gumbel_attention(Tensor(np.ones((2, 1))), Tensor(np.ones((2, 1))),
-                                               one, 1.0, NoiseSource(s))
+        _, gates = multi_head_gumbel_attention(ones, ones, one, 1.0, drawn(s, one, ones, ones))
         draws.append(gates.data)
     assert any(not np.array_equal(draws[0], d) for d in draws[1:])
 
@@ -397,31 +412,53 @@ def test_gate_noise_is_the_per_head_draws_bit_for_bit():
     # One draw per call, laid out as if each (example, head) block of real
     # rows drew its own G' - G'' in turn; padded rows get zeros.
     src, ref = NoiseSource(4), NoiseSource(4)
-    noise = _gate_noise(src, (3, 2, 4, 5), np.array([4, 1, 3]))
+    noise = gate_noise(src, 2, 5, np.array([4, 1, 3]), 4)
+    assert noise.shape == (3, 2, 4, 5)
     for i, n in enumerate([4, 1, 3]):
         for h in range(2):
             np.testing.assert_array_equal(noise[i, h, :n], logistic_noise(ref, (n, 5)))
             np.testing.assert_array_equal(noise[i, h, n:], 0.0)
     assert stream_state(src) == stream_state(ref)
-    one = _gate_noise(NoiseSource(4), (2, 3, 5))
+    one = gate_noise(NoiseSource(4), 2, 5, None, 3)
     ref = NoiseSource(4)
     np.testing.assert_array_equal(one, [logistic_noise(ref, (3, 5)) for _ in range(2)])
 
 
 @pytest.mark.parametrize("cut", [1, 2, 3])
-def test_split_gate_noise_gives_each_part_the_whole_batch_draw(cut):
-    # Each part's forward pass, drawing from its share, gets its examples'
-    # noise bit for bit as one pass over the batch does, and the source ends
-    # where that pass leaves it.
-    lengths = np.array([4, 1, 3, 2])
-    src, ref = NoiseSource(9), NoiseSource(9)
-    whole = _gate_noise(ref, (4, 2, 4, 5), lengths)
-    first, second = split_gate_noise(src, 2, 5, lengths, cut)
-    assert src._rng.random() == ref._rng.random()
-    for part, rows in ((first, slice(0, cut)), (second, slice(cut, 4))):
-        t = int(lengths[rows].max())
-        np.testing.assert_array_equal(_gate_noise(part, (len(lengths[rows]), 2, t, 5),
-                                                  lengths[rows]),
-                                      whole[rows, :, :t])
-    with pytest.raises(ShapeError, match=r"gate noise of shape \(2, 5\) asked for"):
-        first.gumbel((2, 5))
+def test_split_gate_noise_gives_each_part_the_whole_batch_draw(cut, monkeypatch):
+    # A batch of 2 * cut examples trains as two halves of cut examples.  The
+    # split step draws the batch's gate noise once: each half's gated
+    # attention gets its examples' rows of the serial step's draw bit for
+    # bit, and the stream ends where the serial step leaves it.
+    ds = generate_dataset(SyntheticTaskSpec(
+        vocab_size=12, seq_len_min=2, seq_len_max=5, n_regions=4, d_image=6,
+        n_relevant_regions=1, n_train=6, n_val=0, n_test=0, seed=3))
+    cfg = ModelConfig(n_enc_layers=1, n_dec_layers=1, n_heads=2, d_model=8, d_ffn=16,
+                      d_image=6, n_regions=4, vocab_src=len(ds.src_vocab),
+                      vocab_tgt=len(ds.tgt_vocab))
+    batch = ds.train[:2 * cut]
+    lengths = np.array([len(ex.src_ids) for ex in batch])
+    caller = threading.get_ident()
+    got = {}
+
+    def recording(x_text, x_image, weights, tau, noise):
+        got[threading.get_ident() == caller] = noise.copy()
+        return multi_head_gumbel_attention(x_text, x_image, weights, tau, noise)
+
+    monkeypatch.setattr(model, "multi_head_gumbel_attention", recording)
+    sources = []
+    for split_min in (training._SPLIT_MIN, 0):
+        monkeypatch.setattr(training, "_SPLIT_MIN", split_min)
+        m, src = MMTModel(cfg, seed=7), NoiseSource(9)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            training._step(m, batch, 5, src, 0.5, 0, pool, training._Arena(m.parameters))
+        sources.append(src)
+        if split_min:
+            assert set(got) == {True}
+            whole = got.pop(True)
+    assert stream_state(sources[0]) == stream_state(sources[1])
+    assert whole.shape == (2 * cut, 2, lengths.max(), 4)
+    for caller_half, rows in ((True, slice(0, cut)), (False, slice(cut, 2 * cut))):
+        t = lengths[rows].max()
+        assert got[caller_half].shape == (cut, 2, t, 4)
+        np.testing.assert_array_equal(got[caller_half], whole[rows, :, :t])

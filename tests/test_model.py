@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ from gumbel_mmt import autodiff as ad
 from gumbel_mmt.autodiff import Tensor
 from gumbel_mmt.data import BOS_ID, EOS_ID
 from gumbel_mmt.errors import ConfigError, DataError, ShapeError
-from gumbel_mmt.gumbel import GateMode, NoiseSource
+from gumbel_mmt.gumbel import GateMode, NoiseSource, gate_noise
 from gumbel_mmt.model import (AblationFlags, DecoderState, MMTModel, ModelConfig, embed,
                               gated_fusion, pad_batch, sequence_lengths, similarity_loss,
                               sinusoid_position_encoding, total_loss)
@@ -398,15 +399,12 @@ def test_config_rejects_bad_sizes_naming_the_field(field, value):
         tiny_config(**{field: value})
 
 
-# The loss weight was once either fixed or trainable; only the fixed float is left.  Both
-# kinds now set ``ModelConfig.similarity_weight``: "fixed" at construction, "trainable" by
-# ``dataclasses.replace`` of a valid config, the way a config is changed before training.
-@pytest.mark.parametrize("kind", ["fixed", "trainable"])
+@pytest.mark.parametrize("kind", ["construct", "replace"])
 @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
 def test_loss_weight_must_be_finite_and_nonnegative(kind, value):
     with pytest.raises(ConfigError,
                        match=rf"^similarity_weight must be finite and >= 0, got {value}$"):
-        if kind == "fixed":
+        if kind == "construct":
             tiny_config(similarity_weight=value)
         else:
             dataclasses.replace(tiny_config(), similarity_weight=value)
@@ -675,6 +673,31 @@ def test_multimodal_encode_needs_an_image():
         m.encode([BOS_ID, 4, EOS_ID], None, None, GateMode.infer())
     text_only = MMTModel(tiny_config(ablation=AblationFlags(text_only=True)), seed=19)
     assert text_only.encode([BOS_ID, 4, EOS_ID], None, None, GateMode.infer()).h_image is None
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["sentence", "batch"])
+def test_drawn_gate_noise_of_the_wrong_shape_is_rejected_before_any_op(batch):
+    # Drawn noise must be (b, H, t, r), or (H, t, r) for one sentence; noise
+    # drawn for a different batch, with its t one row short, must not reach
+    # the gates.
+    cfg = tiny_config()
+    m = MMTModel(cfg, seed=19)
+    src, image = [BOS_ID, 4, 5, EOS_ID], tiny_image(cfg)
+    if batch:
+        src, image = pad_batch(BATCH_SRC), batch_images(cfg)
+    want = np.shape(src)[:-1] + (cfg.n_heads, np.shape(src)[-1], cfg.n_regions)
+    short = want[:-2] + (want[-2] - 1, want[-1])
+    with pytest.raises(ShapeError, match=re.escape(f"drawn gate noise of shape {short} does "
+                                                   f"not match {want}")):
+        m.encode(src, image, np.zeros(short), GateMode.train())
+    assert ad._state.tape == []
+    # The right shape is accepted, and is the draw a NoiseSource would make.
+    drawn = m.encode(src, image, gate_noise(NoiseSource(3), cfg.n_heads, cfg.n_regions,
+                                            sequence_lengths(np.asarray(src)), want[-2]),
+                     GateMode.train())
+    ad.reset_tape()
+    sourced = m.encode(src, image, NoiseSource(3), GateMode.train())
+    np.testing.assert_array_equal(drawn.gates.data, sourced.gates.data)
 
 
 def test_padded_batch_validation():

@@ -80,3 +80,25 @@ def test_numpy_is_the_only_runtime_dependency():
                 assert name.partition(".")[0] in allowed, (path.name, name)
     deps = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
+
+
+def test_gate_noise_alone_draws_from_a_noise_source():
+    # The order a forward pass's gates draw their noise in lives in one
+    # function: nothing else in the package calls NoiseSource.gumbel, and
+    # training hands the split halves their rows without the attention code.
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers |= {(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "gumbel"}
+    assert callers == {("gumbel.py", "gate_noise")}
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "training.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("gumbel_mmt.")
+            imported |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.removeprefix("gumbel_mmt.") for alias in node.names}
+    assert imported and "attention" not in imported

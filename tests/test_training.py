@@ -12,11 +12,10 @@ import pytest
 
 from gumbel_mmt import autodiff as ad
 from gumbel_mmt import training
-from gumbel_mmt.attention import split_gate_noise
 from gumbel_mmt.autodiff import Parameter, Tensor
 from gumbel_mmt.data import EOS_ID, SyntheticTaskSpec, generate_dataset, random_image_for
 from gumbel_mmt.errors import ConfigError, TrainingError
-from gumbel_mmt.gumbel import GateMode, NoiseSource
+from gumbel_mmt.gumbel import GateMode, NoiseSource, gate_noise
 from gumbel_mmt.model import AblationFlags, MMTModel, ModelConfig
 from gumbel_mmt.training import (Metrics, TrainConfig, adam_step, evaluate,
                                  teacher_forced_loss, train)
@@ -314,11 +313,12 @@ def test_split_step_matches_the_serial_step(n, ablation, monkeypatch):
         noise = NoiseSource(11)
         pool = CountingPool()
         try:
-            value, gates = training._step(m, ds.train[:n], 5, noise, 0.5, 0, pool,
-                                          training._Arena(m.parameters))
+            value, gates, tail = training._step(m, ds.train[:n], 5, noise, 0.5, 0, pool,
+                                                training._Arena(m.parameters))
         finally:
             pool.shutdown()
         assert pool.submitted == 2 * split   # the worker's half, then its merge
+        assert (tail is None) != split
         runs.append((value, gates, [p.tensor.grad.copy() for p in m.parameters.params],
                      noise._rng.random()))
     (value, gates, grads, uniform), (split_value, split_gates, split_grads, split_uniform) = runs
@@ -329,8 +329,8 @@ def test_split_step_matches_the_serial_step(n, ablation, monkeypatch):
     if ablation == "vanilla_attention":
         assert gates is None and split_gates is None
     else:
-        np.testing.assert_allclose(split_gates.open, gates.open, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(split_gates.count, gates.count)
+        assert split_gates.shape == gates.shape == (n,)
+        np.testing.assert_allclose(split_gates, gates, rtol=0, atol=1e-12)
 
 
 def test_split_training_matches_the_golden_losses(monkeypatch):
@@ -381,13 +381,14 @@ def test_a_failed_split_step_leaves_the_arena_clean(nan_half, monkeypatch):
             if fail_first:
                 with pytest.raises(TrainingError, match="^non-finite loss at step 3$"):
                     training._step(m, bad, 5, NoiseSource(11), 0.5, 3, pool, arena)
-                assert not arena.worker_grad.any() and arena.tail is None
-            value, _ = training._step(m, ds.train[4:8], 5, NoiseSource(11), 0.5, 4, pool, arena)
+                assert not arena.worker_grad.any()
+            value, _, tail = training._step(m, ds.train[4:8], 5, NoiseSource(11), 0.5, 4, pool,
+                                            arena)
         finally:
             pool.shutdown()
         assert pool.submitted == 2 + fail_first
         assert not arena.worker_grad.any()
-        runs.append((value.hex(), arena.grad.tobytes(), np.array(arena.tail[1]).tobytes()))
+        runs.append((value.hex(), arena.grad.tobytes(), np.array(tail[1]).tobytes()))
     assert runs[0] == runs[1]
 
 
@@ -423,13 +424,11 @@ def test_the_split_tail_matches_the_serial_norm_and_update_bit_for_bit(monkeypat
         pool, noise = FuturePool(), NoiseSource(11)
         try:
             for step, start in enumerate((0, 4, 6)):
-                training._step(m, ds.train[start:start + 4], 5, noise, 0.5, step, pool, arena)
-                squares = arena.tail[1]
-                assert training._norm(squares) == training._norm(training._squares(params)) > 0.05
-                if not by_groups:
-                    arena.tail = None
-                adam_step(tcfg, arena)
-                assert arena.tail is None
+                _, _, tail = training._step(m, ds.train[start:start + 4], 5, noise, 0.5, step,
+                                            pool, arena)
+                assert tail[0] is pool
+                assert training._norm(tail[1]) == training._norm(training._squares(params)) > 0.05
+                adam_step(tcfg, arena, tail if by_groups else None)
         finally:
             pool.shutdown()
         assert pool.submitted == 3 * (2 + by_groups)
@@ -454,8 +453,10 @@ def test_the_split_gradient_adds_each_halfs_summed_adjoints_first_half_first(mon
     batch = ds.train[:5]
     m = MMTModel(cfg, seed=7)
     params = m.parameters.params
-    noise_a, noise_b = split_gate_noise(NoiseSource(11), cfg.n_heads, cfg.n_regions,
-                                        [len(ex.src_ids) for ex in batch], 3)
+    lengths = np.array([len(ex.src_ids) for ex in batch])
+    whole = gate_noise(NoiseSource(11), cfg.n_heads, cfg.n_regions, lengths, lengths.max())
+    noise_a = whole[:3, :, :lengths[:3].max()]
+    noise_b = whole[3:, :, :lengths[3:].max()]
     want = [np.zeros(p.tensor.shape) for p in params]
     for part, noise, share in ((batch[:3], noise_a, 3 / 5), (batch[3:], noise_b, 2 / 5)):
         ad.reset_tape()
@@ -494,23 +495,23 @@ def test_a_non_finite_gradient_under_the_split_tail_aborts_before_any_update(gro
             into[target.tensor].reshape(-1)[0] = np.nan
 
     try:
-        training._step(m, ds.train[:4], 5, noise, 0.5, 0, pool, arena)
-        adam_step(TINY_TRAIN, arena)
+        _, _, tail = training._step(m, ds.train[:4], 5, noise, 0.5, 0, pool, arena)
+        adam_step(TINY_TRAIN, arena, tail)
         before = ([p.tensor.data.copy() for p in params],
                   [x.copy() for x in m.parameters.views(arena.m)],
                   [x.copy() for x in m.parameters.views(arena.v)])
         monkeypatch.setattr(ad, "backward", poisoned)
-        value, _ = training._step(m, ds.train[4:8], 5, noise, 0.5, 1, pool, arena)
+        value, _, tail = training._step(m, ds.train[4:8], 5, noise, 0.5, 1, pool, arena)
         assert math.isfinite(value)
         with pytest.raises(TrainingError,
                            match=f"^non-finite gradient in parameter {target.name!r}$"):
-            adam_step(TINY_TRAIN, arena)
+            adam_step(TINY_TRAIN, arena, tail)
     finally:
         pool.shutdown()
     # Two halves, two merges and one update; the failed update submits none.
     assert pool.submitted == 5
     assert all(f.done() and f.exception() is None for f in pool.futures)
-    assert arena.t == 1 and arena.tail is None
+    assert arena.t == 1
     data, moments, variances = before
     for p, d, m_view, m_before, v_view, v_before in zip(
             params, data, m.parameters.views(arena.m), moments,
