@@ -429,10 +429,10 @@ class MMTModel:
         drawn = noise if train_gates else None
         if train_gates and not isinstance(noise, np.ndarray):
             drawn = gate_noise(noise, cfg.n_heads, cfg.n_regions, lengths, t)
-        want = ids.shape[:-1] + (cfg.n_heads, t, cfg.n_regions)
-        if drawn is not None and drawn.shape != want:
-            raise ShapeError(f"drawn gate noise of shape {drawn.shape} does not match {want} "
-                             "(token batch, n_heads, t, n_regions)")
+        gate_shape = ids.shape[:-1] + (cfg.n_heads, t, cfg.n_regions)
+        if drawn is not None and drawn.shape != gate_shape:
+            raise ShapeError(f"drawn gate noise of shape {drawn.shape} does not match "
+                             f"{gate_shape} (token batch, n_heads, t, n_regions)")
         text_mask = key_padding_mask(lengths, t)
         emb = embed(ids, self.src_table, self.pos_enc)
         if cfg.ablation.text_only:
