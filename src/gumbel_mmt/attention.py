@@ -62,11 +62,13 @@ def causal_mask(t: int) -> np.ndarray:
 
 
 def key_padding_mask(lengths: np.ndarray | None, n_keys: int) -> np.ndarray | None:
-    """(b, 1, 1, n_keys) mask, True where a key lies beyond its example's
-    length; None for a single sequence or a batch without padding."""
+    """``lengths.shape + (1, 1, n_keys)`` mask, True where a key lies beyond
+    its sequence's length, for lengths shaped like the token ids' leading
+    axes; None where no key does, and for ``MMTModel.decode``'s memory given
+    without lengths (None)."""
     if lengths is None or bool((lengths == n_keys).all()):
         return None
-    return (np.arange(n_keys) >= lengths[:, None])[:, None, None, :]
+    return (np.arange(n_keys) >= lengths[..., None])[..., None, None, :]
 
 
 def _attend(q: Tensor, kv: Tensor, weights: AttentionWeights,

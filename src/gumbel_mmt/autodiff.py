@@ -483,11 +483,11 @@ def residual_layer_norm(x: Tensor, h: Tensor, gain: Tensor, bias: Tensor,
     return _emit((x, h, gain, bias), y, back)
 
 
-def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Tensor:
-    """Negative log-softmax probability of the target ids over the last axis,
-    skipping positions whose target equals pad_id.  Without weights it is the
-    mean over the other positions; with constant weights of the targets'
-    shape it is their weighted sum."""
+def cross_entropy(logits: Tensor, targets, weights, pad_id: int = 0) -> Tensor:
+    """Weighted sum of the negative log-softmax probabilities of the target
+    ids over the last axis, skipping positions whose target equals pad_id, for
+    ``(t,)`` and ``(b, t)`` targets alike.  The constant weights have the
+    targets' shape; one over a row's live count makes its term a token mean."""
     _require(logits.data.ndim >= 2,
              lambda: f"cross_entropy logits must be 2-d or batched, got {logits.shape}")
     ids = np.asarray(targets, dtype=np.int64)
@@ -500,33 +500,25 @@ def cross_entropy(logits: Tensor, targets, pad_id: int = 0, weights=None) -> Ten
     bad = live & ((ids < 0) | (ids >= v))
     if bad.any():
         raise DataError(f"target id {ids[bad][0]} out of range [0, {v})")
-    n_live = int(live.sum())
-    if n_live == 0:
+    if not live.any():
         return _emit((logits,), _fresh(0.0), lambda g: (np.zeros(logits.shape),))
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        _require(w.shape == logits.shape[:-1],
-                 lambda: f"cross_entropy weights shape {w.shape} vs logits {logits.shape}")
-        w = w.reshape(-1)[live]
+    w = np.asarray(weights, dtype=np.float64)
+    _require(w.shape == logits.shape[:-1],
+             lambda: f"cross_entropy weights shape {w.shape} vs logits {logits.shape}")
+    w = w.reshape(-1)[live]
     x = logits.data.reshape(t, v)
     z = x - np.maximum.reduce(x, axis=1, keepdims=True)
     logsumexp = np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
     logp = np.subtract(z, logsumexp, out=_take((t, v)))
     rows = np.arange(t)[live]
     picked = logp[rows, ids[live]]
-    if weights is None:
-        loss = -np.add.reduce(picked, axis=None) / n_live
-    else:
-        loss = -np.add.reduce(picked * w, axis=None)
+    loss = -np.add.reduce(picked * w, axis=None)
 
     def back(g: Array):
         dz = np.exp(logp)
         dz[rows, ids[live]] -= 1.0
         dz[~live] = 0.0
-        if weights is None:
-            dz *= float(g) / n_live
-        else:
-            dz[live] *= float(g) * w[:, None]
+        dz[live] *= float(g) * w[:, None]
         return (dz.reshape(logits.shape),)
 
     return _emit((logits,), _fresh(loss), back)

@@ -93,8 +93,7 @@ class SyntheticTaskSpec:
 class ExampleMeta:
     ex_id: int
     label: int                      # 0 => TARGET_A, 1 => TARGET_B
-    amb_src_pos: int                # index into the core (bos/eos stripped) source
-    amb_tgt_pos: int
+    amb_tgt_pos: int                # index into the core (bos/eos stripped) target and source
     relevant_regions: list[int]
 
 
@@ -152,8 +151,8 @@ def _make_example(spec: SyntheticTaskSpec, src_vocab: Vocabulary, tgt_vocab: Voc
     # taken on these values, and dropping the round trip would change them.
     image = image.astype(np.float32).astype(np.float64)
     return Example(src_vocab.encode(words), tgt_vocab.encode(tgt_words), image,
-                   ExampleMeta(ex_id=ex_id, label=label, amb_src_pos=pos,
-                               amb_tgt_pos=pos, relevant_regions=relevant))
+                   ExampleMeta(ex_id=ex_id, label=label, amb_tgt_pos=pos,
+                               relevant_regions=relevant))
 
 
 def generate_dataset(spec: SyntheticTaskSpec) -> Dataset:

@@ -38,24 +38,24 @@ class NoiseSource:
 
 
 def gate_noise(src: NoiseSource, n_heads: int, n_regions: int,
-               lengths: np.ndarray | None, t: int) -> np.ndarray:
-    """Logistic noise G' - G'' for the gates of one forward pass: (b, H, t, r)
-    for a padded batch of t text rows whose text lengths are ``lengths``, or
-    (H, t, r) for one sentence of t rows (None).
+               lengths: np.ndarray, t: int) -> np.ndarray:
+    """Logistic noise G' - G'' for the gates of one forward pass over t text
+    rows, of shape ``lengths.shape + (H, t, r)``: the text lengths are
+    shaped like the token ids' leading axes, (b,) for a padded batch and
+    ``()`` for one sentence.
 
     Ordered example by example, then head by head, for each example's first
     lengths[i] rows only (padded rows get zeros), with each head's G' block
     before its G'' block, so a batch consumes the stream exactly as encoding
     its examples one at a time does, and a cut of the batch's draw by
     examples gives each part its examples' noise.  All of it is one draw,
-    written in C order into the real rows of one (b, H, 2, t, r) array.
+    written in C order into the real rows of one (..., H, 2, t, r) array.
     """
-    real = np.arange(t) < (np.full(1, t) if lengths is None else lengths)[:, None]
-    g = np.zeros((len(real), n_heads, 2, t, n_regions))
-    rows = np.broadcast_to(real[:, None, None, :], g.shape[:-1])
+    real = np.arange(t) < lengths[..., None]
+    g = np.zeros(real.shape[:-1] + (n_heads, 2, t, n_regions))
+    rows = np.broadcast_to(real[..., None, None, :], g.shape[:-1])
     g[rows] = src.gumbel((int(np.count_nonzero(rows)), n_regions))
-    noise = g[:, :, 0] - g[:, :, 1]
-    return noise if lengths is not None else noise[0]
+    return g[..., 0, :, :] - g[..., 1, :, :]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ Every forward takes one sentence (1-d token ids, a ``(r, d_image)`` image)
 or a batch: ``(b, t)`` token ids right-padded with PAD_ID and ``(b, r,
 d_image)`` images.  A batch runs through the same code with a leading axis,
 and key-padding masks keep every example's real rows from reading padding.
+Below the API, lengths are shaped like the ids' leading axes: ``(b,)``, or
+``()`` for one sentence.  :func:`sequence_lengths` makes them, and the gate
+noise, gate statistics and loss take them as given: a sentence is its batch
+of one, bit for bit.
 
 ``decode`` is the autodiff forward over every target position.  Greedy
 decoding moves one new row per sentence per step through the tape-free
@@ -112,8 +116,8 @@ class EncoderOutput:
     h_text: Tensor
     h_image: Tensor | None
     fused: Tensor
+    lengths: np.ndarray                 # source lengths: (b,), or () for one sentence
     gates: Tensor | None = None         # (..., H, t, r) gates of the cross-modal attention
-    lengths: np.ndarray | None = None   # source lengths of a batch; None for one sentence
 
     def gate_stats(self, relevant_regions: list[list[int]] | None = None
                    ) -> GateStats | None:
@@ -125,7 +129,7 @@ class EncoderOutput:
         heads, t, r = self.gates.shape[-3:]
         alpha = self.gates.data.reshape(-1, heads, t, r)
         b = alpha.shape[0]
-        lengths = np.full(b, t) if self.lengths is None else self.lengths
+        lengths = self.lengths.reshape(b)
         real = np.arange(t) < lengths[:, None]                  # (b, t)
         per_region = np.where(real[:, None, :, None], alpha, 0.0).sum(axis=(1, 2))
         relevant = np.zeros((b, r), dtype=bool)
@@ -137,18 +141,19 @@ class EncoderOutput:
                          count=regions.sum(axis=2) * (heads * lengths)[:, None])
 
 
-def sequence_lengths(ids: np.ndarray) -> np.ndarray | None:
-    """Lengths of a right-padded (b, t) batch of token ids; None for 1-d ids,
-    one sentence, which is held to the rule of a row that fills its batch."""
+def sequence_lengths(ids: np.ndarray) -> np.ndarray:
+    """Lengths of token ids, shaped like their leading axes: ``(b,)`` for a
+    right-padded (b, t) batch, and a 0-d array for 1-d ids, one sentence,
+    which is held to the rule of a row that fills its batch."""
     if ids.ndim not in (1, 2):
         raise ShapeError(f"token ids must be 1-d or (batch, time), got shape {ids.shape}")
     real = ids != PAD_ID
-    lengths = real.sum(axis=-1)
-    full = np.arange(ids.shape[-1]) < (lengths[:, None] if ids.ndim == 2 else ids.shape[-1])
+    lengths = real.sum(axis=-1) if ids.ndim == 2 else np.array(ids.shape[-1])
+    full = np.arange(ids.shape[-1]) < lengths[..., None]
     if not (real == full).all() or (lengths == 0).any():
         raise ShapeError(f"token ids of shape {ids.shape} need a non-empty sentence in every "
                          "row, with PAD_ID only after its last token in a padded batch")
-    return lengths if ids.ndim == 2 else None
+    return lengths
 
 
 def pad_batch(seqs) -> np.ndarray:
@@ -195,31 +200,29 @@ def gated_fusion(h_image: Tensor, h_text: Tensor, w: Tensor, u: Tensor) -> Tenso
 
 
 def similarity_loss(h_image: Tensor, h_text: Tensor, margin: float,
-                    lengths: np.ndarray | None = None) -> Tensor:
-    """Hinge on (1 - cosine - margin) between the mean-pooled branch outputs.
-    One sentence pools all its rows; for a padded batch, pass the source
-    lengths: each example pools its real rows, and the result is the mean of
-    the examples' hinges."""
-    if lengths is None:
-        lengths = np.full(h_text.shape[:-2], h_text.shape[-2])
+                    lengths: np.ndarray) -> Tensor:
+    """Hinge on (1 - cosine - margin) between the mean-pooled branch outputs:
+    each example pools its first ``lengths`` rows, and the result is the mean
+    of the examples' hinges.  The source lengths are shaped like the
+    branches' leading axes, ``()`` for one (t, d) sentence."""
     c = ad.cosine_similarity(ad.mean_pool(h_image, lengths), ad.mean_pool(h_text, lengths))
     return ad.reduce_mean(ad.relu(ad.add_scalar(ad.scale(c, -1.0), 1.0 - margin)))
 
 
 def total_loss(logits: Tensor, targets, h_image: Tensor | None, h_text: Tensor | None,
-               weight: float, *, margin: float = 0.3, pad_id: int = PAD_ID,
-               src_lengths: np.ndarray | None = None) -> Tensor:
+               weight: float, *, src_lengths: np.ndarray, margin: float = 0.3,
+               pad_id: int = PAD_ID) -> Tensor:
     """Cross entropy plus the weighted similarity hinge.  The similarity term
     is dropped when either branch representation is absent.
 
-    For a batch, (b, t, vocab) logits, the loss is the mean over examples of
-    each example's token-mean cross entropy plus its hinge, the same as
-    averaging the losses of the examples taken one at a time."""
-    weights = None
-    if logits.data.ndim == 3:
-        live = np.asarray(targets) != pad_id
-        weights = live / (live.shape[0] * np.maximum(live.sum(axis=1), 1))[:, None]
-    ce = ad.cross_entropy(logits, targets, pad_id=pad_id, weights=weights)
+    The loss is the mean over examples of each example's token-mean cross
+    entropy plus its hinge, the same as averaging the losses of the examples
+    taken one at a time: (t, vocab) logits are one example, (b, t, vocab) a
+    batch.  The source lengths are shaped like the targets' leading axes."""
+    live = np.asarray(targets) != pad_id
+    weights = live / (math.prod(live.shape[:-1])
+                      * np.maximum(live.sum(axis=-1, keepdims=True), 1))
+    ce = ad.cross_entropy(logits, targets, weights, pad_id=pad_id)
     if h_image is None or h_text is None:
         return ce
     sim = similarity_loss(h_image, h_text, margin, src_lengths)
@@ -410,8 +413,9 @@ class MMTModel:
                mode: GateMode, tau: float = 1.0) -> EncoderOutput:
         """Encode one sentence, or a padded batch with one image per row.
         Train-mode Gumbel gates read ``noise``: a NoiseSource that
-        :func:`gate_noise` draws from once, or its draw, (b, H, t, r) or
-        (H, t, r) for one sentence, made ahead."""
+        :func:`gate_noise` draws from once, or its draw, made ahead, of shape
+        ``lengths.shape + (H, t, r)``: (b, H, t, r), or (H, t, r) for one
+        sentence."""
         cfg = self.cfg
         train_gates = cfg.gumbel_gates and mode.is_train
         if train_gates and noise is None:
@@ -464,8 +468,8 @@ class MMTModel:
             fused = ad.add(h_text, h_image)
         else:
             fused = gated_fusion(h_image, h_text, self.fusion_w, self.fusion_u)
-        return EncoderOutput(h_text=h_text, h_image=h_image, fused=fused,
-                             gates=gates, lengths=lengths)
+        return EncoderOutput(h_text=h_text, h_image=h_image, fused=fused, lengths=lengths,
+                             gates=gates)
 
     # -- decoding and losses --------------------------------------------------
 
@@ -473,10 +477,11 @@ class MMTModel:
                ) -> Tensor:
         """Next-token logits for every target input position: (t, vocab) for
         one sentence, (b, t, vocab) for a batch, whose memory_lengths are the
-        source lengths of its padded memory.  The (t, t) causal mask and the
-        memory's (b, 1, 1, n) key padding broadcast against every head's
-        scores.  Right padding of the targets needs no mask: it follows every
-        real position, so the causal mask already hides it from them."""
+        source lengths of its padded memory; None says the memory has no
+        padding.  The (t, t) causal mask and the memory's (b, 1, 1, n) key
+        padding broadcast against every head's scores.  Right padding of the
+        targets needs no mask: it follows every real position, so the causal
+        mask already hides it from them."""
         ids = np.asarray(tgt_in_ids, dtype=np.int64)
         t = ids.shape[-1]
         x = embed(ids, self.tgt_table, self.pos_enc)
@@ -538,8 +543,8 @@ class DecoderState:
     model can encode, up to max_len, and the memory's keys and values;
     ``length`` counts the positions decoded."""
 
-    def __init__(self, model: MMTModel, memory: np.ndarray,
-                 memory_lengths: np.ndarray | None, max_len: int):
+    def __init__(self, model: MMTModel, memory: np.ndarray, memory_lengths: np.ndarray,
+                 max_len: int):
         cfg = model.cfg
         self.model, self.length, self.max_len, heads = model, 0, max_len, cfg.n_heads
         self.memory_mask = key_padding_mask(memory_lengths, memory.shape[-2])

@@ -181,7 +181,8 @@ def _case_cross_entropy(rng):
     logits = rand_tensor(rng, (5, 7))
     targets = rng.integers(0, 7, size=5)
     targets[0] = 0  # exercise pad skipping
-    return lambda: ad.cross_entropy(logits, targets, pad_id=0), [logits], 1e-5
+    weights = np.full(5, 0.25)
+    return lambda: ad.cross_entropy(logits, targets, weights, pad_id=0), [logits], 1e-5
 
 
 def _case_cosine_similarity(rng):
@@ -253,7 +254,7 @@ def _case_cross_entropy_weighted(rng):
     targets = rng.integers(0, 7, size=(2, 4))
     targets[1, 2:] = 0  # padding
     weights = rng.uniform(0.1, 1.0, size=(2, 4))
-    return (lambda: ad.cross_entropy(logits, targets, pad_id=0, weights=weights),
+    return (lambda: ad.cross_entropy(logits, targets, weights, pad_id=0),
             [logits], 1e-5)
 
 

@@ -62,7 +62,10 @@ def softmax_oracle(w, q, k, v, mask=None):
 
 def drawn(seed, w, x_text, x_image, lengths=None):
     """The gate noise a train-mode encode draws for these inputs, from a
-    fresh source seeded with seed."""
+    fresh source seeded with seed; the text rows fill their sequences unless
+    lengths are given."""
+    if lengths is None:
+        lengths = np.full(x_text.shape[:-2], x_text.shape[-2])
     return gate_noise(NoiseSource(seed), w.n_heads, x_image.shape[-2], lengths,
                       x_text.shape[-2])
 
@@ -419,7 +422,8 @@ def test_gate_noise_is_the_per_head_draws_bit_for_bit():
             np.testing.assert_array_equal(noise[i, h, :n], logistic_noise(ref, (n, 5)))
             np.testing.assert_array_equal(noise[i, h, n:], 0.0)
     assert stream_state(src) == stream_state(ref)
-    one = gate_noise(NoiseSource(4), 2, 5, None, 3)
+    one = gate_noise(NoiseSource(4), 2, 5, np.array(3), 3)
+    assert one.shape == (2, 3, 5)
     ref = NoiseSource(4)
     np.testing.assert_array_equal(one, [logistic_noise(ref, (3, 5)) for _ in range(2)])
 

@@ -202,7 +202,7 @@ def test_layer_step_shape_errors(call, pattern):
 
 
 def test_cross_entropy_uniform():
-    loss = ad.cross_entropy(Tensor(np.zeros((3, 4))), [1, 2, 3], pad_id=0)
+    loss = ad.cross_entropy(Tensor(np.zeros((3, 4))), [1, 2, 3], np.full(3, 1 / 3), pad_id=0)
     assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
 
@@ -210,13 +210,14 @@ def test_cross_entropy_confident():
     logits = np.zeros((2, 5))
     logits[0, 2] = 1000.0
     logits[1, 4] = 1000.0
-    loss = ad.cross_entropy(Tensor(logits), [2, 4])
+    loss = ad.cross_entropy(Tensor(logits), [2, 4], np.full(2, 0.5))
     assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cross_entropy_of_all_padding_is_zero_with_zero_gradient():
     logits = grad_leaf(np.random.default_rng(2).normal(size=(2, 3, 5)))
-    loss = ad.cross_entropy(logits, np.zeros((2, 3), dtype=np.int64), pad_id=0)
+    loss = ad.cross_entropy(logits, np.zeros((2, 3), dtype=np.int64), np.ones((2, 3)),
+                            pad_id=0)
     assert loss.shape == () and loss.item() == 0.0
     ad.backward(loss)
     ad.reset_tape()
@@ -230,16 +231,17 @@ def test_item_of_a_non_scalar_names_its_shape():
 
 
 def test_cross_entropy_skips_padding():
+    # A padded position adds nothing, whatever its weight.
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(4, 6))
-    full = ad.cross_entropy(Tensor(logits), [1, 2, 0, 0])
-    live = ad.cross_entropy(Tensor(logits[:2]), [1, 2])
-    assert full.item() == pytest.approx(live.item())
+    full = ad.cross_entropy(Tensor(logits), [1, 2, 0, 0], np.full(4, 0.5))
+    live = ad.cross_entropy(Tensor(logits[:2]), [1, 2], np.full(2, 0.5))
+    assert full.item() == live.item()
 
 
 def test_cross_entropy_rejects_out_of_range_target():
     with pytest.raises(DataError, match=r"target id 7 out of range \[0, 3\)"):
-        ad.cross_entropy(Tensor(np.zeros((2, 3))), [1, 7])
+        ad.cross_entropy(Tensor(np.zeros((2, 3))), [1, 7], np.full(2, 0.5))
 
 
 def test_cosine_similarity_values():
@@ -274,7 +276,7 @@ def test_backward_twice_doubles_exactly():
     rng = np.random.default_rng(2)
     a = grad_leaf(rng.normal(size=(3, 3)))
     b = grad_leaf(rng.normal(size=(3, 3)))
-    loss = ad.cross_entropy(ad.softmax_rows(ad.matmul(a, b)), [0, 1, 2])
+    loss = ad.cross_entropy(ad.softmax_rows(ad.matmul(a, b)), [0, 1, 2], np.full(3, 1 / 3))
     ad.backward(loss)
     once_a, once_b = a.grad.copy(), b.grad.copy()
     ad.backward(loss)
@@ -359,7 +361,8 @@ def test_backward_composite_matches_finite_differences():
     b = Tensor(rng.uniform(-2, 2, size=(4, 3)))
 
     def forward():
-        return ad.cross_entropy(ad.softmax_rows(ad.matmul(a, b)), [2, 0, 1], pad_id=0)
+        return ad.cross_entropy(ad.softmax_rows(ad.matmul(a, b)), [2, 0, 1], np.full(3, 1 / 3),
+                                pad_id=0)
 
     assert gradient_error(forward, [a, b]) < 1e-4
 
@@ -461,10 +464,12 @@ def test_cross_entropy_weights_give_mean_of_row_means():
     rng = np.random.default_rng(9)
     logits = rng.normal(size=(2, 4, 5))
     targets = np.array([[1, 2, 3, 4], [2, 3, 0, 0]])
-    per_example = [ad.cross_entropy(Tensor(logits[i]), targets[i]).item() for i in range(2)]
+    logp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     live = targets != 0
+    per_example = [-picked[i][live[i]].mean() for i in range(2)]
     weights = live / (2 * live.sum(axis=1))[:, None]
-    got = ad.cross_entropy(Tensor(logits), targets, weights=weights).item()
+    got = ad.cross_entropy(Tensor(logits), targets, weights).item()
     assert got == pytest.approx(np.mean(per_example), rel=1e-12)
 
 

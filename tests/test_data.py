@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gumbel_mmt.data import (AMBIGUOUS_TOKEN, BOS_ID, EOS_ID, PAD_ID, UNK_ID,
-                             SyntheticTaskSpec, Vocabulary, generate_dataset, random_image_for)
+from gumbel_mmt.data import (AMBIGUOUS_TOKEN, BOS_ID, EOS_ID, PAD_ID, TARGET_A, TARGET_B,
+                             UNK_ID, SyntheticTaskSpec, Vocabulary, generate_dataset,
+                             random_image_for)
 from gumbel_mmt.errors import DataError
 
 
@@ -98,11 +99,28 @@ def test_disambiguation_construction():
         assert ex.image.shape == (9, 16)
         core, amb = ex.src_ids[1:-1], ds.src_vocab.id(AMBIGUOUS_TOKEN)
         assert core.count(amb) == 1
-        assert core.index(amb) == ex.meta.amb_src_pos
+        assert core.index(amb) == ex.meta.amb_tgt_pos
         # the answer must be recoverable from the relevant rows alone
         sig_by_label.setdefault(ex.meta.label, ex.image[ex.meta.relevant_regions[0]])
     assert set(sig_by_label) == {0, 1}
     assert not np.allclose(sig_by_label[0], sig_by_label[1])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the generator makes every target "
+                   "token of a label-0 example tx")
+def test_each_target_token_translates_its_source_token():
+    # s07 translates to t07, and the ambiguous word to tx for label 0 and ty
+    # for label 1.
+    spec = small_spec()
+    ds = generate_dataset(spec)
+    n_words = spec.vocab_size - 5  # the reserved ids and the ambiguous word
+    translate = {ds.src_vocab.id(f"s{i:02d}"): ds.tgt_vocab.id(f"t{i:02d}")
+                 for i in range(n_words)}
+    amb = ds.src_vocab.id(AMBIGUOUS_TOKEN)
+    answers = [ds.tgt_vocab.id(TARGET_A), ds.tgt_vocab.id(TARGET_B)]
+    for ex in ds.train + ds.val + ds.test:
+        want = [answers[ex.meta.label] if s == amb else translate[s] for s in ex.src_ids[1:-1]]
+        assert ex.tgt_ids[1:-1] == want, ex.meta
 
 
 def test_relevant_rows_carry_the_signature():

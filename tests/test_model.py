@@ -103,16 +103,17 @@ def test_fusion_gradients():
 def test_similarity_loss_cases():
     rng = np.random.default_rng(5)
     h = Tensor(rng.normal(size=(3, 4)))
-    same = similarity_loss(h, Tensor(h.data.copy()), margin=0.3)
+    n = np.array(3)
+    same = similarity_loss(h, Tensor(h.data.copy()), 0.3, n)
     assert same.item() == 0.0
 
     a = Tensor(np.tile([1.0, 0.0], (3, 1)))
     b = Tensor(np.tile([0.0, 1.0], (3, 1)))
-    assert similarity_loss(a, b, margin=0.3).item() == pytest.approx(0.7, abs=1e-12)
+    assert similarity_loss(a, b, 0.3, n).item() == pytest.approx(0.7, abs=1e-12)
 
     anti = Tensor(-a.data)
     # the eps guard in cosine shifts the value by ~1e-8 at cos = -1
-    assert similarity_loss(a, anti, margin=0.3).item() == pytest.approx(1.7, abs=1e-7)
+    assert similarity_loss(a, anti, 0.3, n).item() == pytest.approx(1.7, abs=1e-7)
 
 
 def test_total_loss_composition():
@@ -121,11 +122,12 @@ def test_total_loss_composition():
     targets = [1, 2, 3, 0]
     h_img = Tensor(rng.normal(size=(4, 5)))
     h_txt = Tensor(rng.normal(size=(4, 5)))
-    ce = ad.cross_entropy(logits, targets).item()
-    sim = similarity_loss(h_img, h_txt, 0.3).item()
-    total = total_loss(logits, targets, h_img, h_txt, 0.5, margin=0.3)
+    n = np.array(4)
+    ce = ad.cross_entropy(logits, targets, np.array([1, 1, 1, 0]) / 3).item()
+    sim = similarity_loss(h_img, h_txt, 0.3, n).item()
+    total = total_loss(logits, targets, h_img, h_txt, 0.5, margin=0.3, src_lengths=n)
     assert total.item() == pytest.approx(ce + 0.5 * sim, abs=1e-12)
-    only_ce = total_loss(logits, targets, None, h_txt, 0.5)
+    only_ce = total_loss(logits, targets, None, h_txt, 0.5, src_lengths=n)
     assert only_ce.item() == pytest.approx(ce, abs=1e-12)
 
 
@@ -525,7 +527,7 @@ def real_rows_forward(m, src, tgt, images, n_real, mode):
     logits = m.decode(tgt[:, :-1], enc.fused, enc.lengths)
     weights = np.zeros(tgt[:, 1:].shape)
     weights[:n_real] = 1.0
-    ad.backward(ad.cross_entropy(logits, tgt[:, 1:], weights=weights))
+    ad.backward(ad.cross_entropy(logits, tgt[:, 1:], weights))
     ad.reset_tape()
     gates = None if enc.gates is None else enc.gates.data
     return logits.data, gates, {p.name: p.tensor.grad.copy() for p in params}
@@ -564,20 +566,32 @@ def test_padding_leaves_the_real_rows_unchanged(m, pairs, extra, extra_src_cols,
 
 
 def test_one_sentence_equals_a_batch_of_one():
-    # One (t, d) sentence pools through the same mean_pool as a padded batch.
+    # One sentence carries a 0-d length and takes its batch of one's path,
+    # the loss's one token-mean reduction included, so its loss, fused
+    # memory, gates and greedy tokens are the batch's bit for bit.
     rng = np.random.default_rng(21)
     h_img, h_txt = rng.normal(size=(2, 5, 4))
-    one = similarity_loss(Tensor(h_img), Tensor(h_txt), 0.3).item()
+    one = similarity_loss(Tensor(h_img), Tensor(h_txt), 0.3, np.array(5)).item()
     batch = similarity_loss(Tensor(h_img[None]), Tensor(h_txt[None]), 0.3, np.array([5]))
-    assert one > 0 and one == pytest.approx(batch.item(), rel=0, abs=1e-12)
+    assert one > 0 and one == batch.item()
     cfg = tiny_config()
     m = MMTModel(cfg, seed=20)
-    image = tiny_image(cfg)
-    for mode in (GateMode.train(), GateMode.infer()):
-        single, _ = m.loss(BATCH_SRC[0], BATCH_TGT[0], image, NoiseSource(3), mode)
-        batched, _ = m.loss(pad_batch(BATCH_SRC[:1]), pad_batch(BATCH_TGT[:1]), image[None],
-                            NoiseSource(3), mode)
-        assert single.item() == pytest.approx(batched.item(), rel=0, abs=1e-12)
+    image = tiny_image(cfg, seed=4)
+    # On the last pair, a plain mean of the five target tokens' losses and
+    # their sum weighted by 1/5 differ in the last bit, in both gate modes.
+    pairs = [*zip(BATCH_SRC, BATCH_TGT),
+             ([BOS_ID, 7, 4, 7, 8, 5, EOS_ID], [BOS_ID, 9, 8, 9, 5, 7, EOS_ID])]
+    for src, tgt in pairs:
+        for mode in (GateMode.train(), GateMode.infer()):
+            single, enc = m.loss(src, tgt, image, NoiseSource(3), mode)
+            batched, batch_enc = m.loss(pad_batch([src]), pad_batch([tgt]), image[None],
+                                        NoiseSource(3), mode)
+            assert single.item() == batched.item()
+            np.testing.assert_array_equal(enc.fused.data, batch_enc.fused.data[0])
+            np.testing.assert_array_equal(enc.gates.data, batch_enc.gates.data[0])
+        tokens, _ = m.greedy_decode(src, image, 6)
+        batch_tokens, _ = m.greedy_decode(pad_batch([src]), image[None], 6)
+        assert tokens == batch_tokens[0]
 
 
 # Primitives no model path calls: gradient checks sum their outputs with
@@ -656,7 +670,8 @@ def test_one_sentence_with_padding_or_no_tokens_is_rejected_before_any_op(src):
     with pytest.raises(ShapeError, match="PAD_ID only after"):
         m.encode(src, tiny_image(cfg), None, GateMode.infer())
     assert ad._state.tape == []
-    assert sequence_lengths(np.array([BOS_ID, 5, EOS_ID])) is None
+    lengths = sequence_lengths(np.array([BOS_ID, 5, EOS_ID]))
+    assert lengths.shape == () and lengths == 3
 
 
 def test_encode_rejects_a_sentence_longer_than_max_positions():
